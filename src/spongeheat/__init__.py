@@ -3,105 +3,4 @@ closed-form volumes, surfaces and coolant efficiencies over arbitrary
 precision rationals, an independent voxel oracle, reference-table
 reproduction, efficiency-crossover analysis, and mesh export."""
 
-from .metrics import (
-    CLOSED_FORM_CAP,
-    GeometrySummary,
-    IterationOutOfRangeError,
-    ModelKind,
-    Ratios,
-    char_length,
-    coolant_volume,
-    efficiency,
-    menger_surface,
-    menger_surface_simplified,
-    menger_volume,
-    model_surface,
-    model_volume,
-    ratios,
-    slice_count,
-    slice_surface,
-    slice_volume,
-    summarize,
-    total_volume,
-)
-from .voxel import (
-    DEFAULT_ORACLE_CAP,
-    CoordinateOutOfRangeError,
-    OracleCapError,
-    VoxelGrid,
-    build_grid,
-    count_exposed_faces,
-    is_solid_menger,
-    is_solid_slices,
-    measure_surface,
-    measure_volume,
-)
-from .analysis import (
-    CrossoverReport,
-    EfficiencyRow,
-    EfficiencySeries,
-    NoCrossoverError,
-    TABLE_COLUMNS,
-    decimal_string,
-    efficiency_series,
-    emit_csv,
-    emit_json,
-    find_crossover,
-    format_paper_precision,
-    full_table,
-    round_half_away,
-    table_row,
-)
-from .mesh import MeshBuffer, mesh_from_grid, write_obj, write_stl_binary
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CLOSED_FORM_CAP",
-    "DEFAULT_ORACLE_CAP",
-    "CoordinateOutOfRangeError",
-    "CrossoverReport",
-    "EfficiencyRow",
-    "EfficiencySeries",
-    "GeometrySummary",
-    "IterationOutOfRangeError",
-    "MeshBuffer",
-    "ModelKind",
-    "NoCrossoverError",
-    "OracleCapError",
-    "Ratios",
-    "TABLE_COLUMNS",
-    "VoxelGrid",
-    "build_grid",
-    "char_length",
-    "coolant_volume",
-    "count_exposed_faces",
-    "decimal_string",
-    "efficiency",
-    "efficiency_series",
-    "emit_csv",
-    "emit_json",
-    "find_crossover",
-    "format_paper_precision",
-    "full_table",
-    "is_solid_menger",
-    "is_solid_slices",
-    "measure_surface",
-    "measure_volume",
-    "menger_surface",
-    "menger_surface_simplified",
-    "menger_volume",
-    "mesh_from_grid",
-    "model_surface",
-    "model_volume",
-    "ratios",
-    "round_half_away",
-    "slice_count",
-    "slice_surface",
-    "slice_volume",
-    "summarize",
-    "table_row",
-    "total_volume",
-    "write_obj",
-    "write_stl_binary",
-]

@@ -53,19 +53,15 @@ class EfficiencyRow:
 def table_row(n: int) -> EfficiencyRow:
     """All 13 columns for iteration order n, populated from the closed forms."""
     n = check_iteration(n)
-    v_tot = metrics.total_volume(n)
-    v_m = metrics.menger_volume(n)
-    v_s = metrics.slice_volume(n)
-    s_m = metrics.menger_surface(n)
-    s_s = metrics.slice_surface(n)
-    e_m = (v_tot - v_m) / s_m
-    e_s = (v_tot - v_s) / s_s
-    r_e = e_m / e_s
-    r_s = s_m / s_s
+    r_e, r_s, r_n = metrics.ratios(n)
     return EfficiencyRow(
         n=n, rho=metrics.slice_count(n), L=metrics.char_length(n),
-        V_M=v_m, V_s=v_s, S_M=s_m, S_s=s_s, V_tot=v_tot,
-        E_M=e_m, E_s=e_s, R_E=r_e, R_S=r_s, R_n=r_e * r_s,
+        V_M=metrics.menger_volume(n), V_s=metrics.slice_volume(n),
+        S_M=metrics.menger_surface(n), S_s=metrics.slice_surface(n),
+        V_tot=metrics.total_volume(n),
+        E_M=metrics.efficiency(ModelKind.MENGER_SPONGE, n),
+        E_s=metrics.efficiency(ModelKind.SLICES, n),
+        R_E=r_e, R_S=r_s, R_n=r_n,
     )
 
 
@@ -293,8 +289,6 @@ SERIES_CSV_HEADER = ",".join(SERIES_COLUMNS)
 def emit_csv(data, sink: BinaryIO) -> int:
     """Write rows or series as RFC-4180 CSV (UTF-8, LF, header line,
     decimals at 10 significant digits).  Returns the byte count."""
-    if isinstance(data, EfficiencySeries):
-        data = [data]
     items = list(data)
     if not items:
         raise ValueError("nothing to emit")

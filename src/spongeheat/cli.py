@@ -189,10 +189,7 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (metrics.IterationOutOfRangeError, voxel.OracleCapError, ValueError) as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -51,22 +51,16 @@ class MeshBuffer:
 
 
 def _exposed_masks(cur, prev, nxt):
-    res = cur.shape[0]
-    masks = np.zeros((res, res, 6), dtype=bool)
-    nb = np.zeros_like(cur)
-    nb[:, :-1] = cur[:, 1:]
-    masks[:, :, 0] = cur & ~nb  # +x
-    nb[:] = False
-    nb[:, 1:] = cur[:, :-1]
-    masks[:, :, 1] = cur & ~nb  # -x
-    nb[:] = False
-    nb[:-1, :] = cur[1:, :]
-    masks[:, :, 2] = cur & ~nb  # +y
-    nb[:] = False
-    nb[1:, :] = cur[:-1, :]
-    masks[:, :, 3] = cur & ~nb  # -y
-    masks[:, :, 4] = cur if nxt is None else cur & ~nxt  # +z
-    masks[:, :, 5] = cur if prev is None else cur & ~prev  # -z
+    # (y, x, d): solid cells whose neighbour in direction d is coolant
+    masks = np.repeat(cur[:, :, None], 6, axis=2)
+    masks[:, :-1, 0] &= ~cur[:, 1:]  # +x
+    masks[:, 1:, 1] &= ~cur[:, :-1]  # -x
+    masks[:-1, :, 2] &= ~cur[1:, :]  # +y
+    masks[1:, :, 3] &= ~cur[:-1, :]  # -y
+    if nxt is not None:
+        masks[:, :, 4] &= ~nxt  # +z
+    if prev is not None:
+        masks[:, :, 5] &= ~prev  # -z
     return masks
 
 
@@ -81,34 +75,12 @@ def mesh_from_grid(g: VoxelGrid) -> MeshBuffer:
     for z in range(res):
         nxt = g.slab(z + 1) if z + 1 < res else None
         records = np.argwhere(_exposed_masks(cur, prev, nxt))  # (K, 3): y, x, d
-        if len(records):
-            k = len(records)
-            base = np.empty((k, 3), dtype=np.int64)
-            base[:, 0] = records[:, 1]  # x
-            base[:, 1] = records[:, 0]  # y
-            base[:, 2] = z
-            quads = np.empty((k, 4, 3), dtype=np.float32)
-            dirs = records[:, 2]
-            for d in range(6):
-                sel = dirs == d
-                if sel.any():
-                    corners = base[sel, None, :] + _CORNERS[d][None, :, :]
-                    quads[sel] = (corners * scale).astype(np.float32)
-            tris = np.empty((k, 2, 3, 3), dtype=np.float32)
-            tris[:, 0, 0] = quads[:, 0]
-            tris[:, 0, 1] = quads[:, 1]
-            tris[:, 0, 2] = quads[:, 2]
-            tris[:, 1, 0] = quads[:, 0]
-            tris[:, 1, 1] = quads[:, 2]
-            tris[:, 1, 2] = quads[:, 3]
-            tri_chunks.append(tris.reshape(-1, 3, 3))
-            normal_chunks.append(np.repeat(_NORMALS[dirs], 2, axis=0))
+        dirs = records[:, 2]
+        base = np.column_stack((records[:, 1], records[:, 0], np.full(len(records), z)))
+        quads = ((base[:, None, :] + _CORNERS[dirs]) * scale).astype(np.float32)
+        tri_chunks.append(quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3, 3))
+        normal_chunks.append(np.repeat(_NORMALS[dirs], 2, axis=0))
         prev, cur = cur, nxt
-    if not tri_chunks:
-        return MeshBuffer(
-            triangles=np.zeros((0, 3, 3), dtype=np.float32),
-            normals=np.zeros((0, 3), dtype=np.float32),
-        )
     return MeshBuffer(
         triangles=np.concatenate(tri_chunks),
         normals=np.concatenate(normal_chunks),
@@ -126,9 +98,9 @@ def write_stl_binary(m: MeshBuffer, sink) -> int:
     records = np.zeros(count, dtype=_STL_RECORD)
     records["normal"] = m.normals
     records["verts"] = m.triangles
-    payload = header + struct.pack("<I", count) + records.tobytes()
-    sink.write(payload)
-    return len(payload)
+    sink.write(header + struct.pack("<I", count))
+    sink.write(records)  # through the buffer protocol: no copy of the payload
+    return 84 + records.nbytes
 
 
 def write_obj(m: MeshBuffer, sink) -> int:

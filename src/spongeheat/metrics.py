@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -148,33 +147,3 @@ def ratios(n: int) -> Ratios:
     r_e = efficiency(ModelKind.MENGER_SPONGE, n) / efficiency(ModelKind.SLICES, n)
     r_s = menger_surface(n) / slice_surface(n)
     return Ratios(r_e, r_s, r_e * r_s)
-
-
-@dataclass(frozen=True)
-class GeometrySummary:
-    """Derived geometry of one model at one iteration order.
-
-    ``rho`` is the plate count and is None for the sponge.  Satisfies
-    0 < volume <= 1 and surface >= 6 (the n = 0 unit cube is the minimum
-    for both models).
-    """
-
-    kind: ModelKind
-    n: int
-    rho: int | None
-    L: Fraction
-    volume: Fraction
-    surface: Fraction
-
-
-def summarize(kind: ModelKind, n: int) -> GeometrySummary:
-    """Bundle the derived quantities of one model at iteration order n."""
-    n = check_iteration(n)
-    return GeometrySummary(
-        kind=kind,
-        n=n,
-        rho=slice_count(n) if kind is ModelKind.SLICES else None,
-        L=char_length(n),
-        volume=model_volume(kind, n),
-        surface=model_surface(kind, n),
-    )

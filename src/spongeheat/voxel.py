@@ -92,12 +92,6 @@ class VoxelGrid:
         bits = np.unpackbits(self.packed[z], count=res * res)
         return bits.reshape(res, res).astype(bool)
 
-    def is_solid(self, x: int, y: int, z: int) -> bool:
-        _check_coord(x, y, z, self.resolution)
-        bit = x + self.resolution * y
-        byte = self.packed[z, bit >> 3]
-        return bool((byte >> (7 - (bit & 7))) & 1)
-
 
 def _digit_one_masks(res: int, n: int) -> np.ndarray:
     """For each v in [0, res): an int whose bit k is set iff base-3 digit k

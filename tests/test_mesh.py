@@ -105,6 +105,18 @@ def test_stl_deterministic_bytes():
     assert a.getvalue() == b.getvalue()
 
 
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+def test_stl_file_matches_bytesio(kind, tmp_path):
+    m = mesh_from_grid(build_grid(kind, 2))
+    memory = io.BytesIO()
+    expected = write_stl_binary(m, memory)
+    path = tmp_path / "mesh.stl"
+    with open(path, "wb") as sink:
+        assert write_stl_binary(m, sink) == expected
+    assert path.read_bytes() == memory.getvalue()
+    assert expected == len(memory.getvalue())
+
+
 # -- OBJ --------------------------------------------------------------------------
 
 def _obj_records(payload: bytes):

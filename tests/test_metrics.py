@@ -20,7 +20,6 @@ from spongeheat.metrics import (
     slice_count,
     slice_surface,
     slice_volume,
-    summarize,
     total_volume,
 )
 
@@ -173,21 +172,21 @@ def test_quality_ratio_threshold_seed():
     assert all(a < b for a, b in zip(rn[1:], rn[2:]))
 
 
-# -- geometry summaries -------------------------------------------------------
+# -- per-model invariants -----------------------------------------------------
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
 def test_summary_invariants(kind):
     for n in range(CLOSED_FORM_CAP + 1):
-        s = summarize(kind, n)
-        assert 0 < s.volume <= 1
-        assert s.surface >= 6
+        volume = metrics.model_volume(kind, n)
+        surface = metrics.model_surface(kind, n)
+        assert 0 < volume <= 1
+        assert surface >= 6
         if kind is SLICES:
-            assert s.rho == slice_count(n)
-            assert s.volume == s.rho * s.L
-            assert s.surface == s.rho * (2 + 4 * s.L)
+            rho, L = slice_count(n), char_length(n)
+            assert volume == rho * L
+            assert surface == rho * (2 + 4 * L)
         else:
-            assert s.rho is None
-            assert s.volume == Fraction(20, 27) ** n
+            assert volume == Fraction(20, 27) ** n
 
 
 def test_model_dispatch_total():

@@ -120,7 +120,6 @@ def test_grid_bits_match_scalar_predicate(kind, n):
         for y in range(res):
             for x in range(res):
                 assert slab[y, x] == predicate(x, y, z, n)
-                assert g.is_solid(x, y, z) == predicate(x, y, z, n)
 
 
 def test_grid_build_deterministic():
