@@ -39,6 +39,8 @@ CORPUS = {
     "mesh --model menger --n 2 --format obj --out mesh.obj": "a8e19e5f0faac9fbb05c5d10115a475f814b38efd1d9461d04222c3e9939ec61",
     "mesh --model menger --n 3 --format stl --out mesh.stl": "e2f048d4e23b612b65d4c0edfd03947f71049c6a4bb22c737516b71457522795",
     "mesh --model menger --n 3 --format obj --out mesh.obj": "1c35639fd21258c0e9b3542ef0902881022fd009c6b2eba8a34165efd9f87414",
+    "mesh --model menger --n 4 --format stl --out mesh.stl": "d8778acc1b19a9de68b7322245e777f65985e4a1a1b19b1cb70e11014f247434",
+    "mesh --model menger --n 4 --format obj --out mesh.obj": "27f3ada803027089c8935a119bc1cea593bfcd4bce9a48f52c0ece8088f51d6b",
     "mesh --model slices --n 0 --format stl --out mesh.stl": "b88a61e1d1f8e575dd445f76f960971e3c139d57fe62a701e92b42795742bd18",
     "mesh --model slices --n 0 --format obj --out mesh.obj": "adc6e2e185b024050bcfb89585f9e23e2ff55654a99e9297dca75900f27c7f7e",
     "mesh --model slices --n 1 --format stl --out mesh.stl": "525def028769d0d7d9036e5e4576f5b08dc89bf27ea2faf7fb43544c5e23808b",
@@ -47,6 +49,7 @@ CORPUS = {
     "mesh --model slices --n 2 --format obj --out mesh.obj": "0ac5ed3c2c8015347d03cd0f705eadcfd492fa1ee7de69dbb9f04725c47759dc",
     "mesh --model slices --n 3 --format stl --out mesh.stl": "2dce89c42af26a8cc920429da5f42a78a9cd2a8b2c9871d921390665cd2e959f",
     "mesh --model slices --n 3 --format obj --out mesh.obj": "d3b4239d6b7186209283df9ac617ac4ab66293946aae3a43346cbe3fe1405160",
+    "mesh --model slices --n 4 --format stl --out mesh.stl": "d2af59457a9c0f445a1249485f8d2bfde089b0d18c507a7cb24e4083355fcb50",
     "row --n 13": "95b8b6cc531788dd714bd3e0090a3c712f8ad0efc93091812f6755339fe386be",
     "voxel-verify --model menger --n 3 --oracle-cap 2": "83a54864bd22d641e4bd4a16779d98a69c6a4a03e9610aca24cc9494fef844bd",
     "frobnicate": "a807ad85e9c797f585e3f2ecc9e2f28218c4e264cba3f8e7fb67af2e70c3f914",
