@@ -2,11 +2,14 @@
 
 Subcommands: table, row, voxel-verify, crossover, series, mesh.
 Exit codes: 0 success, 1 usage error, 2 voxel-verify mismatch, 3 I/O failure.
-Identical argv produces byte-identical output.
+Identical argv produces byte-identical output.  Commands that write a file
+write it beside the target under a temporary name and rename it into place,
+so a failure never leaves a truncated file behind.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import analysis, mesh, metrics, voxel
@@ -75,6 +78,22 @@ def _check_cap(cap: int) -> int:
             f"--oracle-cap may only lower the default {voxel.DEFAULT_ORACLE_CAP}"
         )
     return cap
+
+
+def _write_file(path: str, write) -> int:
+    """Call ``write(sink)`` on a fresh temporary file in the directory of
+    ``path``, then rename it to ``path``; on any failure, remove it."""
+    head, tail = os.path.split(path)
+    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    sink = open(temporary, "xb")
+    try:
+        with sink:
+            nbytes = write(sink)
+        os.replace(temporary, path)
+    except BaseException:
+        os.remove(temporary)
+        raise
+    return nbytes
 
 
 def _render_text_table(rows) -> str:
@@ -157,19 +176,20 @@ def _cmd_series(args) -> int:
         analysis.efficiency_series(metrics.ModelKind.MENGER_SPONGE, args.max_n),
         analysis.efficiency_series(metrics.ModelKind.SLICES, args.max_n),
     ]
-    with open(args.out, "wb") as sink:
-        nbytes = analysis.emit_csv(series, sink)
+    nbytes = _write_file(args.out, lambda sink: analysis.emit_csv(series, sink))
     print(f"wrote {args.out} ({nbytes} bytes)")
     return 0
 
 
 def _cmd_mesh(args) -> int:
     kind = _MODELS[args.model]
-    grid = voxel.build_grid(kind, args.n, cap=_check_cap(args.oracle_cap))
+    cap = _check_cap(args.oracle_cap)
+    if args.n > mesh.MESH_CAP:
+        raise _UsageError(f"mesh export is capped at n = {mesh.MESH_CAP}, got {args.n}")
+    grid = voxel.build_grid(kind, args.n, cap=cap)
     buffer = mesh.mesh_from_grid(grid)
     writer = mesh.write_stl_binary if args.format == "stl" else mesh.write_obj
-    with open(args.out, "wb") as sink:
-        nbytes = writer(buffer, sink)
+    nbytes = _write_file(args.out, lambda sink: writer(buffer, sink))
     print(f"wrote {args.out} ({nbytes} bytes, {buffer.triangle_count} triangles)")
     return 0
 

@@ -165,7 +165,7 @@ def test_criterion_6_mesh_conformance():
     for kind in (MENGER, SLICES):
         for n in range(5):
             grid = voxel.build_grid(kind, n)
-            assert (mesh.mesh_from_grid(grid).triangle_count
+            assert (len(mesh.mesh_from_grid(grid).triangles)
                     == 2 * voxel.count_exposed_faces(grid)), (kind, n)
 
     for n in range(3):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import golden
-from spongeheat import metrics
+from spongeheat import analysis, mesh, metrics, voxel
 from spongeheat.cli import run
 
 
@@ -160,6 +160,52 @@ def test_iteration_out_of_range(capsys):
 
 def test_mesh_above_cap(capsys):
     assert run(["mesh", "--model", "menger", "--n", "7", "--out", "x.stl"]) == 1
+
+
+def test_mesh_cap_refuses_n6_before_building(monkeypatch, capsys):
+    def build_grid(*args, **kwargs):
+        raise AssertionError("build_grid must not run above the mesh cap")
+
+    monkeypatch.setattr(voxel, "build_grid", build_grid)
+    assert run(["mesh", "--model", "menger", "--n", "6", "--out", "x.stl"]) == 1
+    assert "capped at n = 5" in capsys.readouterr().err
+
+
+def test_voxel_verify_n6_within_cap(monkeypatch, capsys):
+    # the mesh cap leaves the oracle alone; stop before the 729^3 build
+    def build_grid(kind, n, cap):
+        assert (n, cap) == (6, voxel.DEFAULT_ORACLE_CAP)
+        raise OSError("stop")
+
+    monkeypatch.setattr(voxel, "build_grid", build_grid)
+    assert run(["voxel-verify", "--model", "menger", "--n", "6"]) == 3
+
+
+def _fail_midway(*args):
+    sink = args[-1]
+    sink.write(b"partial")
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("argv,module,name", [
+    (["mesh", "--model", "menger", "--n", "1", "--format", "stl"], mesh, "write_stl_binary"),
+    (["mesh", "--model", "menger", "--n", "1", "--format", "obj"], mesh, "write_obj"),
+    (["series"], analysis, "emit_csv"),
+])
+def test_failed_write_leaves_no_file(argv, module, name, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(module, name, _fail_midway)
+    target = tmp_path / "out"
+    assert run([*argv, "--out", str(target)]) == 3
+    assert "disk full" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_replaces_existing_file(tmp_path, capsys):
+    target = tmp_path / "sponge.stl"
+    target.write_bytes(b"old")
+    assert run(["mesh", "--model", "menger", "--n", "1", "--out", str(target)]) == 0
+    assert target.stat().st_size == 7284
+    assert [p.name for p in tmp_path.iterdir()] == ["sponge.stl"]
 
 
 def test_io_failure_exits_3(tmp_path, capsys):

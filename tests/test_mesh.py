@@ -2,6 +2,7 @@
 
 import io
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,17 +10,17 @@ import pytest
 
 from spongeheat.mesh import MeshBuffer, mesh_from_grid, write_obj, write_stl_binary
 from spongeheat.metrics import ModelKind
-from spongeheat.voxel import build_grid, count_exposed_faces
+from spongeheat.voxel import VoxelGrid, build_grid, count_exposed_faces
 
 MENGER = ModelKind.MENGER_SPONGE
 SLICES = ModelKind.SLICES
 
 
 def _empty_mesh():
-    return MeshBuffer(
-        triangles=np.zeros((0, 3, 3), dtype=np.float32),
-        normals=np.zeros((0, 3), dtype=np.float32),
-    )
+    # a single coolant voxel: nothing solid, so no exposed face
+    grid = VoxelGrid(kind=SLICES, n=0, resolution=1,
+                     packed=np.zeros((1, 1), dtype=np.uint8), solid_count=0)
+    return mesh_from_grid(grid)
 
 
 @pytest.mark.parametrize("n,expected", [(0, 12), (1, 144), (2, 2112)])
@@ -31,7 +32,7 @@ def test_menger_triangle_counts(n, expected):
 @pytest.mark.parametrize("n", range(3))
 def test_triangles_are_two_per_exposed_face(kind, n):
     g = build_grid(kind, n)
-    assert mesh_from_grid(g).triangle_count == 2 * count_exposed_faces(g)
+    assert len(mesh_from_grid(g).triangles) == 2 * count_exposed_faces(g)
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -76,6 +77,35 @@ def test_stl_byte_sizes():
 
     sink = io.BytesIO()
     assert write_stl_binary(mesh_from_grid(build_grid(MENGER, 2)), sink) == 105684
+
+
+def test_stl_rejects_wrong_triangle_count():
+    m = mesh_from_grid(build_grid(MENGER, 1))
+    m.triangle_count += 1
+    with pytest.raises(ValueError, match="header"):
+        write_stl_binary(m, io.BytesIO())
+
+
+class _ByteCounter:
+    def __init__(self):
+        self.nbytes = 0
+
+    def write(self, data):
+        self.nbytes += memoryview(data).nbytes
+
+
+def test_stl_streams_in_bounded_memory():
+    m = mesh_from_grid(build_grid(MENGER, 4))
+    sink = _ByteCounter()
+    tracemalloc.start()
+    try:
+        nbytes = write_stl_binary(m, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nbytes == sink.nbytes == 84 + 50 * m.triangle_count
+    assert nbytes > 33_000_000
+    assert peak < nbytes / 4
 
 
 def test_stl_layout():
