@@ -171,16 +171,6 @@ def test_mesh_cap_refuses_n6_before_building(monkeypatch, capsys):
     assert "capped at n = 5" in capsys.readouterr().err
 
 
-def test_voxel_verify_n6_within_cap(monkeypatch, capsys):
-    # the mesh cap leaves the oracle alone; stop before the 729^3 build
-    def build_grid(kind, n, cap):
-        assert (n, cap) == (6, voxel.DEFAULT_ORACLE_CAP)
-        raise OSError("stop")
-
-    monkeypatch.setattr(voxel, "build_grid", build_grid)
-    assert run(["voxel-verify", "--model", "menger", "--n", "6"]) == 3
-
-
 def _fail_midway(*args):
     sink = args[-1]
     sink.write(b"partial")
