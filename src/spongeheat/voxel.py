@@ -9,8 +9,12 @@ central anti-regression property of the package.
 Occupancy is stored bit-packed per z-slab (one padded byte row per slab,
 ~48 MB at n = 6 instead of ~390 MB unpacked).  Conceptually the grid is a
 flat bit array with x-fastest linear indexing
-``index = x + resolution * (y + resolution * z)``.  Grids are built slab by
-slab, never mutated afterwards, and all measurements are read-only.
+``index = x + resolution * (y + resolution * z)``.  Grids are built from
+their distinct z-slabs: a sponge slab depends on z only through the set of
+base-3 digits of z equal to 1 (2^n distinct slabs, 64 of the 729 at
+n = 6), a slice slab only through z % 2.  Each distinct slab is enumerated
+cell by cell once and its packed row copied to every z that shares it.
+Grids are never mutated afterwards, and all measurements are read-only.
 """
 from __future__ import annotations
 
@@ -94,12 +98,13 @@ class VoxelGrid:
 
 
 def _digit_one_masks(res: int, n: int) -> np.ndarray:
-    """For each v in [0, res): an int whose bit k is set iff base-3 digit k
-    of v equals 1."""
+    """For each v in [0, res): a uint16 whose bit k is set iff base-3 digit k
+    of v equals 1 (n <= 16; uint16 keeps the res^2 temporaries of
+    _menger_slab at 2 bytes per cell)."""
     v = np.arange(res, dtype=np.int64)
-    masks = np.zeros(res, dtype=np.int64)
+    masks = np.zeros(res, dtype=np.uint16)
     for k in range(n):
-        masks |= (((v // 3**k) % 3 == 1).astype(np.int64)) << k
+        masks |= ((v // 3**k) % 3 == 1).astype(np.uint16) << k
     return masks
 
 
@@ -122,17 +127,25 @@ def build_grid(kind: ModelKind, n: int, cap: int = DEFAULT_ORACLE_CAP) -> VoxelG
     except ValueError as exc:
         raise OracleCapError(str(exc)) from None
     res = 3**n
-    slab_bytes = (res * res + 7) // 8
-    packed = np.zeros((res, slab_bytes), dtype=np.uint8)
+    sponge = kind is ModelKind.MENGER_SPONGE
+    if sponge:
+        masks = _digit_one_masks(res, n)
+        keys = masks  # _menger_slab reads z only through masks[z]
+    else:
+        keys = np.arange(res) % 2
+    # filled in place, one distinct slab at a time: a table of every
+    # distinct slab or packed row would cost up to 34 MB at n = 6
+    packed = np.empty((res, (res * res + 7) // 8), dtype=np.uint8)
     solid_count = 0
-    masks = _digit_one_masks(res, n) if kind is ModelKind.MENGER_SPONGE else None
-    for z in range(res):
-        if kind is ModelKind.MENGER_SPONGE:
+    for key in dict.fromkeys(keys.tolist()):  # np.unique would import numpy.ma
+        rows = keys == key
+        z = int(rows.argmax())
+        if sponge:
             slab = _menger_slab(masks, z)
         else:
             slab = np.full((res, res), z % 2 == 0, dtype=bool)
-        solid_count += int(np.count_nonzero(slab))
-        packed[z] = np.packbits(slab.reshape(-1))
+        solid_count += int(np.count_nonzero(slab)) * int(np.count_nonzero(rows))
+        packed[rows] = np.packbits(slab.reshape(-1))
     return VoxelGrid(kind=kind, n=n, resolution=res, packed=packed, solid_count=solid_count)
 
 

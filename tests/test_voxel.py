@@ -1,8 +1,11 @@
 """Voxel oracle tests: membership predicates, grid construction, exact
 agreement of measured volume/surface with the closed forms."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +123,45 @@ def test_grid_bits_match_scalar_predicate(kind, n):
         for y in range(res):
             for x in range(res):
                 assert slab[y, x] == predicate(x, y, z, n)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_distinct_slab_build_matches_per_slab_build(n):
+    # reference: every z-slab enumerated on its own, nothing shared between
+    # z values with the same digit-one mask
+    g = build_grid(MENGER, n)
+    masks = voxel._digit_one_masks(g.resolution, n)
+    slabs = [voxel._menger_slab(masks, z) for z in range(g.resolution)]
+    reference = np.stack([np.packbits(slab.reshape(-1)) for slab in slabs])
+    assert g.packed.dtype == reference.dtype
+    assert np.array_equal(g.packed, reference)
+    assert g.solid_count == sum(int(np.count_nonzero(slab)) for slab in slabs)
+
+
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+@pytest.mark.parametrize("n", [5, 6])
+def test_grid_bits_match_scalar_predicate_sampled(kind, n):
+    g = build_grid(kind, n)
+    predicate = is_solid_menger if kind is MENGER else is_solid_slices
+    res = g.resolution
+    rng = random.Random(n)
+    for _ in range(2000):
+        x, y, z = rng.randrange(res), rng.randrange(res), rng.randrange(res)
+        i = x + res * y  # bit index within slab z, most significant bit first
+        bit = (g.packed[z, i // 8] >> (7 - i % 8)) & 1
+        assert bool(bit) == predicate(x, y, z, n), (x, y, z)
+
+
+def test_grid_build_memory_n6():
+    # the sponge build allocates the packed grid plus O(res^2) scratch; a
+    # table of all 64 distinct slabs or packed rows would add 4-34 MB
+    tracemalloc.start()
+    try:
+        g = build_grid(MENGER, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.packed.nbytes + 4 * 2**20, (peak - g.packed.nbytes) / 2**20
 
 
 def test_grid_build_deterministic():
