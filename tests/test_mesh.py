@@ -1,5 +1,6 @@
 """Mesh extraction and STL/OBJ writer tests."""
 
+import hashlib
 import io
 import struct
 import tracemalloc
@@ -106,6 +107,23 @@ def test_stl_streams_in_bounded_memory():
     assert nbytes == sink.nbytes == 84 + 50 * m.triangle_count
     assert nbytes > 33_000_000
     assert peak < nbytes / 4
+
+
+class _Sha256Sink:
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, data):
+        self.digest.update(data)
+
+
+def test_stl_n5_sponge_hash():
+    # 13.1 M triangles, hashed as they stream; slab sizes rise and fall,
+    # so a stale byte left in a reused slab buffer would change the hash
+    sink = _Sha256Sink()
+    write_stl_binary(mesh_from_grid(build_grid(MENGER, 5)), sink)
+    assert sink.digest.hexdigest() == (
+        "ccaa469583aefe2db7a6baca993552d7e1d3924b2593a60fb977a07e596ed203")
 
 
 def test_stl_layout():
