@@ -287,31 +287,48 @@ SERIES_CSV_HEADER = ",".join(SERIES_COLUMNS)
 
 
 def emit_csv(data, sink: BinaryIO) -> int:
-    """Write rows or series as RFC-4180 CSV (UTF-8, LF, header line,
-    decimals at 10 significant digits).  Returns the byte count."""
+    """Write table rows or efficiency series as RFC-4180 CSV (UTF-8, LF,
+    header line, decimals at 10 significant digits).  Returns the byte
+    count."""
     items = list(data)
     if not items:
         raise ValueError("nothing to emit")
-    lines = []
-    if isinstance(items[0], EfficiencyRow):
-        lines.append(ROWS_CSV_HEADER)
-        for row in items:
-            cells = [str(row.n), str(row.rho)]
-            cells += [decimal_string(getattr(row, col)) for col in TABLE_COLUMNS[2:]]
-            lines.append(",".join(cells))
-    else:
-        lines.append(SERIES_CSV_HEADER)
-        for series in items:
-            for n, (s, e) in enumerate(series.points):
-                lines.append(
-                    f"{series.model.value},{n},{decimal_string(s)},{decimal_string(e)}"
-                )
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    sink.write(payload)
-    return len(payload)
+    lines = _CSV_LINES[type(items[0])](items)
+    return _write_text(sink, "\n".join(lines) + "\n")
 
 
-_MISSING = object()
+def _rows_csv_lines(rows: Sequence[EfficiencyRow]) -> list[str]:
+    lines = [ROWS_CSV_HEADER]
+    for row in rows:
+        cells = [str(row.n), str(row.rho)]
+        cells += [decimal_string(getattr(row, col)) for col in TABLE_COLUMNS[2:]]
+        lines.append(",".join(cells))
+    return lines
+
+
+def _series_csv_lines(series: Sequence[EfficiencySeries]) -> list[str]:
+    lines = [SERIES_CSV_HEADER]
+    for one in series:
+        for n, (s, e) in enumerate(one.points):
+            lines.append(f"{one.model.value},{n},{decimal_string(s)},{decimal_string(e)}")
+    return lines
+
+
+_CSV_LINES = {EfficiencyRow: _rows_csv_lines, EfficiencySeries: _series_csv_lines}
+
+
+def emit_json(sink: BinaryIO, **sections) -> int:
+    """Write a single JSON document with table rows (``rows=``) and/or a
+    crossover report (``crossover=``; None when the curves do not cross,
+    written as null).  Rationals carry both a 10-significant-digit decimal
+    and the exact p/q string; key order is stable.  Returns the byte
+    count."""
+    unknown = sections.keys() - _JSON_SECTIONS.keys()
+    if unknown:
+        raise TypeError(f"unknown JSON sections: {sorted(unknown)}")
+    doc = {key: encode(sections[key]) for key, encode in _JSON_SECTIONS.items()
+           if key in sections}
+    return _write_text(sink, json.dumps(doc, indent=2) + "\n")
 
 
 def _json_value(value: Fraction) -> dict[str, str]:
@@ -320,32 +337,33 @@ def _json_value(value: Fraction) -> dict[str, str]:
     return {"decimal": decimal_string(value), "ratio": ratio}
 
 
-def emit_json(sink: BinaryIO, rows: Sequence[EfficiencyRow] | None = None,
-              crossover=_MISSING) -> int:
-    """Write a single JSON document with table rows and/or a crossover
-    report.  Rationals carry both a 10-significant-digit decimal and the
-    exact p/q string; key order is stable.  Returns the byte count."""
-    doc: dict = {}
-    if rows is not None:
-        encoded = []
-        for row in rows:
-            item: dict = {"n": row.n, "rho": row.rho}
-            for col in TABLE_COLUMNS[2:]:
-                item[col] = _json_value(getattr(row, col))
-            encoded.append(item)
-        doc["rows"] = encoded
-    if crossover is not _MISSING:
-        if crossover is None:
-            doc["crossover"] = None
-        else:
-            doc["crossover"] = {
-                "s_star": f"{crossover.s_star:.10g}",
-                "bracket": {
-                    "menger": list(crossover.menger_bracket),
-                    "slices": list(crossover.slices_bracket),
-                },
-                "method": crossover.method,
-            }
-    payload = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+def _rows_json(rows: Sequence[EfficiencyRow]) -> list[dict]:
+    encoded = []
+    for row in rows:
+        item: dict = {"n": row.n, "rho": row.rho}
+        for col in TABLE_COLUMNS[2:]:
+            item[col] = _json_value(getattr(row, col))
+        encoded.append(item)
+    return encoded
+
+
+def _crossover_json(report: CrossoverReport | None) -> dict | None:
+    if report is None:
+        return None
+    return {
+        "s_star": f"{report.s_star:.10g}",
+        "bracket": {
+            "menger": list(report.menger_bracket),
+            "slices": list(report.slices_bracket),
+        },
+        "method": report.method,
+    }
+
+
+_JSON_SECTIONS = {"rows": _rows_json, "crossover": _crossover_json}
+
+
+def _write_text(sink: BinaryIO, text: str) -> int:
+    payload = text.encode("utf-8")
     sink.write(payload)
     return len(payload)

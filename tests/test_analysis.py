@@ -328,6 +328,16 @@ def test_emit_json_null_crossover():
     assert doc == {"crossover": None}
 
 
+def test_emit_json_section_order_and_unknown_section():
+    a, b = io.BytesIO(), io.BytesIO()
+    emit_json(a, crossover=None, rows=full_table(1))
+    emit_json(b, rows=full_table(1), crossover=None)
+    assert a.getvalue() == b.getvalue()
+    assert list(json.loads(a.getvalue())) == ["rows", "crossover"]
+    with pytest.raises(TypeError, match="series"):
+        emit_json(io.BytesIO(), series=[])
+
+
 def test_emit_json_stable_key_order():
     a, b = io.BytesIO(), io.BytesIO()
     emit_json(a, rows=full_table(3))
