@@ -82,8 +82,11 @@ def _check_cap(cap: int) -> int:
 
 def _write_file(path: str, write) -> int:
     """Call ``write(sink)`` on a fresh temporary file in the directory of
-    ``path``, then rename it to ``path``; on any failure, remove it."""
+    ``path``, then rename it to ``path``; on any failure, remove it.  A
+    ``path`` naming a directory is refused before ``write`` runs."""
     head, tail = os.path.split(path)
+    if not tail or os.path.isdir(path):
+        raise IsADirectoryError(f"--out must name a file, not a directory: {path!r}")
     temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     sink = open(temporary, "xb")
     try:

@@ -8,14 +8,15 @@ to float32 once, so identical runs produce byte-identical files and
 coincident corners are bit-identical.
 
 The writers generate and write the mesh one z-slab at a time.  A slab's
-exposed faces are enumerated once, as ascending flat indices into its
-(y, x, direction) face mask; every triangle is then assembled from small
-lookup tables indexed by (x, direction) and (y, direction): STL record
-pairs and y corners, or OBJ lattice keys.  No per-face integer lattice is
-built, and the STL records of every slab go through one reused buffer, so
-export memory is bounded by one slab (plus, for OBJ, one vertex id per
-lattice corner), not by the whole mesh: the n = 5 sponge STL command peaks
-at about 50 MB resident, some 20 MB above the interpreter and numpy.
+exposed faces are enumerated once, as ascending flat indices into
+:func:`spongeheat.voxel.exposed_masks`, its (y, x, direction) face mask;
+every triangle is then assembled from small lookup tables indexed by
+(x, direction) and (y, direction): STL record pairs and y corners, or OBJ
+lattice keys.  No per-face integer lattice is built, and the STL records of
+every slab go through one reused buffer, so export memory is bounded by one
+slab (plus, for OBJ, one vertex id per lattice corner), not by the whole
+mesh: the n = 5 sponge STL command peaks at about 50 MB resident, some
+20 MB above the interpreter and numpy.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .voxel import VoxelGrid, count_exposed_faces
+from .voxel import VoxelGrid, count_exposed_faces, exposed_masks
 
 #: Face directions in emission order; normals point from solid into coolant.
 _NORMALS = np.array(
@@ -79,36 +80,9 @@ class MeshBuffer:
         return np.concatenate([rec["normal"].copy() for rec in _stl_records(self.grid)])
 
 
-def _exposed_masks(cur, prev, nxt):
-    # (y, x, d): solid cells whose neighbour in direction d is coolant
-    masks = np.repeat(cur[:, :, None], 6, axis=2)
-    masks[:, :-1, 0] &= ~cur[:, 1:]  # +x
-    masks[:, 1:, 1] &= ~cur[:, :-1]  # -x
-    masks[:-1, :, 2] &= ~cur[1:, :]  # +y
-    masks[1:, :, 3] &= ~cur[:-1, :]  # -y
-    if nxt is not None:
-        masks[:, :, 4] &= ~nxt  # +z
-    if prev is not None:
-        masks[:, :, 5] &= ~prev  # -z
-    return masks
-
-
-def _slabs(g: VoxelGrid):
-    """Yield, per z-slab, z and the ascending flat indices of the slab's
-    exposed faces in its (y, x, direction) mask: face ``y * 6 * res + x * 6
-    + d``.  Every writer enumerates the faces through this generator."""
-    res = g.resolution
-    prev = None
-    cur = g.slab(0)
-    for z in range(res):
-        nxt = g.slab(z + 1) if z + 1 < res else None
-        yield z, np.flatnonzero(_exposed_masks(cur, prev, nxt))
-        prev, cur = cur, nxt
-
-
-def _split(idx: np.ndarray, res: int) -> tuple[np.ndarray, np.ndarray]:
-    # flat (y, x, d) face index -> table rows x * 6 + d and y * 6 + d
-    y, xd = np.divmod(idx, 6 * res)
+def _slab_faces(g: VoxelGrid, z: int) -> tuple[np.ndarray, np.ndarray]:
+    # slab z's exposed faces, flat (y, x, d) indices -> rows x * 6 + d, y * 6 + d
+    y, xd = np.divmod(np.flatnonzero(exposed_masks(g, z)), 6 * g.resolution)
     return xd, y * 6 + xd % 6
 
 
@@ -157,12 +131,12 @@ def _stl_records(g: VoxelGrid):
     y_corners = coords[_corner_table(res, 1)]
     pairs = template.view(_STL_PAIR)[:, 0]
     buffer = np.empty(0, dtype=_STL_RECORD)
-    for z, idx in _slabs(g):
+    for z in range(res):
         by_x["verts"][..., 2] = coords[z + _TRIANGLES[..., 2]]
-        xd, yd = _split(idx, res)
-        if len(buffer) < 2 * len(idx):
-            buffer = np.empty(2 * len(idx), dtype=_STL_RECORD)
-        records = buffer[: 2 * len(idx)]
+        xd, yd = _slab_faces(g, z)
+        if len(buffer) < 2 * len(xd):
+            buffer = np.empty(2 * len(xd), dtype=_STL_RECORD)
+        records = buffer[: 2 * len(xd)]
         np.take(pairs, xd, axis=0, out=records.view(_STL_PAIR))
         records.reshape(-1, 2)["verts"][..., 1] = y_corners[yd]
         yield records
@@ -199,9 +173,9 @@ def _lattice_keys(g: VoxelGrid):
     side = res + 1
     x_keys = _corner_table(res, 0).reshape(res, 6, 2, 3)
     y_keys = _corner_table(res, 1) * side
-    for z, idx in _slabs(g):
+    for z in range(res):
         xz_keys = (x_keys + (z + _TRIANGLES[..., 2]) * side * side).reshape(res * 6, 2, 3)
-        xd, yd = _split(idx, res)
+        xd, yd = _slab_faces(g, z)
         yield xz_keys[xd] + y_keys[yd]
 
 

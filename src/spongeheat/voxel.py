@@ -15,9 +15,14 @@ base-3 digits of z equal to 1 (2^n distinct slabs, 64 of the 729 at
 n = 6), a slice slab only through z % 2.  Each distinct slab is enumerated
 cell by cell once and its packed row copied to every z that shares it.
 Grids are never mutated afterwards, and all measurements are read-only.
+
+Exposure is defined here once: a face is exposed when its cell is solid and
+the cell across it is coolant or outside the lattice.  The mesh writers read
+it through :func:`exposed_masks`, and :func:`count_exposed_faces` counts it.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,9 +97,11 @@ class VoxelGrid:
     def slab(self, z: int) -> np.ndarray:
         """Unpack slab z as a bool array of shape (resolution, resolution),
         indexed [y, x]."""
-        res = self.resolution
-        bits = np.unpackbits(self.packed[z], count=res * res)
-        return bits.reshape(res, res).astype(bool)
+        return _unpack(self.packed[z], self.resolution)
+
+
+def _unpack(row: np.ndarray, res: int) -> np.ndarray:
+    return np.unpackbits(row, count=res * res).reshape(res, res).view(bool)
 
 
 def _digit_one_masks(res: int, n: int) -> np.ndarray:
@@ -154,24 +161,58 @@ def measure_volume(g: VoxelGrid) -> Fraction:
     return g.solid_count * g.voxel_edge**3
 
 
+def _in_plane(cur: np.ndarray):
+    """Yield the (y, x) masks of slab ``cur``'s cells exposed in +x, -x, +y, -y."""
+    pad = np.pad(cur, 1)  # the lattice boundary is coolant
+    yield cur & ~pad[1:-1, 2:]
+    yield cur & ~pad[1:-1, :-2]
+    yield cur & ~pad[2:, 1:-1]
+    yield cur & ~pad[:-2, 1:-1]
+
+
+def _across(g: VoxelGrid, z: int, w: int) -> np.ndarray:
+    """The (y, x) mask of the cells of slab z exposed towards slab w = z +- 1
+    (all solid cells of z when w lies outside the lattice)."""
+    if not 0 <= w < g.resolution:
+        return g.slab(z)
+    return _unpack(g.packed[z] & ~g.packed[w], g.resolution)
+
+
+def exposed_masks(g: VoxelGrid, z: int) -> np.ndarray:
+    """The (y, x, direction) bool mask of slab z's exposed faces, directions
+    in the order +x, -x, +y, -y, +z, -z."""
+    return np.stack([*_in_plane(g.slab(z)), _across(g, z, z + 1), _across(g, z, z - 1)], -1)
+
+
+def _face_counts(g: VoxelGrid) -> list[int]:
+    """Exposed faces per direction (+x, -x, +y, -y, +z, -z), evaluated once
+    per distinct packed row (+-x, +-y) and once per distinct pair of
+    consecutive rows (+-z).  Rows are matched by content, so a hash
+    collision only costs a memo miss."""
+    first, ids = {}, []  # ids[z]: the first slab whose packed row equals z's
+    for z, row in enumerate(g.packed):
+        w = first.setdefault(hash(row.tobytes()), z)
+        ids.append(w if np.array_equal(g.packed[w], row) else z)
+    counts = [0] * 6
+    for z, k in Counter(ids).items():
+        for d, mask in enumerate(_in_plane(g.slab(z))):
+            counts[d] += k * int(np.count_nonzero(mask))
+    ends = [-1, *ids, g.resolution]
+    for (z, w), k in Counter(zip(ends, ends[1:])).items():
+        if z >= 0:
+            counts[4] += k * int(np.count_nonzero(_across(g, z, w)))
+        if w < g.resolution:
+            counts[5] += k * int(np.count_nonzero(_across(g, w, z)))
+    return counts
+
+
 def count_exposed_faces(g: VoxelGrid) -> int:
     """Number of unit voxel faces belonging to exactly one solid voxel.
 
     Faces on the lattice boundary count as exposed: the wrapping container
-    outside the unit cube is coolant.  Computed as
-    6 * solids - 2 * (solid-solid adjacent pairs), one z-slab pass.
+    outside the unit cube is coolant.
     """
-    res = g.resolution
-    pairs = 0
-    prev = None
-    for z in range(res):
-        cur = g.slab(z)
-        pairs += int(np.count_nonzero(cur[:, 1:] & cur[:, :-1]))  # x-neighbors
-        pairs += int(np.count_nonzero(cur[1:, :] & cur[:-1, :]))  # y-neighbors
-        if prev is not None:
-            pairs += int(np.count_nonzero(cur & prev))  # z-neighbors
-        prev = cur
-    return 6 * g.solid_count - 2 * pairs
+    return sum(_face_counts(g))
 
 
 def measure_surface(g: VoxelGrid) -> Fraction:

@@ -198,9 +198,24 @@ def test_write_replaces_existing_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["sponge.stl"]
 
 
-def test_io_failure_exits_3(tmp_path, capsys):
+def test_io_failure_exits_3(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert run(["series", "--out", str(missing)]) == 3
+
+    # an --out naming a directory is refused before the writer runs, so
+    # nothing is written (the n = 5 sponge STL alone is 655 MB)
+    def writer(*args):
+        raise AssertionError("the writer must not run")
+
+    for module, name in [(mesh, "write_stl_binary"), (analysis, "emit_csv")]:
+        monkeypatch.setattr(module, name, writer)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "existing").mkdir()
+    for out in ["existing", str(tmp_path / "existing"), "existing/", "fresh/", "", "."]:
+        for argv in [["series"], ["mesh", "--model", "menger", "--n", "1"]]:
+            assert run([*argv, "--out", out]) == 3, (argv, out)
+            assert "--out" in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing"]
 
 
 def test_help_exits_0(capsys):

@@ -15,6 +15,7 @@ from spongeheat.metrics import IterationOutOfRangeError, ModelKind
 from spongeheat.voxel import (
     CoordinateOutOfRangeError,
     OracleCapError,
+    VoxelGrid,
     build_grid,
     count_exposed_faces,
     is_solid_menger,
@@ -202,6 +203,82 @@ def test_face_count_closed_forms(n):
     assert count_exposed_faces(build_grid(MENGER, n)) == 2 * 20**n + 4 * 8**n
     rho = metrics.slice_count(n)
     assert count_exposed_faces(build_grid(SLICES, n)) == rho * (2 * 9**n + 4 * 3**n)
+
+
+def pair_count_faces(g):
+    """Reference face count: 6 * solids - 2 * (solid-solid adjacent pairs),
+    one pass over every z-slab, with no memo and no per-direction masks."""
+    res = g.resolution
+    pairs = 0
+    prev = None
+    for z in range(res):
+        cur = g.slab(z)
+        pairs += int(np.count_nonzero(cur[:, 1:] & cur[:, :-1]))  # x-neighbors
+        pairs += int(np.count_nonzero(cur[1:, :] & cur[:-1, :]))  # y-neighbors
+        if prev is not None:
+            pairs += int(np.count_nonzero(cur & prev))  # z-neighbors
+        prev = cur
+    return 6 * g.solid_count - 2 * pairs
+
+
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+@pytest.mark.parametrize("n", range(7))
+def test_face_count_matches_pair_count_reference(kind, n):
+    g = build_grid(kind, n)
+    assert count_exposed_faces(g) == pair_count_faces(g)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_face_counts_per_direction_closed_forms(n):
+    # the sponge is symmetric under the cube's rotations; slices expose
+    # their plate faces on +-z and their rims on +-x and +-y
+    assert (2 * 20**n + 4 * 8**n) % 6 == 0
+    assert voxel._face_counts(build_grid(MENGER, n)) == [(2 * 20**n + 4 * 8**n) // 6] * 6
+    rho = metrics.slice_count(n)
+    assert voxel._face_counts(build_grid(SLICES, n)) == [rho * 3**n] * 4 + [rho * 9**n] * 2
+
+
+def _summed_masks(g):
+    return sum(voxel.exposed_masks(g, z).sum(axis=(0, 1)) for z in range(g.resolution)).tolist()
+
+
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+@pytest.mark.parametrize("n", range(5))
+def test_face_counts_match_exposed_masks(kind, n):
+    g = build_grid(kind, n)
+    assert voxel._face_counts(g) == _summed_masks(g)
+
+
+def test_face_counts_exact_under_hash_collisions(monkeypatch):
+    # every row hashes alike, so rows are told apart only by content
+    grids = [build_grid(kind, 3) for kind in (MENGER, SLICES)]
+    expected = [voxel._face_counts(g) for g in grids]
+    monkeypatch.setattr(voxel, "hash", lambda key: 0, raising=False)
+    assert [voxel._face_counts(g) for g in grids] == expected
+
+
+@st.composite
+def pooled_grids(draw):
+    """A hand-built grid of any resolution whose z-slabs are drawn, in any
+    order, from a pool of one to three random, empty or full slabs, so equal
+    rows recur both adjacent and apart.  Only ``resolution``, ``packed`` and
+    ``solid_count`` matter to the face count."""
+    res = draw(st.integers(1, 12))
+    cells = res * res
+    slab = st.one_of(st.just([False] * cells), st.just([True] * cells),
+                     st.lists(st.booleans(), min_size=cells, max_size=cells))
+    pool = [np.array(s, dtype=bool) for s in draw(st.lists(slab, min_size=1, max_size=3))]
+    order = draw(st.lists(st.sampled_from(range(len(pool))), min_size=res, max_size=res))
+    return VoxelGrid(kind=SLICES, n=0, resolution=res,
+                     packed=np.stack([np.packbits(pool[i]) for i in order]),
+                     solid_count=sum(int(pool[i].sum()) for i in order))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pooled_grids())
+def test_face_counts_random_pooled_grids(g):
+    assert count_exposed_faces(g) == pair_count_faces(g)
+    assert voxel._face_counts(g) == _summed_masks(g)
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
