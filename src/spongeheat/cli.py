@@ -80,13 +80,21 @@ def _check_cap(cap: int) -> int:
     return cap
 
 
-def _write_file(path: str, write) -> int:
-    """Call ``write(sink)`` on a fresh temporary file in the directory of
-    ``path``, then rename it to ``path``; on any failure, remove it.  A
-    ``path`` naming a directory is refused before ``write`` runs."""
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` that names a directory or lies in a directory that
+    does not exist; commands call this before doing any other work."""
     head, tail = os.path.split(path)
     if not tail or os.path.isdir(path):
         raise IsADirectoryError(f"--out must name a file, not a directory: {path!r}")
+    if head and not os.path.isdir(head):
+        raise FileNotFoundError(f"--out directory does not exist: {head!r}")
+
+
+def _write_file(path: str, write) -> int:
+    """Call ``write(sink)`` on a fresh temporary file in the directory of
+    ``path`` (checked by :func:`_check_out`), then rename it to ``path``; on
+    any failure, remove it."""
+    head, tail = os.path.split(path)
     temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     sink = open(temporary, "xb")
     try:
@@ -175,6 +183,7 @@ def _cmd_crossover(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    _check_out(args.out)
     series = [
         analysis.efficiency_series(metrics.ModelKind.MENGER_SPONGE, args.max_n),
         analysis.efficiency_series(metrics.ModelKind.SLICES, args.max_n),
@@ -185,6 +194,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
+    _check_out(args.out)
     kind = _MODELS[args.model]
     cap = _check_cap(args.oracle_cap)
     if args.n > mesh.MESH_CAP:

@@ -6,15 +6,13 @@ measured volume and surface must equal the closed forms in
 :mod:`spongeheat.metrics` with plain rational equality.  That check is the
 central anti-regression property of the package.
 
-Occupancy is stored bit-packed per z-slab (one padded byte row per slab,
-~48 MB at n = 6 instead of ~390 MB unpacked).  Conceptually the grid is a
-flat bit array with x-fastest linear indexing
-``index = x + resolution * (y + resolution * z)``.  Grids are built from
-their distinct z-slabs: a sponge slab depends on z only through the set of
-base-3 digits of z equal to 1 (2^n distinct slabs, 64 of the 729 at
-n = 6), a slice slab only through z % 2.  Each distinct slab is enumerated
-cell by cell once and its packed row copied to every z that shares it.
-Grids are never mutated afterwards, and all measurements are read-only.
+Occupancy is stored bit-packed, one padded byte row per distinct z-slab
+(row-major within the slab, x fastest).  A sponge slab depends on z only
+through the set of base-3 digits of z equal to 1 (2^n distinct slabs, 64 of
+the 729 at n = 6, ~4.3 MB packed), a slice slab only through z % 2.  Each
+distinct slab is enumerated cell by cell once, and ``VoxelGrid.index`` maps
+every z to its row.  Grids are never mutated afterwards, and all
+measurements are read-only.
 
 Exposure is defined here once: a face is exposed when its cell is solid and
 the cell across it is coolant or outside the lattice.  The mesh writers read
@@ -80,14 +78,16 @@ def is_solid_slices(x: int, y: int, z: int, n: int) -> bool:
 class VoxelGrid:
     """Immutable-by-convention occupancy grid of one model at order n.
 
-    ``packed`` holds one bit-packed row of 3^n * 3^n cells per z-slab
-    (row-major within the slab: bit index = x + resolution * y).
+    ``packed`` holds one bit-packed row of 3^n * 3^n cells per distinct
+    z-slab (row-major within the slab: bit index = x + resolution * y), and
+    slab z is row ``index[z]``.
     """
 
     kind: ModelKind
     n: int
     resolution: int
-    packed: np.ndarray  # uint8, shape (resolution, ceil(resolution^2 / 8))
+    packed: np.ndarray  # uint8, shape (distinct slabs, ceil(resolution^2 / 8))
+    index: tuple[int, ...]  # one packed row id per z
     solid_count: int
 
     @property
@@ -97,7 +97,7 @@ class VoxelGrid:
     def slab(self, z: int) -> np.ndarray:
         """Unpack slab z as a bool array of shape (resolution, resolution),
         indexed [y, x]."""
-        return _unpack(self.packed[z], self.resolution)
+        return _unpack(self.packed[self.index[z]], self.resolution)
 
 
 def _unpack(row: np.ndarray, res: int) -> np.ndarray:
@@ -115,11 +115,11 @@ def _digit_one_masks(res: int, n: int) -> np.ndarray:
     return masks
 
 
-def _menger_slab(masks: np.ndarray, z: int) -> np.ndarray:
-    # solid iff no digit position has >= 2 of the three digits equal to 1
+def _menger_slab(masks: np.ndarray, mz: int) -> np.ndarray:
+    # the slab of every z whose digit-one mask is mz: solid iff no digit
+    # position has >= 2 of the three digits equal to 1
     mx = masks[None, :]
     my = masks[:, None]
-    mz = masks[z]
     return ((mx & my) | (mx & mz) | (my & mz)) == 0
 
 
@@ -137,23 +137,22 @@ def build_grid(kind: ModelKind, n: int, cap: int = DEFAULT_ORACLE_CAP) -> VoxelG
     sponge = kind is ModelKind.MENGER_SPONGE
     if sponge:
         masks = _digit_one_masks(res, n)
-        keys = masks  # _menger_slab reads z only through masks[z]
+        keys = masks.tolist()  # a sponge slab depends on z only through masks[z]
     else:
-        keys = np.arange(res) % 2
-    # filled in place, one distinct slab at a time: a table of every
-    # distinct slab or packed row would cost up to 34 MB at n = 6
-    packed = np.empty((res, (res * res + 7) // 8), dtype=np.uint8)
+        keys = [z % 2 for z in range(res)]
+    # distinct keys numbered in order of first appearance (np.unique would
+    # import numpy.ma); each slab is packed once, one at a time, since a
+    # table of all 64 unpacked sponge slabs would cost 34 MB at n = 6
+    row = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    index = tuple(row[key] for key in keys)
+    packed = np.empty((len(row), (res * res + 7) // 8), dtype=np.uint8)
     solid_count = 0
-    for key in dict.fromkeys(keys.tolist()):  # np.unique would import numpy.ma
-        rows = keys == key
-        z = int(rows.argmax())
-        if sponge:
-            slab = _menger_slab(masks, z)
-        else:
-            slab = np.full((res, res), z % 2 == 0, dtype=bool)
-        solid_count += int(np.count_nonzero(slab)) * int(np.count_nonzero(rows))
-        packed[rows] = np.packbits(slab.reshape(-1))
-    return VoxelGrid(kind=kind, n=n, resolution=res, packed=packed, solid_count=solid_count)
+    for key, i in row.items():
+        slab = _menger_slab(masks, key) if sponge else np.full((res, res), key == 0)
+        packed[i] = np.packbits(slab.reshape(-1))
+        solid_count += int(np.count_nonzero(slab)) * index.count(i)
+    return VoxelGrid(kind=kind, n=n, resolution=res, packed=packed, index=index,
+                     solid_count=solid_count)
 
 
 def measure_volume(g: VoxelGrid) -> Fraction:
@@ -170,39 +169,36 @@ def _in_plane(cur: np.ndarray):
     yield cur & ~pad[:-2, 1:-1]
 
 
-def _across(g: VoxelGrid, z: int, w: int) -> np.ndarray:
-    """The (y, x) mask of the cells of slab z exposed towards slab w = z +- 1
-    (all solid cells of z when w lies outside the lattice)."""
-    if not 0 <= w < g.resolution:
-        return g.slab(z)
-    return _unpack(g.packed[z] & ~g.packed[w], g.resolution)
+def _across(g: VoxelGrid, a: int, b: int | None) -> np.ndarray:
+    """The (y, x) mask of the cells of packed row a exposed towards the
+    adjacent slab held in packed row b (all solid cells of a when b is None:
+    the neighbour lies outside the lattice)."""
+    return _unpack(g.packed[a] if b is None else g.packed[a] & ~g.packed[b], g.resolution)
 
 
 def exposed_masks(g: VoxelGrid, z: int) -> np.ndarray:
     """The (y, x, direction) bool mask of slab z's exposed faces, directions
     in the order +x, -x, +y, -y, +z, -z."""
-    return np.stack([*_in_plane(g.slab(z)), _across(g, z, z + 1), _across(g, z, z - 1)], -1)
+    above, below = (g.index[w] if 0 <= w < g.resolution else None for w in (z + 1, z - 1))
+    a = g.index[z]
+    return np.stack([*_in_plane(g.slab(z)), _across(g, a, above), _across(g, a, below)], -1)
 
 
 def _face_counts(g: VoxelGrid) -> list[int]:
     """Exposed faces per direction (+x, -x, +y, -y, +z, -z), evaluated once
-    per distinct packed row (+-x, +-y) and once per distinct pair of
-    consecutive rows (+-z).  Rows are matched by content, so a hash
-    collision only costs a memo miss."""
-    first, ids = {}, []  # ids[z]: the first slab whose packed row equals z's
-    for z, row in enumerate(g.packed):
-        w = first.setdefault(hash(row.tobytes()), z)
-        ids.append(w if np.array_equal(g.packed[w], row) else z)
+    per distinct entry of ``g.index`` (+-x, +-y) and once per distinct pair
+    of consecutive entries (+-z).  Exact for any index, even one that puts
+    two equal slabs in different rows."""
     counts = [0] * 6
-    for z, k in Counter(ids).items():
-        for d, mask in enumerate(_in_plane(g.slab(z))):
+    for a, k in Counter(g.index).items():
+        for d, mask in enumerate(_in_plane(_unpack(g.packed[a], g.resolution))):
             counts[d] += k * int(np.count_nonzero(mask))
-    ends = [-1, *ids, g.resolution]
-    for (z, w), k in Counter(zip(ends, ends[1:])).items():
-        if z >= 0:
-            counts[4] += k * int(np.count_nonzero(_across(g, z, w)))
-        if w < g.resolution:
-            counts[5] += k * int(np.count_nonzero(_across(g, w, z)))
+    ends = [None, *g.index, None]  # None: outside the lattice
+    for (a, b), k in Counter(zip(ends, ends[1:])).items():
+        if a is not None:
+            counts[4] += k * int(np.count_nonzero(_across(g, a, b)))
+        if b is not None:
+            counts[5] += k * int(np.count_nonzero(_across(g, b, a)))
     return counts
 
 

@@ -54,7 +54,7 @@ def test_criterion_1_table_golden_reproduction():
 
 def test_criterion_2_oracle_equivalence():
     """Voxel-measured volume and surface equal the closed forms exactly for
-    both models, n = 0..5; n = 5 within 10 s and 50 MB."""
+    both models, n = 0..5; n = 5 within 10 s and 5 MB packed."""
     n5_elapsed = {}
     for kind in (MENGER, SLICES):
         for n in range(6):
@@ -68,7 +68,7 @@ def test_criterion_2_oracle_equivalence():
             if n == 5:
                 n5_elapsed[kind] = elapsed
                 assert elapsed < 10.0, f"n=5 {kind} took {elapsed:.2f}s"
-                assert grid.packed.nbytes < 50_000_000
+                assert grid.packed.nbytes < 5_000_000
     print(f"\nACCEPTANCE 2 oracle-equivalence: PASS "
           f"(exact rational equality, both models, n=0..5; "
           f"n=5 in {max(n5_elapsed.values()):.2f}s)")
@@ -76,7 +76,7 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_2_oracle_equivalence_n6():
     """The same exact equality at n = 6 (729^3 cells) for both models, each
-    within 10 s and 50 MB packed."""
+    within 10 s and 5 MB packed."""
     for kind in (MENGER, SLICES):
         started = time.perf_counter()
         grid = voxel.build_grid(kind, 6)
@@ -84,7 +84,7 @@ def test_criterion_2_oracle_equivalence_n6():
         assert voxel.measure_surface(grid) == metrics.model_surface(kind, 6)
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"n=6 {kind} took {elapsed:.2f}s"
-        assert grid.packed.nbytes < 50_000_000
+        assert grid.packed.nbytes < 5_000_000
         print(f"\nACCEPTANCE 2b oracle n=6 {kind.value}: PASS ({elapsed:.1f}s, "
               f"{grid.packed.nbytes / 1e6:.1f} MB packed)")
 

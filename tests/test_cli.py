@@ -199,23 +199,27 @@ def test_write_replaces_existing_file(tmp_path, capsys):
 
 
 def test_io_failure_exits_3(tmp_path, capsys, monkeypatch):
-    missing = tmp_path / "no" / "such" / "dir" / "out.csv"
-    assert run(["series", "--out", str(missing)]) == 3
+    # a bad --out is refused before any grid is built or the writer runs,
+    # so nothing is written (the n = 5 sponge STL alone is 655 MB)
+    def refuse(*args, **kwargs):
+        raise AssertionError("no grid may be built and no writer may run")
 
-    # an --out naming a directory is refused before the writer runs, so
-    # nothing is written (the n = 5 sponge STL alone is 655 MB)
-    def writer(*args):
-        raise AssertionError("the writer must not run")
-
-    for module, name in [(mesh, "write_stl_binary"), (analysis, "emit_csv")]:
-        monkeypatch.setattr(module, name, writer)
+    for module, name in [(voxel, "build_grid"), (mesh, "write_stl_binary"),
+                         (analysis, "emit_csv")]:
+        monkeypatch.setattr(module, name, refuse)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "existing").mkdir()
-    for out in ["existing", str(tmp_path / "existing"), "existing/", "fresh/", "", "."]:
-        for argv in [["series"], ["mesh", "--model", "menger", "--n", "1"]]:
+    missing = tmp_path / "no" / "such" / "dir"
+    for argv in [["series"], ["mesh", "--model", "menger", "--n", "1"]]:
+        for out in [str(missing / "out.csv"), "no/such/out.csv", "existing/no/out.csv"]:
+            assert run([*argv, "--out", out]) == 3, (argv, out)
+            err = capsys.readouterr().err
+            assert "--out" in err and repr(out.rpartition("/")[0]) in err, err
+            assert ".tmp" not in err, err
+        for out in ["existing", str(tmp_path / "existing"), "existing/", "fresh/", "", "."]:
             assert run([*argv, "--out", out]) == 3, (argv, out)
             assert "--out" in capsys.readouterr().err
-            assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing"]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing"]
 
 
 def test_help_exits_0(capsys):

@@ -126,17 +126,33 @@ def test_grid_bits_match_scalar_predicate(kind, n):
                 assert slab[y, x] == predicate(x, y, z, n)
 
 
+def menger_slab_by_digits(z, n):
+    """Independent reference for sponge slab z: the base-3 digit test applied
+    one digit position at a time, with no digit-one masks."""
+    res = 3**n
+    v = np.arange(res)
+    solid = np.ones((res, res), dtype=bool)
+    for k in range(n):
+        one = (v // 3**k) % 3 == 1
+        solid &= one[None, :].astype(int) + one[:, None] + ((z // 3**k) % 3 == 1) < 2
+    return solid
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_distinct_slab_build_matches_per_slab_build(n):
     # reference: every z-slab enumerated on its own, nothing shared between
     # z values with the same digit-one mask
     g = build_grid(MENGER, n)
-    masks = voxel._digit_one_masks(g.resolution, n)
-    slabs = [voxel._menger_slab(masks, z) for z in range(g.resolution)]
+    slabs = [menger_slab_by_digits(z, n) for z in range(g.resolution)]
     reference = np.stack([np.packbits(slab.reshape(-1)) for slab in slabs])
+    assert len(g.packed) == 2**n
     assert g.packed.dtype == reference.dtype
-    assert np.array_equal(g.packed, reference)
+    assert np.array_equal(g.packed[list(g.index)], reference)
     assert g.solid_count == sum(int(np.count_nonzero(slab)) for slab in slabs)
+
+    g = build_grid(SLICES, n)
+    assert g.index == tuple(z % 2 for z in range(g.resolution))
+    assert np.array_equal(g.packed, np.packbits([[True] * 9**n, [False] * 9**n], axis=1))
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -149,26 +165,29 @@ def test_grid_bits_match_scalar_predicate_sampled(kind, n):
     for _ in range(2000):
         x, y, z = rng.randrange(res), rng.randrange(res), rng.randrange(res)
         i = x + res * y  # bit index within slab z, most significant bit first
-        bit = (g.packed[z, i // 8] >> (7 - i % 8)) & 1
+        bit = (g.packed[g.index[z], i // 8] >> (7 - i % 8)) & 1
         assert bool(bit) == predicate(x, y, z, n), (x, y, z)
 
 
 def test_grid_build_memory_n6():
-    # the sponge build allocates the packed grid plus O(res^2) scratch; a
-    # table of all 64 distinct slabs or packed rows would add 4-34 MB
-    tracemalloc.start()
-    try:
-        g = build_grid(MENGER, 6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < g.packed.nbytes + 4 * 2**20, (peak - g.packed.nbytes) / 2**20
+    # the build allocates one packed row per distinct slab (4.25 MB for the
+    # sponge, 0.13 MB for the slices) plus O(res^2) scratch; a packed row
+    # per z would add 44-48 MB, a table of all 64 unpacked sponge slabs 34 MB
+    for kind in (MENGER, SLICES):
+        tracemalloc.start()
+        try:
+            g = build_grid(kind, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < g.packed.nbytes + 4 * 2**20, (kind, (peak - g.packed.nbytes) / 2**20)
 
 
 def test_grid_build_deterministic():
     a = build_grid(MENGER, 3)
     b = build_grid(MENGER, 3)
     assert a.packed.tobytes() == b.packed.tobytes()
+    assert a.index == b.index
     assert a.solid_count == b.solid_count
 
 
@@ -249,28 +268,35 @@ def test_face_counts_match_exposed_masks(kind, n):
     assert voxel._face_counts(g) == _summed_masks(g)
 
 
-def test_face_counts_exact_under_hash_collisions(monkeypatch):
-    # every row hashes alike, so rows are told apart only by content
-    grids = [build_grid(kind, 3) for kind in (MENGER, SLICES)]
-    expected = [voxel._face_counts(g) for g in grids]
-    monkeypatch.setattr(voxel, "hash", lambda key: 0, raising=False)
-    assert [voxel._face_counts(g) for g in grids] == expected
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+def test_face_counts_exact_for_one_row_per_slab(kind):
+    # the same occupancy with every z in its own packed row, so equal slabs
+    # sit in different rows: the count must not assume distinct rows differ
+    g = build_grid(kind, 3)
+    spread = VoxelGrid(kind=kind, n=3, resolution=g.resolution, packed=g.packed[list(g.index)],
+                       index=tuple(range(g.resolution)), solid_count=g.solid_count)
+    assert voxel._face_counts(spread) == voxel._face_counts(g)
+    assert _summed_masks(spread) == _summed_masks(g)
 
 
 @st.composite
 def pooled_grids(draw):
     """A hand-built grid of any resolution whose z-slabs are drawn, in any
     order, from a pool of one to three random, empty or full slabs, so equal
-    rows recur both adjacent and apart.  Only ``resolution``, ``packed`` and
-    ``solid_count`` matter to the face count."""
+    slabs recur both adjacent and apart.  The pool may also hold a second
+    copy of one of its slabs, so an index need not give equal slabs one row.
+    Only ``resolution``, ``packed``, ``index`` and ``solid_count`` matter to
+    the face count."""
     res = draw(st.integers(1, 12))
     cells = res * res
     slab = st.one_of(st.just([False] * cells), st.just([True] * cells),
                      st.lists(st.booleans(), min_size=cells, max_size=cells))
     pool = [np.array(s, dtype=bool) for s in draw(st.lists(slab, min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        pool.append(pool[draw(st.sampled_from(range(len(pool))))].copy())
     order = draw(st.lists(st.sampled_from(range(len(pool))), min_size=res, max_size=res))
     return VoxelGrid(kind=SLICES, n=0, resolution=res,
-                     packed=np.stack([np.packbits(pool[i]) for i in order]),
+                     packed=np.stack([np.packbits(s) for s in pool]), index=tuple(order),
                      solid_count=sum(int(pool[i].sum()) for i in order))
 
 
@@ -304,4 +330,5 @@ def test_grid_shape_and_edge():
     g = build_grid(MENGER, 2)
     assert g.resolution == 9
     assert g.voxel_edge == Fraction(1, 9)
-    assert g.packed.shape == (9, (81 + 7) // 8)
+    assert g.packed.shape == (4, (81 + 7) // 8)
+    assert g.index == (0, 1, 0, 2, 3, 2, 0, 1, 0)
