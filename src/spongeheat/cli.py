@@ -12,7 +12,9 @@ import argparse
 import os
 import sys
 
-from . import analysis, mesh, metrics, voxel
+# Only the closed forms are imported here: voxel and mesh pull in numpy, so
+# the two commands that use them import them themselves.
+from . import analysis, metrics
 
 
 class _UsageError(Exception):
@@ -49,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check closed-form volume/surface against the voxel oracle")
     p.add_argument("--model", choices=sorted(_MODELS), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--oracle-cap", type=int, default=voxel.DEFAULT_ORACLE_CAP)
+    p.add_argument("--oracle-cap", type=int, default=metrics.ORACLE_CAP)
 
     p = sub.add_parser("crossover",
                        help="locate where the sponge efficiency curve overtakes the slice curve")
@@ -67,16 +69,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("stl", "obj"), default="stl")
     p.add_argument("--out", required=True)
-    p.add_argument("--oracle-cap", type=int, default=voxel.DEFAULT_ORACLE_CAP)
+    p.add_argument("--oracle-cap", type=int, default=metrics.ORACLE_CAP)
 
     return parser
 
 
 def _check_cap(cap: int) -> int:
-    if not 0 <= cap <= voxel.DEFAULT_ORACLE_CAP:
-        raise _UsageError(
-            f"--oracle-cap may only lower the default {voxel.DEFAULT_ORACLE_CAP}"
-        )
+    if not 0 <= cap <= metrics.ORACLE_CAP:
+        raise _UsageError(f"--oracle-cap may only lower the default {metrics.ORACLE_CAP}")
     return cap
 
 
@@ -141,6 +141,8 @@ def _cmd_row(args) -> int:
 
 
 def _cmd_voxel_verify(args) -> int:
+    from . import voxel
+
     kind = _MODELS[args.model]
     grid = voxel.build_grid(kind, args.n, cap=_check_cap(args.oracle_cap))
     closed_v = metrics.model_volume(kind, args.n)
@@ -197,8 +199,11 @@ def _cmd_mesh(args) -> int:
     _check_out(args.out)
     kind = _MODELS[args.model]
     cap = _check_cap(args.oracle_cap)
-    if args.n > mesh.MESH_CAP:
-        raise _UsageError(f"mesh export is capped at n = {mesh.MESH_CAP}, got {args.n}")
+    if args.n > metrics.MESH_CAP:
+        raise _UsageError(f"mesh export is capped at n = {metrics.MESH_CAP}, got {args.n}")
+    # imported only after the refusals above, so a refused export loads no numpy
+    from . import mesh, voxel
+
     grid = voxel.build_grid(kind, args.n, cap=cap)
     buffer = mesh.mesh_from_grid(grid)
     writer = mesh.write_stl_binary if args.format == "stl" else mesh.write_obj

@@ -50,11 +50,6 @@ _CORNERS = np.array(
 _TRIANGLES = _CORNERS[:, [0, 1, 2, 0, 2, 3]].reshape(6, 2, 3, 3)
 
 
-#: Largest iteration order the ``mesh`` command exports: the n = 5 sponge
-#: STL is 655 MB (13.1 M triangles); n = 6 would be 12.9 GB.
-MESH_CAP = 5
-
-
 @dataclass
 class MeshBuffer:
     """Axis-aligned triangle soup of one voxel grid, two triangles per

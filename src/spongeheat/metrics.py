@@ -22,10 +22,20 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
+#: The three iteration-order caps below are the single named constants all
+#: range checks use.  They live in this numpy-free module so that the CLI can
+#: check arguments without importing ``voxel`` or ``mesh``.
+#:
 #: Hard cap on the iteration order for closed-form evaluation.  The values
-#: stay exact at any n; the cap bounds rational bit growth and is the single
-#: named constant all range checks use.
+#: stay exact at any n; the cap bounds rational bit growth.
 CLOSED_FORM_CAP = 12
+
+#: Largest iteration order the voxel oracle accepts by default (729^3 cells).
+ORACLE_CAP = 6
+
+#: Largest iteration order the ``mesh`` command exports: the n = 5 sponge
+#: STL is 655 MB (13.1 M triangles); n = 6 would be 12.9 GB.
+MESH_CAP = 5
 
 
 class IterationOutOfRangeError(ValueError):

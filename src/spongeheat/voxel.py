@@ -26,10 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import ModelKind, check_iteration
-
-#: Largest iteration order the oracle accepts by default (729^3 cells).
-DEFAULT_ORACLE_CAP = 6
+from .metrics import ORACLE_CAP, ModelKind, check_iteration
 
 
 class OracleCapError(ValueError):
@@ -123,7 +120,7 @@ def _menger_slab(masks: np.ndarray, mz: int) -> np.ndarray:
     return ((mx & my) | (mx & mz) | (my & mz)) == 0
 
 
-def build_grid(kind: ModelKind, n: int, cap: int = DEFAULT_ORACLE_CAP) -> VoxelGrid:
+def build_grid(kind: ModelKind, n: int, cap: int = ORACLE_CAP) -> VoxelGrid:
     """Voxelize one model at iteration order n (n <= cap).
 
     Deterministic: the occupancy is a pure function of (kind, n), whatever

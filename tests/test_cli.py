@@ -1,5 +1,6 @@
 """CLI tests: all subcommands, formats, exit codes, determinism."""
 
+import inspect
 import json
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 import golden
 from spongeheat import analysis, mesh, metrics, voxel
-from spongeheat.cli import run
+from spongeheat.cli import build_parser, run
 
 
 def test_table_text_matches_golden(capsys):
@@ -169,6 +170,20 @@ def test_mesh_cap_refuses_n6_before_building(monkeypatch, capsys):
     monkeypatch.setattr(voxel, "build_grid", build_grid)
     assert run(["mesh", "--model", "menger", "--n", "6", "--out", "x.stl"]) == 1
     assert "capped at n = 5" in capsys.readouterr().err
+
+
+def test_caps_have_one_home_in_metrics(capsys):
+    cap = inspect.signature(voxel.build_grid).parameters["cap"].default
+    assert cap == metrics.ORACLE_CAP
+    parser = build_parser()
+    for argv in [["voxel-verify", "--model", "menger", "--n", "1"],
+                 ["mesh", "--model", "menger", "--n", "1", "--out", "x.stl"]]:
+        assert parser.parse_args(argv).oracle_cap == metrics.ORACLE_CAP
+    assert run(["mesh", "--model", "menger", "--n", str(metrics.MESH_CAP + 1),
+                "--out", "x.stl"]) == 1
+    assert f"capped at n = {metrics.MESH_CAP}," in capsys.readouterr().err
+    assert not hasattr(voxel, "DEFAULT_ORACLE_CAP")
+    assert not hasattr(mesh, "MESH_CAP")
 
 
 def _fail_midway(*args):
