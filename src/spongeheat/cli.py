@@ -158,6 +158,11 @@ def _cmd_voxel_verify(args) -> int:
     print(f"surface: closed {closed_s}  oracle {oracle_s}  "
           f"{'MATCH' if closed_s == oracle_s else 'MISMATCH'}")
     print(f"{'PASS' if ok else 'FAIL'} model={args.model} n={args.n} V={dec_v} S={dec_s}")
+    if not ok:
+        expected = metrics.model_face_counts(kind, args.n)
+        for d, oracle, closed in zip(metrics.DIRECTIONS, voxel.face_counts(grid), expected):
+            print(f"faces {d}: oracle {oracle}  expected {closed}  "
+                  f"{'MATCH' if oracle == closed else 'MISMATCH'}", file=sys.stderr)
     return 0 if ok else 2
 
 

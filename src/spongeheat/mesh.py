@@ -8,9 +8,12 @@ to float32 once, so identical runs produce byte-identical files and
 coincident corners are bit-identical.
 
 The writers generate and write the mesh one z-slab at a time.  A slab's
-exposed faces are enumerated once, as ascending flat indices into
-:func:`spongeheat.voxel.exposed_masks`, its (y, x, direction) face mask;
-every triangle is then assembled from small lookup tables indexed by
+exposed faces come from :func:`spongeheat.voxel.exposed_bits` as six int
+bitsets.  This is the only module that imports numpy, and
+:func:`_slab_mask` does the one int-to-array step: it unpacks the bitsets
+into the slab's (y, x, direction) face mask, whose faces
+:func:`_slab_faces` enumerates once, as ascending flat indices.  Every
+triangle is then assembled from small lookup tables indexed by
 (x, direction) and (y, direction): STL record pairs and y corners, or OBJ
 lattice keys.  No per-face integer lattice is built, and the STL records of
 every slab go through one reused buffer, so export memory is bounded by one
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .voxel import VoxelGrid, count_exposed_faces, exposed_masks
+from .voxel import VoxelGrid, count_exposed_faces, exposed_bits
 
 #: Face directions in emission order; normals point from solid into coolant.
 _NORMALS = np.array(
@@ -75,10 +78,22 @@ class MeshBuffer:
         return np.concatenate([rec["normal"].copy() for rec in _stl_records(self.grid)])
 
 
+def _slab_mask(g: VoxelGrid, z: int) -> np.ndarray:
+    # the (y, x', direction) bool mask of slab z's exposed faces, x' < stride
+    size = g.slab_bytes
+    bits = b"".join(mask.to_bytes(size, byteorder="little") for mask in exposed_bits(g, z))
+    # read the bytes as (y, byte, direction) and unpack bit x of each y-row:
+    # that yields the mask directly, reordering the bytes rather than the 8x
+    # larger mask.  Each bitset is a subset of the slab, so no guard bit
+    # x' >= res is set
+    packed = np.frombuffer(bits, dtype=np.uint8).reshape(6, g.resolution, size // g.resolution)
+    return np.unpackbits(packed.transpose(1, 2, 0), axis=1, bitorder="little").view(bool)
+
+
 def _slab_faces(g: VoxelGrid, z: int) -> tuple[np.ndarray, np.ndarray]:
-    # slab z's exposed faces, flat (y, x, d) indices -> rows x * 6 + d, y * 6 + d
-    y, xd = np.divmod(np.flatnonzero(exposed_masks(g, z)), 6 * g.resolution)
-    return xd, y * 6 + xd % 6
+    # slab z's exposed faces, flat (y, x', d) indices -> rows x * 6 + d, y * 6 + d
+    y, xd = np.divmod(np.flatnonzero(_slab_mask(g, z)), 6 * g.stride)
+    return xd, y * 6 + xd - xd // 6 * 6  # xd % 6, which numpy computes more slowly
 
 
 def _corner_table(res: int, axis: int) -> np.ndarray:

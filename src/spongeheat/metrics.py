@@ -126,6 +126,25 @@ def model_surface(kind: ModelKind, n: int) -> Fraction:
     return menger_surface(n)
 
 
+#: Face directions in the order of :func:`model_face_counts`.
+DIRECTIONS = ("+x", "-x", "+y", "-y", "+z", "-z")
+
+
+def model_face_counts(kind: ModelKind, n: int) -> tuple[int, ...]:
+    """Exposed unit faces (edge 1/3^n) of either model in each direction.
+
+    The sponge is symmetric under the cube's rotations, so each direction
+    holds a sixth of its 2*20^n + 4*8^n faces; the slices expose rho*3^n
+    rim faces in each of +-x and +-y and rho*9^n plate faces in each of +-z.
+    Their sum times 1/9^n is ``model_surface``.
+    """
+    n = check_iteration(n)
+    if kind is ModelKind.SLICES:
+        rho = slice_count(n)
+        return (rho * 3**n,) * 4 + (rho * 9**n,) * 2
+    return ((2 * 20**n + 4 * 8**n) // 6,) * 6
+
+
 def coolant_volume(kind: ModelKind, n: int) -> Fraction:
     """Coolant volume: wrapping cube minus substrate.  Strictly positive for n >= 1."""
     return total_volume(n) - model_volume(kind, n)

@@ -6,25 +6,28 @@ measured volume and surface must equal the closed forms in
 :mod:`spongeheat.metrics` with plain rational equality.  That check is the
 central anti-regression property of the package.
 
-Occupancy is stored bit-packed, one padded byte row per distinct z-slab
-(row-major within the slab, x fastest).  A sponge slab depends on z only
-through the set of base-3 digits of z equal to 1 (2^n distinct slabs, 64 of
-the 729 at n = 6, ~4.3 MB packed), a slice slab only through z % 2.  Each
-distinct slab is enumerated cell by cell once, and ``VoxelGrid.index`` maps
-every z to its row.  Grids are never mutated afterwards, and all
-measurements are read-only.
+Occupancy is stored as one little-endian bitset per distinct z-slab, in
+plain Python bytes and ints (this module imports no numpy).  Cell (x, y) is
+bit x + W * y, with the row stride W = 8 * ((3^n + 8) // 8) bits: every
+y-row is whole bytes and ends in at least one zero guard bit, since 3^n is
+never a multiple of 8.  A sponge slab depends on z only through the set of
+base-3 digits of z equal to 1 (2^n distinct slabs, 64 of the 729 at n = 6,
+~4.3 MB), a slice slab only through z % 2.  ``VoxelGrid.index`` maps every z
+to its slab.  Grids are never mutated afterwards, and all measurements are
+read-only.
 
 Exposure is defined here once: a face is exposed when its cell is solid and
-the cell across it is coolant or outside the lattice.  The mesh writers read
-it through :func:`exposed_masks`, and :func:`count_exposed_faces` counts it.
+the cell across it is coolant or outside the lattice.  On a slab bitset s
+that is s & ~(s >> 1) for +x and s & ~(s << 1) for -x (the guard bits are
+the coolant beyond each row's ends), shifts by W for +-y, and a & ~b
+between adjacent slabs for +-z.  The mesh writers read it through
+:func:`exposed_bits`, and :func:`count_exposed_faces` counts it.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .metrics import ORACLE_CAP, ModelKind, check_iteration
 
@@ -75,49 +78,48 @@ def is_solid_slices(x: int, y: int, z: int, n: int) -> bool:
 class VoxelGrid:
     """Immutable-by-convention occupancy grid of one model at order n.
 
-    ``packed`` holds one bit-packed row of 3^n * 3^n cells per distinct
-    z-slab (row-major within the slab: bit index = x + resolution * y), and
-    slab z is row ``index[z]``.
+    ``packed`` holds the distinct z-slabs back to back, each ``resolution``
+    y-rows of ``stride // 8`` bytes, little-endian: cell (x, y) of slab row
+    r is bit x + stride * y of bytes [r * slab_bytes, (r + 1) * slab_bytes).
+    Slab z is row ``index[z]``.  The guard bits x >= resolution of every
+    y-row are zero.
     """
 
     kind: ModelKind
     n: int
     resolution: int
-    packed: np.ndarray  # uint8, shape (distinct slabs, ceil(resolution^2 / 8))
-    index: tuple[int, ...]  # one packed row id per z
+    packed: memoryview  # read-only, 1-D, (distinct slabs) * slab_bytes bytes
+    index: tuple[int, ...]  # one slab row id per z
     solid_count: int
 
     @property
     def voxel_edge(self) -> Fraction:
         return Fraction(1, self.resolution)
 
-    def slab(self, z: int) -> np.ndarray:
-        """Unpack slab z as a bool array of shape (resolution, resolution),
-        indexed [y, x]."""
-        return _unpack(self.packed[self.index[z]], self.resolution)
+    @property
+    def stride(self) -> int:
+        return _stride(self.resolution)
+
+    @property
+    def slab_bytes(self) -> int:
+        return self.resolution * self.stride // 8
 
 
-def _unpack(row: np.ndarray, res: int) -> np.ndarray:
-    return np.unpackbits(row, count=res * res).reshape(res, res).view(bool)
+def _stride(res: int) -> int:
+    # bits per y-row: the least multiple of 8 above res, so that every row
+    # is whole bytes and ends in at least one zero guard bit
+    return 8 * ((res + 8) // 8)
 
 
-def _digit_one_masks(res: int, n: int) -> np.ndarray:
-    """For each v in [0, res): a uint16 whose bit k is set iff base-3 digit k
-    of v equals 1 (n <= 16; uint16 keeps the res^2 temporaries of
-    _menger_slab at 2 bytes per cell)."""
-    v = np.arange(res, dtype=np.int64)
-    masks = np.zeros(res, dtype=np.uint16)
-    for k in range(n):
-        masks |= ((v // 3**k) % 3 == 1).astype(np.uint16) << k
-    return masks
+def _slab_int(g: VoxelGrid, row: int) -> int:
+    size = g.slab_bytes
+    return int.from_bytes(g.packed[row * size:(row + 1) * size], byteorder="little")
 
 
-def _menger_slab(masks: np.ndarray, mz: int) -> np.ndarray:
-    # the slab of every z whose digit-one mask is mz: solid iff no digit
-    # position has >= 2 of the three digits equal to 1
-    mx = masks[None, :]
-    my = masks[:, None]
-    return ((mx & my) | (mx & mz) | (my & mz)) == 0
+def _digit_one_masks(res: int, n: int) -> list[int]:
+    """For each v in [0, res): the int whose bit k is set iff base-3 digit k
+    of v equals 1."""
+    return [sum(1 << k for k in range(n) if v // 3**k % 3 == 1) for v in range(res)]
 
 
 def build_grid(kind: ModelKind, n: int, cap: int = ORACLE_CAP) -> VoxelGrid:
@@ -131,25 +133,34 @@ def build_grid(kind: ModelKind, n: int, cap: int = ORACLE_CAP) -> VoxelGrid:
     except ValueError as exc:
         raise OracleCapError(str(exc)) from None
     res = 3**n
+    width = _stride(res) // 8
     sponge = kind is ModelKind.MENGER_SPONGE
-    if sponge:
-        masks = _digit_one_masks(res, n)
-        keys = masks.tolist()  # a sponge slab depends on z only through masks[z]
-    else:
-        keys = [z % 2 for z in range(res)]
-    # distinct keys numbered in order of first appearance (np.unique would
-    # import numpy.ma); each slab is packed once, one at a time, since a
-    # table of all 64 unpacked sponge slabs would cost 34 MB at n = 6
+    masks = _digit_one_masks(res, n)
+    # a sponge slab depends on z only through masks[z]; distinct keys are
+    # numbered in order of first appearance
+    keys = masks if sponge else [z % 2 for z in range(res)]
     row = {key: i for i, key in enumerate(dict.fromkeys(keys))}
     index = tuple(row[key] for key in keys)
-    packed = np.empty((len(row), (res * res + 7) // 8), dtype=np.uint8)
+    # Cell (x, y) of sponge slab mz is solid iff no digit position has >= 2
+    # of mx, my, mz set: the row is empty if my & mz, else it holds every x
+    # with mx & (my | mz) == 0.  So each y-row is one of a few lines, keyed
+    # by that union (None: the empty line); a slice plate is line 0 (all x)
+    # throughout.  Each line is built once, with its solid count.
+    lines = {None: (bytes(width), 0)}
+    size = res * width
+    packed = bytearray(len(row) * size)
     solid_count = 0
     for key, i in row.items():
-        slab = _menger_slab(masks, key) if sponge else np.full((res, res), key == 0)
-        packed[i] = np.packbits(slab.reshape(-1))
-        solid_count += int(np.count_nonzero(slab)) * index.count(i)
-    return VoxelGrid(kind=kind, n=n, resolution=res, packed=packed, index=index,
-                     solid_count=solid_count)
+        unions = ([None if my & key else my | key for my in masks] if sponge
+                  else [None if key else 0] * res)
+        for u in set(unions) - lines.keys():
+            bits = sum(1 << x for x, mx in enumerate(masks) if not mx & u)
+            lines[u] = bits.to_bytes(width, byteorder="little"), bits.bit_count()
+        # each slab is joined straight into place: the rows are never held twice
+        packed[i * size:(i + 1) * size] = b"".join(lines[u][0] for u in unions)
+        solid_count += sum(lines[u][1] for u in unions) * index.count(i)
+    return VoxelGrid(kind=kind, n=n, resolution=res, packed=memoryview(packed).toreadonly(),
+                     index=index, solid_count=solid_count)
 
 
 def measure_volume(g: VoxelGrid) -> Fraction:
@@ -157,45 +168,43 @@ def measure_volume(g: VoxelGrid) -> Fraction:
     return g.solid_count * g.voxel_edge**3
 
 
-def _in_plane(cur: np.ndarray):
-    """Yield the (y, x) masks of slab ``cur``'s cells exposed in +x, -x, +y, -y."""
-    pad = np.pad(cur, 1)  # the lattice boundary is coolant
-    yield cur & ~pad[1:-1, 2:]
-    yield cur & ~pad[1:-1, :-2]
-    yield cur & ~pad[2:, 1:-1]
-    yield cur & ~pad[:-2, 1:-1]
+def _in_plane(s: int, stride: int) -> tuple[int, int, int, int]:
+    """The bitsets of slab ``s``'s cells exposed in +x, -x, +y, -y.  The zero
+    guard bits stand for the coolant beyond both ends of each y-row, and the
+    shifted-in zeros for the coolant beyond the first and last row."""
+    return s & ~(s >> 1), s & ~(s << 1), s & ~(s >> stride), s & ~(s << stride)
 
 
-def _across(g: VoxelGrid, a: int, b: int | None) -> np.ndarray:
-    """The (y, x) mask of the cells of packed row a exposed towards the
-    adjacent slab held in packed row b (all solid cells of a when b is None:
-    the neighbour lies outside the lattice)."""
-    return _unpack(g.packed[a] if b is None else g.packed[a] & ~g.packed[b], g.resolution)
+def _across(a: int, b: int) -> int:
+    """The bitset of slab ``a``'s cells exposed towards the adjacent slab
+    ``b`` (0 when the neighbour lies outside the lattice)."""
+    return a & ~b
 
 
-def exposed_masks(g: VoxelGrid, z: int) -> np.ndarray:
-    """The (y, x, direction) bool mask of slab z's exposed faces, directions
-    in the order +x, -x, +y, -y, +z, -z."""
-    above, below = (g.index[w] if 0 <= w < g.resolution else None for w in (z + 1, z - 1))
-    a = g.index[z]
-    return np.stack([*_in_plane(g.slab(z)), _across(g, a, above), _across(g, a, below)], -1)
+def exposed_bits(g: VoxelGrid, z: int) -> tuple[int, ...]:
+    """Slab z's exposed faces as six bitsets in the layout of ``g.packed``
+    (bit x + g.stride * y), directions in the order +x, -x, +y, -y, +z, -z."""
+    cur = _slab_int(g, g.index[z])
+    above, below = (_slab_int(g, g.index[w]) if 0 <= w < g.resolution else 0
+                    for w in (z + 1, z - 1))
+    return (*_in_plane(cur, g.stride), _across(cur, above), _across(cur, below))
 
 
-def _face_counts(g: VoxelGrid) -> list[int]:
+def face_counts(g: VoxelGrid) -> list[int]:
     """Exposed faces per direction (+x, -x, +y, -y, +z, -z), evaluated once
     per distinct entry of ``g.index`` (+-x, +-y) and once per distinct pair
     of consecutive entries (+-z).  Exact for any index, even one that puts
     two equal slabs in different rows."""
+    slabs = {a: _slab_int(g, a) for a in set(g.index)}
+    slabs[None] = 0  # outside the lattice
     counts = [0] * 6
     for a, k in Counter(g.index).items():
-        for d, mask in enumerate(_in_plane(_unpack(g.packed[a], g.resolution))):
-            counts[d] += k * int(np.count_nonzero(mask))
-    ends = [None, *g.index, None]  # None: outside the lattice
+        for d, mask in enumerate(_in_plane(slabs[a], g.stride)):
+            counts[d] += k * mask.bit_count()
+    ends = [None, *g.index, None]
     for (a, b), k in Counter(zip(ends, ends[1:])).items():
-        if a is not None:
-            counts[4] += k * int(np.count_nonzero(_across(g, a, b)))
-        if b is not None:
-            counts[5] += k * int(np.count_nonzero(_across(g, b, a)))
+        counts[4] += k * _across(slabs[a], slabs[b]).bit_count()
+        counts[5] += k * _across(slabs[b], slabs[a]).bit_count()
     return counts
 
 
@@ -205,7 +214,7 @@ def count_exposed_faces(g: VoxelGrid) -> int:
     Faces on the lattice boundary count as exposed: the wrapping container
     outside the unit cube is coolant.
     """
-    return sum(_face_counts(g))
+    return sum(face_counts(g))
 
 
 def measure_surface(g: VoxelGrid) -> Fraction:

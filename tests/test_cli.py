@@ -51,9 +51,10 @@ def test_row(capsys):
 
 def test_voxel_verify_pass(capsys):
     assert run(["voxel-verify", "--model", "menger", "--n", "3"]) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert "PASS" in out and "V=0.4064" in out and "S=24.7572" in out
     assert out.count("MATCH") == 2
+    assert err == ""  # the face report is printed on failure only
 
 
 def test_voxel_verify_slices(capsys):
@@ -65,8 +66,31 @@ def test_voxel_verify_slices(capsys):
 def test_voxel_verify_mismatch_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(metrics, "menger_volume", lambda n: Fraction(1, 2))
     assert run(["voxel-verify", "--model", "menger", "--n", "1"]) == 2
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert "FAIL" in out and "MISMATCH" in out
+    # the per-direction face report follows on stderr; a volume fault leaves
+    # every direction matching
+    assert err.splitlines() == [f"faces {d}: oracle 12  expected 12  MATCH"
+                                for d in ("+x", "-x", "+y", "-y", "+z", "-z")]
+
+    # plant an oracle fault in one direction: one +z face too few
+    counts = voxel.face_counts
+
+    def face_counts(g):
+        faces = counts(g)
+        faces[4] -= 1
+        return faces
+
+    monkeypatch.setattr(voxel, "face_counts", face_counts)
+    assert run(["voxel-verify", "--model", "slices", "--n", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert "surface:" in out and "FAIL model=slices n=2" in out
+    lines = err.splitlines()
+    assert len(lines) == 6
+    assert [line for line in lines if line.endswith("MISMATCH")] == [
+        "faces +z: oracle 404  expected 405  MISMATCH"]
+    assert "faces -z: oracle 405  expected 405  MATCH" in lines
+    assert "faces +x: oracle 45  expected 45  MATCH" in lines
 
 
 def test_crossover_text(capsys):

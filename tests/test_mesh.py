@@ -20,7 +20,7 @@ SLICES = ModelKind.SLICES
 def _empty_mesh():
     # a single coolant voxel: nothing solid, so no exposed face
     grid = VoxelGrid(kind=SLICES, n=0, resolution=1,
-                     packed=np.zeros((1, 1), dtype=np.uint8), index=(0,), solid_count=0)
+                     packed=memoryview(bytes(1)), index=(0,), solid_count=0)
     return mesh_from_grid(grid)
 
 

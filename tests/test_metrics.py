@@ -134,6 +134,18 @@ def test_surface_forms_identical():
         assert menger_surface(n) == menger_surface_simplified(n)
 
 
+def test_face_counts_sum_to_surface():
+    # the per-direction unit-face counts are whole and add up to the surface
+    for kind in ModelKind:
+        for n in range(CLOSED_FORM_CAP + 1):
+            counts = metrics.model_face_counts(kind, n)
+            assert len(counts) == len(metrics.DIRECTIONS) == 6
+            assert all(isinstance(c, int) and c > 0 for c in counts)
+            assert Fraction(sum(counts), 9**n) == metrics.model_surface(kind, n)
+    assert metrics.model_face_counts(MENGER, 6) == (21_508_096,) * 6
+    assert metrics.model_face_counts(SLICES, 6) == (266_085,) * 4 + (193_975_965,) * 2
+
+
 def test_quality_ratio_equals_coolant_ratio():
     for n in range(CLOSED_FORM_CAP + 1):
         want = (total_volume(n) - menger_volume(n)) / (total_volume(n) - slice_volume(n))

@@ -1,4 +1,5 @@
-"""Start-up cost: the closed-form commands never import numpy.
+"""Start-up cost: only ``mesh`` imports numpy.  The closed-form commands,
+the voxel oracle and every refused command run without it.
 
 Each case runs ``cli.run(argv)`` in a fresh interpreter, because this test
 process has already imported numpy through the other test modules.
@@ -38,6 +39,10 @@ def _run_fresh(argv):
     pytest.param(["row", "--n", "3"], 0, id="row"),
     pytest.param(["crossover", "--max-n", "6", "--format", "json"], 0, id="crossover"),
     pytest.param(["series", "--max-n", "6", "--out", "{tmp}/series.csv"], 0, id="series"),
+    pytest.param(["voxel-verify", "--model", "menger", "--n", "1"], 0, id="voxel-verify-menger-1"),
+    pytest.param(["voxel-verify", "--model", "slices", "--n", "1"], 0, id="voxel-verify-slices-1"),
+    pytest.param(["voxel-verify", "--model", "menger", "--n", "6"], 0, id="voxel-verify-menger-6"),
+    pytest.param(["voxel-verify", "--model", "slices", "--n", "6"], 0, id="voxel-verify-slices-6"),
     pytest.param(["--help"], 0, id="help"),
     pytest.param(["row", "--n", "13"], 1, id="usage-error"),
     pytest.param(["mesh", "--model", "menger", "--n", "6", "--out", "{tmp}/m6.stl"], 1,
@@ -50,5 +55,6 @@ def test_closed_form_and_refused_commands_never_import_numpy(argv, expected_code
     assert _run_fresh(argv) == (expected_code, False)
 
 
-def test_voxel_verify_imports_numpy():
-    assert _run_fresh(["voxel-verify", "--model", "slices", "--n", "1"]) == (0, True)
+def test_mesh_imports_numpy(tmp_path):
+    assert _run_fresh(["mesh", "--model", "slices", "--n", "1", "--out", f"{tmp_path}/m1.stl"]) \
+        == (0, True)

@@ -28,6 +28,38 @@ MENGER = ModelKind.MENGER_SPONGE
 SLICES = ModelKind.SLICES
 
 
+def stride(res):
+    """Bits per packed y-row: whole bytes, at least one guard bit past x = res - 1."""
+    return 8 * ((res + 8) // 8)
+
+
+def cell(g, x, y, z):
+    """Bit x + stride * y of slab z, read from the packed bytes (little-endian)."""
+    i = x + stride(g.resolution) * y
+    return bool(g.packed[g.index[z] * g.slab_bytes + i // 8] >> (i % 8) & 1)
+
+
+def unpack(g, rows=slice(None)):
+    """The packed slab rows ``rows`` as a (row, y, bit) bool array, guard
+    bits included."""
+    res = g.resolution
+    packed = np.frombuffer(g.packed, dtype=np.uint8).reshape(-1, res * stride(res) // 8)
+    bits = np.unpackbits(packed[rows], axis=-1, bitorder="little")
+    return bits.reshape(-1, res, stride(res)).view(bool)
+
+
+def decode_slab(g, z):
+    """Slab z as a (y, x) bool array."""
+    return unpack(g, [g.index[z]])[0, :, :g.resolution]
+
+
+def pack(slabs, res):
+    """(y, x) bool slabs of resolution res as a ``VoxelGrid.packed`` buffer."""
+    bits = np.zeros((len(slabs), res, stride(res)), dtype=bool)
+    bits[..., :res] = slabs
+    return memoryview(np.packbits(bits, axis=-1, bitorder="little").tobytes())
+
+
 def menger_by_subdivision(x, y, z, n, res):
     """Independent reference: recursive 3x3x3 subdivision from the top."""
     if n == 0:
@@ -120,10 +152,9 @@ def test_grid_bits_match_scalar_predicate(kind, n):
     predicate = is_solid_menger if kind is MENGER else is_solid_slices
     res = g.resolution
     for z in range(res):
-        slab = g.slab(z)
         for y in range(res):
             for x in range(res):
-                assert slab[y, x] == predicate(x, y, z, n)
+                assert cell(g, x, y, z) == predicate(x, y, z, n)
 
 
 def menger_slab_by_digits(z, n):
@@ -144,15 +175,17 @@ def test_distinct_slab_build_matches_per_slab_build(n):
     # z values with the same digit-one mask
     g = build_grid(MENGER, n)
     slabs = [menger_slab_by_digits(z, n) for z in range(g.resolution)]
-    reference = np.stack([np.packbits(slab.reshape(-1)) for slab in slabs])
-    assert len(g.packed) == 2**n
-    assert g.packed.dtype == reference.dtype
-    assert np.array_equal(g.packed[list(g.index)], reference)
+    size = g.slab_bytes
+    assert (g.packed.format, g.packed.ndim, g.packed.readonly) == ("B", 1, True)
+    assert len(g.packed) == 2**n * size
+    rows = [g.packed[i * size:(i + 1) * size] for i in g.index]
+    assert b"".join(rows) == pack(slabs, g.resolution)
     assert g.solid_count == sum(int(np.count_nonzero(slab)) for slab in slabs)
 
     g = build_grid(SLICES, n)
     assert g.index == tuple(z % 2 for z in range(g.resolution))
-    assert np.array_equal(g.packed, np.packbits([[True] * 9**n, [False] * 9**n], axis=1))
+    full = np.ones((g.resolution, g.resolution), dtype=bool)
+    assert g.packed == pack([full, ~full], g.resolution)
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -164,15 +197,26 @@ def test_grid_bits_match_scalar_predicate_sampled(kind, n):
     rng = random.Random(n)
     for _ in range(2000):
         x, y, z = rng.randrange(res), rng.randrange(res), rng.randrange(res)
-        i = x + res * y  # bit index within slab z, most significant bit first
-        bit = (g.packed[g.index[z], i // 8] >> (7 - i % 8)) & 1
-        assert bool(bit) == predicate(x, y, z, n), (x, y, z)
+        assert cell(g, x, y, z) == predicate(x, y, z, n), (x, y, z)
+
+
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+@pytest.mark.parametrize("n", range(7))
+def test_guard_bits_are_zero(kind, n):
+    # the +-x exposure shifts read the guard bits past each y-row as coolant
+    g = build_grid(kind, n)
+    assert g.stride == stride(g.resolution) > g.resolution
+    assert g.slab_bytes * 8 == g.resolution * g.stride
+    rows = unpack(g)
+    assert len(rows) == len(set(g.index))
+    assert not rows[..., g.resolution:].any()
 
 
 def test_grid_build_memory_n6():
-    # the build allocates one packed row per distinct slab (4.25 MB for the
+    # the build allocates one packed row per distinct slab (4.29 MB for the
     # sponge, 0.13 MB for the slices) plus O(res^2) scratch; a packed row
-    # per z would add 44-48 MB, a table of all 64 unpacked sponge slabs 34 MB
+    # per z would add 44-49 MB, and a second copy of the rows (joining each
+    # slab apart, or keeping them as ints too) 4.3 MB
     for kind in (MENGER, SLICES):
         tracemalloc.start()
         try:
@@ -231,7 +275,7 @@ def pair_count_faces(g):
     pairs = 0
     prev = None
     for z in range(res):
-        cur = g.slab(z)
+        cur = decode_slab(g, z)
         pairs += int(np.count_nonzero(cur[:, 1:] & cur[:, :-1]))  # x-neighbors
         pairs += int(np.count_nonzero(cur[1:, :] & cur[:-1, :]))  # y-neighbors
         if prev is not None:
@@ -252,20 +296,30 @@ def test_face_counts_per_direction_closed_forms(n):
     # the sponge is symmetric under the cube's rotations; slices expose
     # their plate faces on +-z and their rims on +-x and +-y
     assert (2 * 20**n + 4 * 8**n) % 6 == 0
-    assert voxel._face_counts(build_grid(MENGER, n)) == [(2 * 20**n + 4 * 8**n) // 6] * 6
+    sponge = voxel.face_counts(build_grid(MENGER, n))
+    assert sponge == [(2 * 20**n + 4 * 8**n) // 6] * 6
     rho = metrics.slice_count(n)
-    assert voxel._face_counts(build_grid(SLICES, n)) == [rho * 3**n] * 4 + [rho * 9**n] * 2
+    slices = voxel.face_counts(build_grid(SLICES, n))
+    assert slices == [rho * 3**n] * 4 + [rho * 9**n] * 2
+    # the expected counts voxel-verify reports on a mismatch
+    assert tuple(sponge) == metrics.model_face_counts(MENGER, n)
+    assert tuple(slices) == metrics.model_face_counts(SLICES, n)
 
 
 def _summed_masks(g):
-    return sum(voxel.exposed_masks(g, z).sum(axis=(0, 1)) for z in range(g.resolution)).tolist()
+    # the six exposure bitsets of every z-slab, counted slab by slab
+    counts = [0] * 6
+    for z in range(g.resolution):
+        for d, mask in enumerate(voxel.exposed_bits(g, z)):
+            counts[d] += mask.bit_count()
+    return counts
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
 @pytest.mark.parametrize("n", range(5))
 def test_face_counts_match_exposed_masks(kind, n):
     g = build_grid(kind, n)
-    assert voxel._face_counts(g) == _summed_masks(g)
+    assert voxel.face_counts(g) == _summed_masks(g)
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -273,9 +327,11 @@ def test_face_counts_exact_for_one_row_per_slab(kind):
     # the same occupancy with every z in its own packed row, so equal slabs
     # sit in different rows: the count must not assume distinct rows differ
     g = build_grid(kind, 3)
-    spread = VoxelGrid(kind=kind, n=3, resolution=g.resolution, packed=g.packed[list(g.index)],
+    size = g.slab_bytes
+    packed = memoryview(b"".join(g.packed[i * size:(i + 1) * size] for i in g.index))
+    spread = VoxelGrid(kind=kind, n=3, resolution=g.resolution, packed=packed,
                        index=tuple(range(g.resolution)), solid_count=g.solid_count)
-    assert voxel._face_counts(spread) == voxel._face_counts(g)
+    assert voxel.face_counts(spread) == voxel.face_counts(g)
     assert _summed_masks(spread) == _summed_masks(g)
 
 
@@ -291,12 +347,13 @@ def pooled_grids(draw):
     cells = res * res
     slab = st.one_of(st.just([False] * cells), st.just([True] * cells),
                      st.lists(st.booleans(), min_size=cells, max_size=cells))
-    pool = [np.array(s, dtype=bool) for s in draw(st.lists(slab, min_size=1, max_size=3))]
+    pool = [np.array(s, dtype=bool).reshape(res, res)
+            for s in draw(st.lists(slab, min_size=1, max_size=3))]
     if draw(st.booleans()):
         pool.append(pool[draw(st.sampled_from(range(len(pool))))].copy())
     order = draw(st.lists(st.sampled_from(range(len(pool))), min_size=res, max_size=res))
     return VoxelGrid(kind=SLICES, n=0, resolution=res,
-                     packed=np.stack([np.packbits(s) for s in pool]), index=tuple(order),
+                     packed=pack(pool, res), index=tuple(order),
                      solid_count=sum(int(pool[i].sum()) for i in order))
 
 
@@ -304,7 +361,7 @@ def pooled_grids(draw):
 @given(pooled_grids())
 def test_face_counts_random_pooled_grids(g):
     assert count_exposed_faces(g) == pair_count_faces(g)
-    assert voxel._face_counts(g) == _summed_masks(g)
+    assert voxel.face_counts(g) == _summed_masks(g)
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -330,5 +387,7 @@ def test_grid_shape_and_edge():
     g = build_grid(MENGER, 2)
     assert g.resolution == 9
     assert g.voxel_edge == Fraction(1, 9)
-    assert g.packed.shape == (4, (81 + 7) // 8)
+    assert g.stride == 16  # 9 cells and 7 guard bits per y-row
+    assert g.slab_bytes == 9 * 2
+    assert g.packed.shape == (4 * 18,)
     assert g.index == (0, 1, 0, 2, 3, 2, 0, 1, 0)
