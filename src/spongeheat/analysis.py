@@ -10,12 +10,10 @@ digits next to the exact ``p/q`` form.
 """
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, NamedTuple, Sequence
 
 from . import metrics
 from .metrics import ModelKind, check_iteration
@@ -31,8 +29,7 @@ EFFICIENCY_COLUMNS = ("E_M", "E_s")
 SERIES_COLUMNS = ("model", "n", "S", "E")
 
 
-@dataclass(frozen=True)
-class EfficiencyRow:
+class EfficiencyRow(NamedTuple):
     """One full row of the reference table (13 columns, exact rationals)."""
 
     n: int
@@ -170,8 +167,7 @@ def decimal_string(value: Fraction, sig: int = 10) -> str:
 # efficiency series and crossover
 
 
-@dataclass(frozen=True)
-class EfficiencySeries:
+class EfficiencySeries(NamedTuple):
     """Ordered (surface, efficiency) samples of one model for n = 0..n_max.
 
     Point index equals the iteration order.  S strictly increases and E
@@ -196,8 +192,7 @@ class NoCrossoverError(ValueError):
     """The two efficiency curves never cross within the shared surface range."""
 
 
-@dataclass(frozen=True)
-class CrossoverReport:
+class CrossoverReport(NamedTuple):
     """Where the sponge efficiency curve overtakes the slice curve.
 
     ``s_star`` is the interpolated surface size of the meets-then-exceeds
@@ -326,6 +321,8 @@ def emit_json(sink: BinaryIO, **sections) -> int:
     unknown = sections.keys() - _JSON_SECTIONS.keys()
     if unknown:
         raise TypeError(f"unknown JSON sections: {sorted(unknown)}")
+    import json  # only JSON output pays for this import
+
     doc = {key: encode(sections[key]) for key, encode in _JSON_SECTIONS.items()
            if key in sections}
     return _write_text(sink, json.dumps(doc, indent=2) + "\n")

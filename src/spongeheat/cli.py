@@ -12,8 +12,9 @@ import argparse
 import os
 import sys
 
-# Only the closed forms are imported here: voxel and mesh pull in numpy, so
-# the two commands that use them import them themselves.
+# Only the closed forms are imported here.  voxel and mesh stay lazy, imported
+# by the two commands that use them, so closed-form commands neither compile
+# nor import them (and only mesh loads numpy).
 from . import analysis, metrics
 
 
@@ -163,6 +164,15 @@ def _cmd_voxel_verify(args) -> int:
         for d, oracle, closed in zip(metrics.DIRECTIONS, voxel.face_counts(grid), expected):
             print(f"faces {d}: oracle {oracle}  expected {closed}  "
                   f"{'MATCH' if oracle == closed else 'MISMATCH'}", file=sys.stderr)
+        # then the first z-slab whose solid count differs from its closed form
+        for z, oracle in enumerate(voxel.slab_counts(grid)):
+            closed = metrics.model_slab_count(kind, args.n, z)
+            if oracle != closed:
+                print(f"slab z={z}: oracle {oracle}  expected {closed}  MISMATCH",
+                      file=sys.stderr)
+                break
+        else:
+            print(f"slabs: all {grid.resolution} MATCH", file=sys.stderr)
     return 0 if ok else 2
 
 

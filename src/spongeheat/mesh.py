@@ -24,7 +24,7 @@ mesh: the n = 5 sponge STL command peaks at about 50 MB resident, some
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,7 @@ _CORNERS = np.array(
 _TRIANGLES = _CORNERS[:, [0, 1, 2, 0, 2, 3]].reshape(6, 2, 3, 3)
 
 
-@dataclass
-class MeshBuffer:
+class MeshBuffer(NamedTuple):
     """Axis-aligned triangle soup of one voxel grid, two triangles per
     exposed voxel face, generated slab by slab on demand.
 

@@ -145,6 +145,25 @@ def model_face_counts(kind: ModelKind, n: int) -> tuple[int, ...]:
     return ((2 * 20**n + 4 * 8**n) // 6,) * 6
 
 
+def model_slab_count(kind: ModelKind, n: int, z: int) -> int:
+    """Solid unit cells (edge 1/3^n) in layer z of either model, 0 <= z < 3^n.
+
+    A slice layer is a whole plate, 9^n cells, when z is even and coolant
+    when z is odd.  A sponge cell survives iff no base-3 digit position holds
+    a 1 in two or more of its coordinates, so each digit where z has a 1
+    leaves 4 of the 9 (x, y) digit pairs and each other digit leaves 8: a
+    layer whose z has k digits equal to 1 holds 4^k * 8^(n-k) cells.  Over
+    all z the layers sum to ``model_volume`` times 27^n.
+    """
+    n = check_iteration(n)
+    if not 0 <= z < 3**n:
+        raise ValueError(f"layer {z} outside [0, {3**n})")
+    if kind is ModelKind.SLICES:
+        return 0 if z % 2 else 9**n
+    k = sum(z // 3**i % 3 == 1 for i in range(n))
+    return 4**k * 8 ** (n - k)
+
+
 def coolant_volume(kind: ModelKind, n: int) -> Fraction:
     """Coolant volume: wrapping cube minus substrate.  Strictly positive for n >= 1."""
     return total_volume(n) - model_volume(kind, n)

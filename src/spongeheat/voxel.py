@@ -26,8 +26,8 @@ between adjacent slabs for +-z.  The mesh writers read it through
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .metrics import ORACLE_CAP, ModelKind, check_iteration
 
@@ -74,9 +74,8 @@ def is_solid_slices(x: int, y: int, z: int, n: int) -> bool:
     return z % 2 == 0
 
 
-@dataclass
-class VoxelGrid:
-    """Immutable-by-convention occupancy grid of one model at order n.
+class VoxelGrid(NamedTuple):
+    """Immutable occupancy grid of one model at order n.
 
     ``packed`` holds the distinct z-slabs back to back, each ``resolution``
     y-rows of ``stride // 8`` bytes, little-endian: cell (x, y) of slab row
@@ -163,6 +162,13 @@ def build_grid(kind: ModelKind, n: int, cap: int = ORACLE_CAP) -> VoxelGrid:
                      index=index, solid_count=solid_count)
 
 
+def slab_counts(g: VoxelGrid) -> list[int]:
+    """Solid cells of each z-slab, z = 0..resolution-1, popcounting each
+    distinct row of ``g.packed`` once."""
+    counts = {a: _slab_int(g, a).bit_count() for a in set(g.index)}
+    return [counts[a] for a in g.index]
+
+
 def measure_volume(g: VoxelGrid) -> Fraction:
     """Solid-cell count times the voxel volume, as an exact rational."""
     return g.solid_count * g.voxel_edge**3
@@ -194,17 +200,28 @@ def face_counts(g: VoxelGrid) -> list[int]:
     """Exposed faces per direction (+x, -x, +y, -y, +z, -z), evaluated once
     per distinct entry of ``g.index`` (+-x, +-y) and once per distinct pair
     of consecutive entries (+-z).  Exact for any index, even one that puts
-    two equal slabs in different rows."""
-    slabs = {a: _slab_int(g, a) for a in set(g.index)}
-    slabs[None] = 0  # outside the lattice
-    counts = [0] * 6
-    for a, k in Counter(g.index).items():
-        for d, mask in enumerate(_in_plane(slabs[a], g.stride)):
-            counts[d] += k * mask.bit_count()
+    two equal slabs in different rows.
+
+    The distinct pairs are visited in z order.  Each slab is converted to an
+    int when a pair first needs it, and dropped after the last distinct pair
+    that uses it, so few slabs are live at once (a pair in the top third of
+    the sponge repeats one from the bottom third)."""
+    rows = Counter(g.index)
     ends = [None, *g.index, None]
-    for (a, b), k in Counter(zip(ends, ends[1:])).items():
+    pairs = Counter(zip(ends, ends[1:]))  # in z order of first appearance
+    last = {a: i for i, pair in enumerate(pairs) for a in pair}
+    slabs = {None: 0}  # outside the lattice
+    counts = [0] * 6
+    for i, ((a, b), k) in enumerate(pairs.items()):
+        for c in {a, b} - slabs.keys():
+            slabs[c] = _slab_int(g, c)
+            for d, mask in enumerate(_in_plane(slabs[c], g.stride)):
+                counts[d] += rows[c] * mask.bit_count()
         counts[4] += k * _across(slabs[a], slabs[b]).bit_count()
         counts[5] += k * _across(slabs[b], slabs[a]).bit_count()
+        for c in {a, b} - {None}:
+            if last[c] == i:
+                del slabs[c]
     return counts
 
 

@@ -68,10 +68,11 @@ def test_voxel_verify_mismatch_exits_2(capsys, monkeypatch):
     assert run(["voxel-verify", "--model", "menger", "--n", "1"]) == 2
     out, err = capsys.readouterr()
     assert "FAIL" in out and "MISMATCH" in out
-    # the per-direction face report follows on stderr; a volume fault leaves
-    # every direction matching
+    # the per-direction face report and the slab report follow on stderr; a
+    # volume fault in the closed form leaves every direction and slab matching
     assert err.splitlines() == [f"faces {d}: oracle 12  expected 12  MATCH"
-                                for d in ("+x", "-x", "+y", "-y", "+z", "-z")]
+                                for d in ("+x", "-x", "+y", "-y", "+z", "-z")] + [
+                                "slabs: all 3 MATCH"]
 
     # plant an oracle fault in one direction: one +z face too few
     counts = voxel.face_counts
@@ -86,11 +87,35 @@ def test_voxel_verify_mismatch_exits_2(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert "surface:" in out and "FAIL model=slices n=2" in out
     lines = err.splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 7
     assert [line for line in lines if line.endswith("MISMATCH")] == [
         "faces +z: oracle 404  expected 405  MISMATCH"]
     assert "faces -z: oracle 405  expected 405  MATCH" in lines
     assert "faces +x: oracle 45  expected 45  MATCH" in lines
+    assert lines[-1] == "slabs: all 9 MATCH"
+    monkeypatch.setattr(voxel, "face_counts", counts)
+
+    # plant a slab fault in the oracle grid: clear cell (0, 0) of plate z = 4
+    # only, by giving that z its own copy of the plate
+    build = voxel.build_grid
+
+    def build_grid(kind, n, cap):
+        g = build(kind, n, cap)
+        size = g.slab_bytes
+        plate = bytearray(g.packed[g.index[4] * size:(g.index[4] + 1) * size])
+        plate[0] &= ~1
+        index = list(g.index)
+        index[4] = len(g.packed) // size
+        return g._replace(packed=memoryview(bytes(g.packed) + plate), index=tuple(index),
+                          solid_count=g.solid_count - 1)
+
+    monkeypatch.setattr(voxel, "build_grid", build_grid)
+    assert run(["voxel-verify", "--model", "slices", "--n", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert "volume : closed 5/9  oracle 404/729  MISMATCH" in out
+    lines = err.splitlines()
+    assert len(lines) == 7
+    assert lines[-1] == "slab z=4: oracle 80  expected 81  MISMATCH"
 
 
 def test_crossover_text(capsys):

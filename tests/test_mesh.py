@@ -82,7 +82,7 @@ def test_stl_byte_sizes():
 
 def test_stl_rejects_wrong_triangle_count():
     m = mesh_from_grid(build_grid(MENGER, 1))
-    m.triangle_count += 1
+    m = m._replace(triangle_count=m.triangle_count + 1)
     with pytest.raises(ValueError, match="header"):
         write_stl_binary(m, io.BytesIO())
 

@@ -146,6 +146,20 @@ def test_face_counts_sum_to_surface():
     assert metrics.model_face_counts(SLICES, 6) == (266_085,) * 4 + (193_975_965,) * 2
 
 
+def test_slab_counts_sum_to_volume():
+    # the per-layer cell counts are whole and add up to V * 27^n
+    for kind in ModelKind:
+        for n in range(7):
+            counts = [metrics.model_slab_count(kind, n, z) for z in range(3**n)]
+            assert sum(counts) == metrics.model_volume(kind, n) * 27**n
+    assert [metrics.model_slab_count(MENGER, 2, z) for z in range(9)] == [
+        64, 32, 64, 32, 16, 32, 64, 32, 64]
+    assert [metrics.model_slab_count(SLICES, 1, z) for z in range(3)] == [9, 0, 9]
+    for z in (-1, 9):
+        with pytest.raises(ValueError):
+            metrics.model_slab_count(MENGER, 2, z)
+
+
 def test_quality_ratio_equals_coolant_ratio():
     for n in range(CLOSED_FORM_CAP + 1):
         want = (total_volume(n) - menger_volume(n)) / (total_volume(n) - slice_volume(n))

@@ -1,5 +1,6 @@
-"""Start-up cost: only ``mesh`` imports numpy.  The closed-form commands,
-the voxel oracle and every refused command run without it.
+"""Start-up cost: each command loads only the modules it needs.  Only
+``mesh`` imports numpy; only ``--format json`` imports json; no command
+imports dataclasses, and none but ``mesh`` (through numpy) imports inspect.
 
 Each case runs ``cli.run(argv)`` in a fresh interpreter, because this test
 process has already imported numpy through the other test modules.
@@ -14,13 +15,15 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# prints the exit code and whether numpy was loaded as the last stdout line
+# prints, as the last stdout line, the exit code and the top-level modules
+# that importing the CLI and running it added to those loaded at start-up
 _CHILD = """\
 import sys
+before = set(sys.modules)
 from spongeheat.cli import run
 code = run(sys.argv[1:])
 sys.stdout.flush()
-print(code, "numpy" in sys.modules)
+print(code, *sorted({name.partition(".")[0] for name in set(sys.modules) - before}))
 """
 
 
@@ -30,14 +33,17 @@ def _run_fresh(argv):
     proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    code, loaded = proc.stdout.splitlines()[-1].split()
-    return int(code), loaded == "True"
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    return int(code), set(loaded)
 
 
 @pytest.mark.parametrize("argv,expected_code", [
     pytest.param(["table", "--max-n", "12", "--format", "json"], 0, id="table"),
+    pytest.param(["table", "--max-n", "3", "--format", "csv"], 0, id="table-csv"),
     pytest.param(["row", "--n", "3"], 0, id="row"),
+    pytest.param(["row", "--n", "3", "--format", "json"], 0, id="row-json"),
     pytest.param(["crossover", "--max-n", "6", "--format", "json"], 0, id="crossover"),
+    pytest.param(["crossover", "--max-n", "6"], 0, id="crossover-text"),
     pytest.param(["series", "--max-n", "6", "--out", "{tmp}/series.csv"], 0, id="series"),
     pytest.param(["voxel-verify", "--model", "menger", "--n", "1"], 0, id="voxel-verify-menger-1"),
     pytest.param(["voxel-verify", "--model", "slices", "--n", "1"], 0, id="voxel-verify-slices-1"),
@@ -52,9 +58,18 @@ def _run_fresh(argv):
 ])
 def test_closed_form_and_refused_commands_never_import_numpy(argv, expected_code, tmp_path):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    assert _run_fresh(argv) == (expected_code, False)
+    code, loaded = _run_fresh(argv)
+    assert code == expected_code
+    assert "spongeheat" in loaded  # the probe sees the package's own imports
+    assert not loaded & {"numpy", "dataclasses", "inspect"}
+    assert ("json" in loaded) == ("json" in argv)
 
 
 def test_mesh_imports_numpy(tmp_path):
-    assert _run_fresh(["mesh", "--model", "slices", "--n", "1", "--out", f"{tmp_path}/m1.stl"]) \
-        == (0, True)
+    code, loaded = _run_fresh(["mesh", "--model", "slices", "--n", "1",
+                               "--out", f"{tmp_path}/m1.stl"])
+    assert code == 0
+    assert "numpy" in loaded
+    # numpy brings inspect with it; the package itself adds neither
+    # dataclasses nor json
+    assert not loaded & {"dataclasses", "json"}

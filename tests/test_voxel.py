@@ -227,6 +227,20 @@ def test_grid_build_memory_n6():
         assert peak < g.packed.nbytes + 4 * 2**20, (kind, (peak - g.packed.nbytes) / 2**20)
 
 
+def test_face_counts_memory_n6():
+    # each distinct slab is an int only between the first and the last
+    # distinct pair that needs it, so few of the 64 sponge slabs (about
+    # 67 KB each) are live at once; holding all of them took 4.6 MB
+    g = build_grid(MENGER, 6)
+    tracemalloc.start()
+    try:
+        voxel.face_counts(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak / 2**20
+
+
 def test_grid_build_deterministic():
     a = build_grid(MENGER, 3)
     b = build_grid(MENGER, 3)
@@ -372,6 +386,20 @@ def test_oracle_equivalence_small(kind, n):
     g = build_grid(kind, n)
     assert measure_volume(g) == metrics.model_volume(kind, n)
     assert measure_surface(g) == metrics.model_surface(kind, n)
+
+
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+@pytest.mark.parametrize("n", range(7))
+def test_slab_counts(kind, n):
+    # per-z solid counts: each equals its closed form, and together they are
+    # the solid count V * 27^n
+    g = build_grid(kind, n)
+    counts = voxel.slab_counts(g)
+    assert len(counts) == g.resolution
+    assert sum(counts) == g.solid_count == metrics.model_volume(kind, n) * 27**n
+    assert counts == [metrics.model_slab_count(kind, n, z) for z in range(g.resolution)]
+    if n <= 3:
+        assert counts == [int(decode_slab(g, z).sum()) for z in range(g.resolution)]
 
 
 def test_measure_examples():
