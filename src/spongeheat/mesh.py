@@ -7,19 +7,21 @@ vertex coordinates are the voxel corner integers divided by 3^n, rounded
 to float32 once, so identical runs produce byte-identical files and
 coincident corners are bit-identical.
 
-The writers generate and write the mesh one z-slab at a time.  A slab's
-exposed faces come from :func:`spongeheat.voxel.exposed_bits` as six int
-bitsets.  This is the only module that imports numpy, and
-:func:`_slab_mask` does the one int-to-array step: it unpacks the bitsets
-into the slab's (y, x, direction) face mask, whose faces
-:func:`_slab_faces` enumerates once, as ascending flat indices.  Every
-triangle is then assembled from small lookup tables indexed by
-(x, direction) and (y, direction): STL record pairs and y corners, or OBJ
-lattice keys.  No per-face integer lattice is built, and the STL records of
-every slab go through one reused buffer, so export memory is bounded by one
-slab (plus, for OBJ, one vertex id per lattice corner), not by the whole
-mesh: the n = 5 sponge STL command peaks at about 50 MB resident, some
-20 MB above the interpreter and numpy.
+The writers generate and write the mesh in chunks of at most ``_CHUNK``
+consecutive faces.  A slab's exposed faces come from
+:func:`spongeheat.voxel.exposed_bits` as six int bitsets.  This is the only
+module that imports numpy, and :func:`_slab_mask` does the one
+int-to-array step: it unpacks the bitsets into the slab's (y, x, direction)
+face mask, whose faces :func:`_faces` enumerates once, as ascending flat
+indices, and hands out chunk by chunk.  Every triangle is then assembled
+from small lookup tables indexed by (x, direction) and (y, direction): STL
+record pairs and y corners, or OBJ lattice keys.  No per-face integer
+lattice is built, and every STL chunk goes through one record buffer of
+``2 * _CHUNK`` records, so export memory is bounded by one slab's face
+mask and one chunk (plus, for OBJ, one vertex id per lattice corner), not
+by the mesh or the records of its largest slab: the n = 5 sponge STL
+traces under 2 MiB, and its command peaks at about 31 MB resident, a few
+MB above the interpreter and numpy.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ _TRIANGLES = _CORNERS[:, [0, 1, 2, 0, 2, 3]].reshape(6, 2, 3, 3)
 
 class MeshBuffer(NamedTuple):
     """Axis-aligned triangle soup of one voxel grid, two triangles per
-    exposed voxel face, generated slab by slab on demand.
+    exposed voxel face, generated chunk by chunk on demand.
 
     ``triangle_count`` is known up front (twice the exposed-face count), so
     writers can emit their headers before the first triangle exists.
@@ -69,7 +71,7 @@ class MeshBuffer(NamedTuple):
 
     @property
     def triangles(self) -> np.ndarray:
-        # copy each slab out: the records are a view of one reused buffer
+        # copy each chunk out: the records are a view of one reused buffer
         return np.concatenate([rec["verts"].copy() for rec in _stl_records(self.grid)])
 
     @property
@@ -89,10 +91,19 @@ def _slab_mask(g: VoxelGrid, z: int) -> np.ndarray:
     return np.unpackbits(packed.transpose(1, 2, 0), axis=1, bitorder="little").view(bool)
 
 
-def _slab_faces(g: VoxelGrid, z: int) -> tuple[np.ndarray, np.ndarray]:
-    # slab z's exposed faces, flat (y, x', d) indices -> rows x * 6 + d, y * 6 + d
-    y, xd = np.divmod(np.flatnonzero(_slab_mask(g, z)), 6 * g.stride)
-    return xd, y * 6 + xd - xd // 6 * 6  # xd % 6, which numpy computes more slowly
+#: Most faces the writers assemble at once; it sizes the STL record buffer.
+_CHUNK = 4096
+
+
+def _faces(g: VoxelGrid):
+    """Yield ``(z, xd, yd)`` for runs of at most ``_CHUNK`` consecutive
+    exposed faces in emission order, each face as its rows x * 6 + d and
+    y * 6 + d of the (x, direction) and (y, direction) tables."""
+    for z in range(g.resolution):
+        flat = np.flatnonzero(_slab_mask(g, z))  # (y, x', d) indices, x' < stride
+        for start in range(0, len(flat), _CHUNK):
+            y, xd = np.divmod(flat[start:start + _CHUNK], 6 * g.stride)
+            yield z, xd, y * 6 + xd - xd // 6 * 6  # xd % 6, which numpy computes more slowly
 
 
 def _corner_table(res: int, axis: int) -> np.ndarray:
@@ -110,8 +121,8 @@ def _lattice_coords(res: int) -> np.ndarray:
 def mesh_from_grid(g: VoxelGrid) -> MeshBuffer:
     """Two oriented triangles per exposed voxel face, deterministic order.
 
-    Only counts the exposed faces; the triangles are generated, slab by
-    slab, when the mesh is written or its arrays are read.
+    Only counts the exposed faces; the triangles are generated, chunk by
+    chunk, when the mesh is written or its arrays are read.
     """
     return MeshBuffer(grid=g, triangle_count=2 * count_exposed_faces(g))
 
@@ -124,12 +135,14 @@ _STL_PAIR = np.dtype((np.void, 2 * _STL_RECORD.itemsize))
 
 
 def _stl_records(g: VoxelGrid):
-    """Yield, per z-slab, its triangles as STL records, two per exposed face.
+    """Yield, per chunk of :func:`_faces`, its triangles as STL records,
+    two per exposed face.
 
     A record pair is copied from a per-(x, direction) template holding the
-    normal, the x and z corners and a zero attribute; the y corners are then
-    written from a per-(y, direction) table.  Each slab's records are a view
-    of one grow-only buffer, valid until the next slab is requested.
+    normal, the x and z corners (refreshed when z changes) and a zero
+    attribute; the y corners are then written from a per-(y, direction)
+    table.  Each chunk's records are a view of one buffer of ``2 * _CHUNK``
+    records, valid until the next chunk is requested.
     """
     res = g.resolution
     coords = _lattice_coords(res)
@@ -139,12 +152,12 @@ def _stl_records(g: VoxelGrid):
     template["verts"][..., 0] = coords[_corner_table(res, 0)]
     y_corners = coords[_corner_table(res, 1)]
     pairs = template.view(_STL_PAIR)[:, 0]
-    buffer = np.empty(0, dtype=_STL_RECORD)
-    for z in range(res):
-        by_x["verts"][..., 2] = coords[z + _TRIANGLES[..., 2]]
-        xd, yd = _slab_faces(g, z)
-        if len(buffer) < 2 * len(xd):
-            buffer = np.empty(2 * len(xd), dtype=_STL_RECORD)
+    buffer = np.empty(2 * _CHUNK, dtype=_STL_RECORD)
+    last = None
+    for z, xd, yd in _faces(g):
+        if z != last:
+            by_x["verts"][..., 2] = coords[z + _TRIANGLES[..., 2]]
+            last = z
         records = buffer[: 2 * len(xd)]
         np.take(pairs, xd, axis=0, out=records.view(_STL_PAIR))
         records.reshape(-1, 2)["verts"][..., 1] = y_corners[yd]
@@ -154,8 +167,8 @@ def _stl_records(g: VoxelGrid):
 def write_stl_binary(m: MeshBuffer, sink) -> int:
     """Little-endian binary STL; returns the byte count (84 + 50 per triangle).
 
-    The header carries ``m.triangle_count``; records follow one z-slab at a
-    time, each slab written from the same reused buffer, so ``sink.write``
+    The header carries ``m.triangle_count``; records follow one chunk at a
+    time, each chunk written from the same reused buffer, so ``sink.write``
     must consume its argument before returning (as files and ``BytesIO``
     do).  Raises ValueError if the streamed triangles do not match that
     count, since the header would then be wrong.
@@ -174,17 +187,19 @@ def write_stl_binary(m: MeshBuffer, sink) -> int:
 
 
 def _lattice_keys(g: VoxelGrid):
-    """Yield, per z-slab, the dense lattice key x + side * (y + side * z)
-    of every triangle corner, shape (K, 2, 3) for K exposed faces, from a
-    per-(x, direction) table (refreshed with z each slab) and a
-    per-(y, direction) table."""
+    """Yield, per chunk of :func:`_faces`, the dense lattice key
+    x + side * (y + side * z) of every triangle corner, shape (K, 2, 3) for
+    K exposed faces, from a per-(x, direction) table (refreshed when z
+    changes) and a per-(y, direction) table."""
     res = g.resolution
     side = res + 1
     x_keys = _corner_table(res, 0).reshape(res, 6, 2, 3)
     y_keys = _corner_table(res, 1) * side
-    for z in range(res):
-        xz_keys = (x_keys + (z + _TRIANGLES[..., 2]) * side * side).reshape(res * 6, 2, 3)
-        xd, yd = _slab_faces(g, z)
+    last = None
+    for z, xd, yd in _faces(g):
+        if z != last:
+            xz_keys = (x_keys + (z + _TRIANGLES[..., 2]) * side * side).reshape(res * 6, 2, 3)
+            last = z
         yield xz_keys[xd] + y_keys[yd]
 
 
@@ -193,9 +208,9 @@ def write_obj(m: MeshBuffer, sink) -> int:
     by bit-identical coordinates), numbered 1-based in order of first
     appearance; LF endings.  Returns the byte count.
 
-    Two passes over the slabs: the first numbers and writes the vertices,
+    Two passes over the chunks: the first numbers and writes the vertices,
     the second writes the faces.  Memory is one int32 id per lattice
-    corner, (3^n + 1)^3 of them, plus one slab.
+    corner, (3^n + 1)^3 of them, plus one slab's face mask and one chunk.
     """
     side = m.grid.resolution + 1
     labels = np.array([f"{float(c):.9g}" for c in _lattice_coords(m.grid.resolution)],

@@ -37,43 +37,6 @@ class OracleCapError(ValueError):
     closed-form cap in metrics)."""
 
 
-class CoordinateOutOfRangeError(ValueError):
-    """Voxel coordinate outside [0, 3^n)."""
-
-
-def _check_coord(x: int, y: int, z: int, res: int) -> None:
-    if not (0 <= x < res and 0 <= y < res and 0 <= z < res):
-        raise CoordinateOutOfRangeError(f"coordinate ({x}, {y}, {z}) outside [0, {res})^3")
-
-
-def is_solid_menger(x: int, y: int, z: int, n: int) -> bool:
-    """Base-3 digit membership test for the level-n sponge.
-
-    A cell survives iff at no digit position do at least two of the three
-    coordinates have digit 1 (those are the removed center tunnels).
-    """
-    n = check_iteration(n)
-    _check_coord(x, y, z, 3**n)
-    for _ in range(n):
-        if (x % 3 == 1) + (y % 3 == 1) + (z % 3 == 1) >= 2:
-            return False
-        x //= 3
-        y //= 3
-        z //= 3
-    return True
-
-
-def is_solid_slices(x: int, y: int, z: int, n: int) -> bool:
-    """Slice-model membership: plates occupy the even z layers.
-
-    Layers z = 0, 2, ..., 3^n - 1 are solid; since 3^n - 1 is even both the
-    bottom and the top layer are plates, giving floor(3^n/2) + 1 plates.
-    """
-    n = check_iteration(n)
-    _check_coord(x, y, z, 3**n)
-    return z % 2 == 0
-
-
 class VoxelGrid(NamedTuple):
     """Immutable occupancy grid of one model at order n.
 
@@ -225,13 +188,15 @@ def face_counts(g: VoxelGrid) -> list[int]:
     return counts
 
 
-def count_exposed_faces(g: VoxelGrid) -> int:
+def count_exposed_faces(g: VoxelGrid, faces: list[int] | None = None) -> int:
     """Number of unit voxel faces belonging to exactly one solid voxel.
 
     Faces on the lattice boundary count as exposed: the wrapping container
-    outside the unit cube is coolant.
+    outside the unit cube is coolant.  ``faces``, when given, is
+    ``face_counts(g)`` already counted, and is summed instead of counting
+    again (the benchmark's tracer reads the total from this call).
     """
-    return sum(face_counts(g))
+    return sum(face_counts(g) if faces is None else faces)
 
 
 def measure_surface(g: VoxelGrid) -> Fraction:

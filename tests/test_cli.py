@@ -118,6 +118,26 @@ def test_voxel_verify_mismatch_exits_2(capsys, monkeypatch):
     assert lines[-1] == "slab z=4: oracle 80  expected 81  MISMATCH"
 
 
+@pytest.mark.parametrize("fault", [False, True])
+def test_voxel_verify_counts_faces_once(fault, capsys, monkeypatch):
+    # the surface check and, on FAIL, the per-direction report share one count
+    if fault:
+        monkeypatch.setattr(metrics, "menger_surface", lambda n: Fraction(1, 2))
+    counts = voxel.face_counts
+    calls = []
+
+    def face_counts(g):
+        calls.append(g.n)
+        return counts(g)
+
+    monkeypatch.setattr(voxel, "face_counts", face_counts)
+    assert run(["voxel-verify", "--model", "menger", "--n", "2"]) == (2 if fault else 0)
+    out, err = capsys.readouterr()
+    assert ("FAIL model=menger n=2" in out) == fault
+    assert len(err.splitlines()) == (7 if fault else 0)
+    assert calls == [2]
+
+
 def test_crossover_text(capsys):
     assert run(["crossover"]) == 0
     out = capsys.readouterr().out

@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from spongeheat import mesh
 from spongeheat.mesh import MeshBuffer, mesh_from_grid, write_obj, write_stl_binary
 from spongeheat.metrics import ModelKind
 from spongeheat.voxel import VoxelGrid, build_grid, count_exposed_faces
@@ -118,12 +119,21 @@ class _Sha256Sink:
 
 
 def test_stl_n5_sponge_hash():
-    # 13.1 M triangles, hashed as they stream; slab sizes rise and fall,
-    # so a stale byte left in a reused slab buffer would change the hash
+    # 13.1 M triangles, hashed as they stream; chunk sizes vary within and
+    # between slabs, so a stale byte left in the reused record buffer would
+    # change the hash.  Memory is one slab's face mask and one fixed chunk
+    # of records, whatever the size of the mesh or of its largest slab
+    m = mesh_from_grid(build_grid(MENGER, 5))
     sink = _Sha256Sink()
-    write_stl_binary(mesh_from_grid(build_grid(MENGER, 5)), sink)
+    tracemalloc.start()
+    try:
+        write_stl_binary(m, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert sink.digest.hexdigest() == (
         "ccaa469583aefe2db7a6baca993552d7e1d3924b2593a60fb977a07e596ed203")
+    assert peak < 3 * 2**20
 
 
 def test_stl_layout():
@@ -165,7 +175,41 @@ def test_stl_file_matches_bytesio(kind, tmp_path):
     assert expected == len(memory.getvalue())
 
 
+def _digests(kind, n):
+    m = mesh_from_grid(build_grid(kind, n))
+    sinks = _Sha256Sink(), _Sha256Sink()
+    write_stl_binary(m, sinks[0])
+    write_obj(m, sinks[1])
+    return [sink.digest.hexdigest() for sink in sinks]
+
+
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+@pytest.mark.parametrize("n", range(4))
+def test_chunk_size_does_not_change_bytes(kind, n, monkeypatch):
+    # chunks of 1 and 7 faces split y-rows and vertex runs at every offset,
+    # 1000 splits slabs mid-row; STL bytes and OBJ vertex numbering must
+    # match the default chunk exactly
+    expected = _digests(kind, n)
+    for chunk in (1, 7, 1000):
+        monkeypatch.setattr(mesh, "_CHUNK", chunk)
+        assert _digests(kind, n) == expected, chunk
+
+
 # -- OBJ --------------------------------------------------------------------------
+
+def test_obj_streams_in_bounded_memory():
+    # one int32 id per lattice corner, plus one slab's face mask and one chunk
+    m = mesh_from_grid(build_grid(MENGER, 4))
+    sink = _ByteCounter()
+    tracemalloc.start()
+    try:
+        nbytes = write_obj(m, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nbytes == sink.nbytes > 20_000_000
+    assert peak < 4 * 82**3 + 2.5 * 2**20
+
 
 def _obj_records(payload: bytes):
     lines = payload.decode("utf-8").splitlines()

@@ -11,21 +11,57 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spongeheat import metrics, voxel
-from spongeheat.metrics import IterationOutOfRangeError, ModelKind
+from spongeheat.metrics import IterationOutOfRangeError, ModelKind, check_iteration
 from spongeheat.voxel import (
-    CoordinateOutOfRangeError,
     OracleCapError,
     VoxelGrid,
     build_grid,
     count_exposed_faces,
-    is_solid_menger,
-    is_solid_slices,
     measure_surface,
     measure_volume,
 )
 
 MENGER = ModelKind.MENGER_SPONGE
 SLICES = ModelKind.SLICES
+
+
+# -- scalar membership reference: one cell at a time, from the digit rule ------
+
+class CoordinateOutOfRangeError(ValueError):
+    """Voxel coordinate outside [0, 3^n)."""
+
+
+def _check_coord(x: int, y: int, z: int, res: int) -> None:
+    if not (0 <= x < res and 0 <= y < res and 0 <= z < res):
+        raise CoordinateOutOfRangeError(f"coordinate ({x}, {y}, {z}) outside [0, {res})^3")
+
+
+def is_solid_menger(x: int, y: int, z: int, n: int) -> bool:
+    """Base-3 digit membership test for the level-n sponge.
+
+    A cell survives iff at no digit position do at least two of the three
+    coordinates have digit 1 (those are the removed center tunnels).
+    """
+    n = check_iteration(n)
+    _check_coord(x, y, z, 3**n)
+    for _ in range(n):
+        if (x % 3 == 1) + (y % 3 == 1) + (z % 3 == 1) >= 2:
+            return False
+        x //= 3
+        y //= 3
+        z //= 3
+    return True
+
+
+def is_solid_slices(x: int, y: int, z: int, n: int) -> bool:
+    """Slice-model membership: plates occupy the even z layers.
+
+    Layers z = 0, 2, ..., 3^n - 1 are solid; since 3^n - 1 is even both the
+    bottom and the top layer are plates, giving floor(3^n/2) + 1 plates.
+    """
+    n = check_iteration(n)
+    _check_coord(x, y, z, 3**n)
+    return z % 2 == 0
 
 
 def stride(res):
