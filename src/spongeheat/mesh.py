@@ -132,6 +132,7 @@ assert _STL_RECORD.itemsize == 50
 # the two records of one face as one opaque item: np.take copies these
 # several times faster than the structured records themselves
 _STL_PAIR = np.dtype((np.void, 2 * _STL_RECORD.itemsize))
+_Y_CORNERS = np.dtype((np.void, 6 * 4))  # one face's six float32 y corners
 
 
 def _stl_records(g: VoxelGrid):
@@ -140,9 +141,10 @@ def _stl_records(g: VoxelGrid):
 
     A record pair is copied from a per-(x, direction) template holding the
     normal, the x and z corners (refreshed when z changes) and a zero
-    attribute; the y corners are then written from a per-(y, direction)
-    table.  Each chunk's records are a view of one buffer of ``2 * _CHUNK``
-    records, valid until the next chunk is requested.
+    attribute; the y corners are then gathered from a per-(y, direction)
+    table into a buffer of ``_CHUNK`` items and written in one step.  Each
+    chunk's records are a view of one buffer of ``2 * _CHUNK`` records,
+    valid until the next chunk is requested.
     """
     res = g.resolution
     coords = _lattice_coords(res)
@@ -150,9 +152,13 @@ def _stl_records(g: VoxelGrid):
     by_x = template.reshape(res, 6, 2)
     by_x["normal"] = _NORMALS[:, None]
     template["verts"][..., 0] = coords[_corner_table(res, 0)]
-    y_corners = coords[_corner_table(res, 1)]
+    # the six y corners of each (y, direction) row as one opaque item (made
+    # contiguous first: at res = 1 the gather comes back transposed)
+    y_corners = np.ascontiguousarray(coords[_corner_table(res, 1)])
+    y_corners = y_corners.reshape(res * 6, 6).view(_Y_CORNERS)[:, 0]
     pairs = template.view(_STL_PAIR)[:, 0]
     buffer = np.empty(2 * _CHUNK, dtype=_STL_RECORD)
+    y_buffer = np.empty(_CHUNK, dtype=_Y_CORNERS)
     last = None
     for z, xd, yd in _faces(g):
         if z != last:
@@ -160,7 +166,9 @@ def _stl_records(g: VoxelGrid):
             last = z
         records = buffer[: 2 * len(xd)]
         np.take(pairs, xd, axis=0, out=records.view(_STL_PAIR))
-        records.reshape(-1, 2)["verts"][..., 1] = y_corners[yd]
+        ys = y_buffer[: len(yd)]
+        np.take(y_corners, yd, axis=0, out=ys)
+        records.reshape(-1, 2)["verts"][..., 1] = ys.view(np.float32).reshape(-1, 2, 3)
         yield records
 
 

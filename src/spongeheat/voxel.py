@@ -6,27 +6,36 @@ measured volume and surface must equal the closed forms in
 :mod:`spongeheat.metrics` with plain rational equality.  That check is the
 central anti-regression property of the package.
 
-Occupancy is stored as one little-endian bitset per distinct z-slab, in
-plain Python bytes and ints (this module imports no numpy).  Cell (x, y) is
-bit x + W * y, with the row stride W = 8 * ((3^n + 8) // 8) bits: every
-y-row is whole bytes and ends in at least one zero guard bit, since 3^n is
-never a multiple of 8.  A sponge slab depends on z only through the set of
-base-3 digits of z equal to 1 (2^n distinct slabs, 64 of the 729 at n = 6,
-~4.3 MB), a slice slab only through z % 2.  ``VoxelGrid.index`` maps every z
-to its slab.  Grids are never mutated afterwards, and all measurements are
+Occupancy is stored as a line table, in plain Python bytes and ints (this
+module imports no numpy).  A y-row is a little-endian bitset of W = 8 *
+((3^n + 8) // 8) bits, cell x at bit x: whole bytes, ending in at least one
+zero guard bit, since 3^n is never a multiple of 8.  ``VoxelGrid.lines``
+holds each distinct row once, ``VoxelGrid.slabs`` each distinct z-slab as
+one line id per y, and ``VoxelGrid.index`` maps every z to its slab.  A
+sponge slab depends on z only through the set of base-3 digits of z equal
+to 1 (2^n distinct slabs, 64 of the 729 at n = 6), a slice slab only
+through z % 2; a sponge row depends only on the union of the digit-one sets
+of y and z, so there are at most 2^n + 1 lines (65 lines, 6 KB at n = 6).
+Joined in y order, a slab's lines are its bitset, cell (x, y) at bit
+x + W * y.  Grids are never mutated afterwards, and all measurements are
 read-only.
 
 Exposure is defined here once: a face is exposed when its cell is solid and
 the cell across it is coolant or outside the lattice.  On a slab bitset s
 that is s & ~(s >> 1) for +x and s & ~(s << 1) for -x (the guard bits are
 the coolant beyond each row's ends), shifts by W for +-y, and a & ~b
-between adjacent slabs for +-z.  The mesh writers read it through
-:func:`exposed_bits`, and :func:`count_exposed_faces` counts it.
+between adjacent slabs for +-z.  The same two rules apply line by line:
+the x-shifts to a single line, and a & ~b between the lines of adjacent
+rows (+-y) or of the same row in adjacent slabs (+-z).  The mesh writers
+read slab bitsets through :func:`exposed_bits`; :func:`face_counts` counts
+per line, once per row class and line pair.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from .metrics import ORACLE_CAP, ModelKind, check_iteration
@@ -38,21 +47,28 @@ class OracleCapError(ValueError):
 
 
 class VoxelGrid(NamedTuple):
-    """Immutable occupancy grid of one model at order n.
+    """Immutable occupancy grid of one model at order n, as a line table.
 
-    ``packed`` holds the distinct z-slabs back to back, each ``resolution``
-    y-rows of ``stride // 8`` bytes, little-endian: cell (x, y) of slab row
-    r is bit x + stride * y of bytes [r * slab_bytes, (r + 1) * slab_bytes).
-    Slab z is row ``index[z]``.  The guard bits x >= resolution of every
-    y-row are zero.
+    ``lines`` holds each distinct y-row once, ``stride // 8`` bytes,
+    little-endian: cell x of the row is bit x, and the guard bits
+    x >= resolution are zero.  ``slabs`` holds each distinct z-slab as one
+    line id per y, and slab z is ``slabs[index[z]]``.  Joined, slab s is
+    the bitset with cell (x, y) at bit x + stride * y.
     """
 
     kind: ModelKind
     n: int
     resolution: int
-    packed: memoryview  # read-only, 1-D, (distinct slabs) * slab_bytes bytes
-    index: tuple[int, ...]  # one slab row id per z
+    lines: tuple[bytes, ...]  # distinct y-rows
+    slabs: tuple[tuple[int, ...], ...]  # distinct z-slabs: one line id per y
+    index: tuple[int, ...]  # one slab id per z
     solid_count: int
+
+    @property
+    def packed(self) -> memoryview:
+        """The line table back to back (read-only, 1-D): line i is bytes
+        [i * stride // 8, (i + 1) * stride // 8)."""
+        return memoryview(b"".join(self.lines))
 
     @property
     def voxel_edge(self) -> Fraction:
@@ -73,9 +89,13 @@ def _stride(res: int) -> int:
     return 8 * ((res + 8) // 8)
 
 
-def _slab_int(g: VoxelGrid, row: int) -> int:
-    size = g.slab_bytes
-    return int.from_bytes(g.packed[row * size:(row + 1) * size], byteorder="little")
+def _bits(line: bytes) -> int:
+    return int.from_bytes(line, byteorder="little")
+
+
+def _slab_int(g: VoxelGrid, slab: int) -> int:
+    # joined on demand: the grid holds no slab bitset
+    return _bits(b"".join(map(g.lines.__getitem__, g.slabs[slab])))
 
 
 def _digit_one_masks(res: int, n: int) -> list[int]:
@@ -88,7 +108,7 @@ def build_grid(kind: ModelKind, n: int, cap: int = ORACLE_CAP) -> VoxelGrid:
     """Voxelize one model at iteration order n (n <= cap).
 
     Deterministic: the occupancy is a pure function of (kind, n), whatever
-    the internal slab partitioning.
+    the internal line and slab numbering.
     """
     try:
         n = check_iteration(n, cap=cap)
@@ -98,38 +118,51 @@ def build_grid(kind: ModelKind, n: int, cap: int = ORACLE_CAP) -> VoxelGrid:
     width = _stride(res) // 8
     sponge = kind is ModelKind.MENGER_SPONGE
     masks = _digit_one_masks(res, n)
+    # the x of a y-row with each digit-one mask, as one bitset per mask
+    cells: dict[int, int] = {}
+    for x, mx in enumerate(masks):
+        cells[mx] = cells.get(mx, 0) | 1 << x
     # a sponge slab depends on z only through masks[z]; distinct keys are
     # numbered in order of first appearance
     keys = masks if sponge else [z % 2 for z in range(res)]
-    row = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    index = tuple(row[key] for key in keys)
+    slab_ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    index = tuple(map(slab_ids.__getitem__, keys))
     # Cell (x, y) of sponge slab mz is solid iff no digit position has >= 2
     # of mx, my, mz set: the row is empty if my & mz, else it holds every x
     # with mx & (my | mz) == 0.  So each y-row is one of a few lines, keyed
     # by that union (None: the empty line); a slice plate is line 0 (all x)
-    # throughout.  Each line is built once, with its solid count.
-    lines = {None: (bytes(width), 0)}
-    size = res * width
-    packed = bytearray(len(row) * size)
-    solid_count = 0
-    for key, i in row.items():
-        unions = ([None if my & key else my | key for my in masks] if sponge
-                  else [None if key else 0] * res)
-        for u in set(unions) - lines.keys():
-            bits = sum(1 << x for x, mx in enumerate(masks) if not mx & u)
-            lines[u] = bits.to_bytes(width, byteorder="little"), bits.bit_count()
-        # each slab is joined straight into place: the rows are never held twice
-        packed[i * size:(i + 1) * size] = b"".join(lines[u][0] for u in unions)
-        solid_count += sum(lines[u][1] for u in unions) * index.count(i)
-    return VoxelGrid(kind=kind, n=n, resolution=res, packed=memoryview(packed).toreadonly(),
+    # throughout.  Each line is built once, with its solid count, and
+    # numbered in order of first appearance.
+    line_ids: dict[int | None, int] = {}
+    lines = []
+    solids = []
+    slabs = []
+    for key in slab_ids:
+        if sponge:
+            unions = {my: None if my & key else my | key for my in cells}
+        else:
+            unions = dict.fromkeys(cells, None if key else 0)
+        for u in unions.values():
+            if u not in line_ids:
+                bits = 0 if u is None else sum(row for mx, row in cells.items() if not mx & u)
+                line_ids[u] = len(lines)
+                lines.append(bits.to_bytes(width, byteorder="little"))
+                solids.append(bits.bit_count())
+        line_of = {my: line_ids[u] for my, u in unions.items()}  # by y-row mask
+        slabs.append(tuple(map(line_of.__getitem__, masks)))
+    per_slab = Counter(index)
+    solid_count = sum(per_slab[i] * sum(map(solids.__getitem__, slab))
+                      for i, slab in enumerate(slabs))
+    return VoxelGrid(kind=kind, n=n, resolution=res, lines=tuple(lines), slabs=tuple(slabs),
                      index=index, solid_count=solid_count)
 
 
 def slab_counts(g: VoxelGrid) -> list[int]:
     """Solid cells of each z-slab, z = 0..resolution-1, popcounting each
-    distinct row of ``g.packed`` once."""
-    counts = {a: _slab_int(g, a).bit_count() for a in set(g.index)}
-    return [counts[a] for a in g.index]
+    line of ``g.lines`` once."""
+    solids = [_bits(line).bit_count() for line in g.lines]
+    counts = {s: sum(map(solids.__getitem__, g.slabs[s])) for s in set(g.index)}
+    return [counts[s] for s in g.index]
 
 
 def measure_volume(g: VoxelGrid) -> Fraction:
@@ -140,18 +173,20 @@ def measure_volume(g: VoxelGrid) -> Fraction:
 def _in_plane(s: int, stride: int) -> tuple[int, int, int, int]:
     """The bitsets of slab ``s``'s cells exposed in +x, -x, +y, -y.  The zero
     guard bits stand for the coolant beyond both ends of each y-row, and the
-    shifted-in zeros for the coolant beyond the first and last row."""
+    shifted-in zeros for the coolant beyond the first and last row.  On a
+    single line, the first two are its +x and -x exposure."""
     return s & ~(s >> 1), s & ~(s << 1), s & ~(s >> stride), s & ~(s << stride)
 
 
 def _across(a: int, b: int) -> int:
-    """The bitset of slab ``a``'s cells exposed towards the adjacent slab
-    ``b`` (0 when the neighbour lies outside the lattice)."""
+    """The bitset of ``a``'s cells exposed towards the adjacent ``b``: a
+    slab and its z-neighbour, or a line and the line next to it in y (0
+    when the neighbour lies outside the lattice)."""
     return a & ~b
 
 
 def exposed_bits(g: VoxelGrid, z: int) -> tuple[int, ...]:
-    """Slab z's exposed faces as six bitsets in the layout of ``g.packed``
+    """Slab z's exposed faces as six bitsets in the joined slab layout
     (bit x + g.stride * y), directions in the order +x, -x, +y, -y, +z, -z."""
     cur = _slab_int(g, g.index[z])
     above, below = (_slab_int(g, g.index[w]) if 0 <= w < g.resolution else 0
@@ -159,32 +194,52 @@ def exposed_bits(g: VoxelGrid, z: int) -> tuple[int, ...]:
     return (*_in_plane(cur, g.stride), _across(cur, above), _across(cur, below))
 
 
-def face_counts(g: VoxelGrid) -> list[int]:
-    """Exposed faces per direction (+x, -x, +y, -y, +z, -z), evaluated once
-    per distinct entry of ``g.index`` (+-x, +-y) and once per distinct pair
-    of consecutive entries (+-z).  Exact for any index, even one that puts
-    two equal slabs in different rows.
+def _dot(weights, values) -> int:
+    return sum(map(mul, weights, values))
 
-    The distinct pairs are visited in z order.  Each slab is converted to an
-    int when a pair first needs it, and dropped after the last distinct pair
-    that uses it, so few slabs are live at once (a pair in the top third of
-    the sponge repeats one from the bottom third)."""
-    rows = Counter(g.index)
-    ends = [None, *g.index, None]
-    pairs = Counter(zip(ends, ends[1:]))  # in z order of first appearance
-    last = {a: i for i, pair in enumerate(pairs) for a in pair}
-    slabs = {None: 0}  # outside the lattice
+
+def face_counts(g: VoxelGrid) -> list[int]:
+    """Exposed faces per direction (+x, -x, +y, -y, +z, -z), counted per
+    row class: the y whose line is the same in every distinct slab (keyed
+    by that column of line ids).  Each count is weighted by how many z use
+    the slab and how many y fall in the class: +-x once per (slab, class)
+    line, +-y once per distinct pair of consecutive classes, and +-z once
+    per distinct pair of consecutive slabs and class, with the empty line
+    beyond the lattice.  Exact for any line table, even one that stores two
+    equal lines or slabs under different ids."""
+    outside = len(g.lines)  # the empty line beyond the lattice
+    beyond = len(g.slabs)  # the slab of it
+    bits = [*map(_bits, g.lines), 0]
+    plus_x = [_in_plane(line, g.stride)[0].bit_count() for line in bits]
+    minus_x = [_in_plane(line, g.stride)[1].bit_count() for line in bits]
+
+    @lru_cache(maxsize=None)
+    def exposed(a: int, b: int) -> int:
+        # the faces line a exposes towards line b, counted once per pair
+        return _across(bits[a], bits[b]).bit_count()
+
+    per_slab = Counter(g.index)
+    slab_weights = [per_slab[s] for s in range(beyond + 1)]  # z per slab id
+    # each y's column of line ids, one per slab and the slab beyond, and the
+    # distinct columns with their number of y
+    columns = list(zip(*g.slabs, [outside] * g.resolution))
+    classes = Counter(columns)
+    class_weights = list(classes.values())
+    by_slab = list(zip(*classes))  # per slab id: its line in each class
     counts = [0] * 6
-    for i, ((a, b), k) in enumerate(pairs.items()):
-        for c in {a, b} - slabs.keys():
-            slabs[c] = _slab_int(g, c)
-            for d, mask in enumerate(_in_plane(slabs[c], g.stride)):
-                counts[d] += rows[c] * mask.bit_count()
-        counts[4] += k * _across(slabs[a], slabs[b]).bit_count()
-        counts[5] += k * _across(slabs[b], slabs[a]).bit_count()
-        for c in {a, b} - {None}:
-            if last[c] == i:
-                del slabs[c]
+    for lines, m in zip(by_slab, slab_weights):
+        counts[0] += m * _dot(class_weights, map(plus_x.__getitem__, lines))
+        counts[1] += m * _dot(class_weights, map(minus_x.__getitem__, lines))
+    edge = (outside,) * len(by_slab)
+    ends = [edge, *columns, edge]
+    for (a, b), k in Counter(zip(ends, ends[1:])).items():
+        counts[2] += k * _dot(slab_weights, map(exposed, a, b))
+        counts[3] += k * _dot(slab_weights, map(exposed, b, a))
+    ends = [beyond, *g.index, beyond]
+    for (a, b), k in Counter(zip(ends, ends[1:])).items():
+        a, b = by_slab[a], by_slab[b]
+        counts[4] += k * _dot(class_weights, map(exposed, a, b))
+        counts[5] += k * _dot(class_weights, map(exposed, b, a))
     return counts
 
 

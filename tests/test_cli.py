@@ -96,18 +96,20 @@ def test_voxel_verify_mismatch_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(voxel, "face_counts", counts)
 
     # plant a slab fault in the oracle grid: clear cell (0, 0) of plate z = 4
-    # only, by giving that z its own copy of the plate
+    # only, by giving that z its own copy of the plate whose row y = 0 is a
+    # new line without cell 0
     build = voxel.build_grid
 
     def build_grid(kind, n, cap):
         g = build(kind, n, cap)
-        size = g.slab_bytes
-        plate = bytearray(g.packed[g.index[4] * size:(g.index[4] + 1) * size])
-        plate[0] &= ~1
+        plate = g.slabs[g.index[4]]
+        line = bytearray(g.lines[plate[0]])
+        line[0] &= ~1
         index = list(g.index)
-        index[4] = len(g.packed) // size
-        return g._replace(packed=memoryview(bytes(g.packed) + plate), index=tuple(index),
-                          solid_count=g.solid_count - 1)
+        index[4] = len(g.slabs)
+        return g._replace(lines=(*g.lines, bytes(line)),
+                          slabs=(*g.slabs, (len(g.lines), *plate[1:])),
+                          index=tuple(index), solid_count=g.solid_count - 1)
 
     monkeypatch.setattr(voxel, "build_grid", build_grid)
     assert run(["voxel-verify", "--model", "slices", "--n", "2"]) == 2

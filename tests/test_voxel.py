@@ -2,6 +2,8 @@
 agreement of measured volume/surface with the closed forms."""
 
 import random
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -65,22 +67,29 @@ def is_solid_slices(x: int, y: int, z: int, n: int) -> bool:
 
 
 def stride(res):
-    """Bits per packed y-row: whole bytes, at least one guard bit past x = res - 1."""
+    """Bits per y-row: whole bytes, at least one guard bit past x = res - 1."""
     return 8 * ((res + 8) // 8)
 
 
+def slab_bytes(g, s):
+    """The one decoder of the line table: distinct slab s as little-endian
+    bytes, cell (x, y) at bit x + stride * y (its lines joined in y order)."""
+    return b"".join(g.lines[i] for i in g.slabs[s])
+
+
 def cell(g, x, y, z):
-    """Bit x + stride * y of slab z, read from the packed bytes (little-endian)."""
+    """Bit x + stride * y of slab z."""
     i = x + stride(g.resolution) * y
-    return bool(g.packed[g.index[z] * g.slab_bytes + i // 8] >> (i % 8) & 1)
+    return bool(slab_bytes(g, g.index[z])[i // 8] >> (i % 8) & 1)
 
 
-def unpack(g, rows=slice(None)):
-    """The packed slab rows ``rows`` as a (row, y, bit) bool array, guard
-    bits included."""
+def unpack(g, slabs=None):
+    """The distinct slabs ``slabs`` (all of them by default) as a
+    (slab, y, bit) bool array, guard bits included."""
     res = g.resolution
-    packed = np.frombuffer(g.packed, dtype=np.uint8).reshape(-1, res * stride(res) // 8)
-    bits = np.unpackbits(packed[rows], axis=-1, bitorder="little")
+    ids = range(len(g.slabs)) if slabs is None else slabs
+    packed = np.frombuffer(b"".join(slab_bytes(g, s) for s in ids), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(len(ids), -1), axis=-1, bitorder="little")
     return bits.reshape(-1, res, stride(res)).view(bool)
 
 
@@ -90,10 +99,16 @@ def decode_slab(g, z):
 
 
 def pack(slabs, res):
-    """(y, x) bool slabs of resolution res as a ``VoxelGrid.packed`` buffer."""
+    """(y, x) bool slabs of resolution res as bytes in the layout of
+    :func:`slab_bytes`, back to back."""
     bits = np.zeros((len(slabs), res, stride(res)), dtype=bool)
     bits[..., :res] = slabs
-    return memoryview(np.packbits(bits, axis=-1, bitorder="little").tobytes())
+    return np.packbits(bits, axis=-1, bitorder="little").tobytes()
+
+
+def table_bytes(g):
+    """Memory held by the grid's line table: lines, slab tuples and index."""
+    return sum(map(sys.getsizeof, (*g.lines, *g.slabs, g.lines, g.slabs, g.index)))
 
 
 def menger_by_subdivision(x, y, z, n, res):
@@ -211,17 +226,24 @@ def test_distinct_slab_build_matches_per_slab_build(n):
     # z values with the same digit-one mask
     g = build_grid(MENGER, n)
     slabs = [menger_slab_by_digits(z, n) for z in range(g.resolution)]
-    size = g.slab_bytes
+    width = stride(g.resolution) // 8
     assert (g.packed.format, g.packed.ndim, g.packed.readonly) == ("B", 1, True)
-    assert len(g.packed) == 2**n * size
-    rows = [g.packed[i * size:(i + 1) * size] for i in g.index]
-    assert b"".join(rows) == pack(slabs, g.resolution)
+    assert g.packed == b"".join(g.lines)
+    # each distinct y-row once: at most 2^n + 1 lines (the digit-one unions
+    # and the empty line), every one of them used; 2^n distinct slabs
+    assert len(set(g.lines)) == len(g.lines) <= 2**n + 1
+    assert {len(line) for line in g.lines} == {width}
+    assert {i for slab in g.slabs for i in slab} == set(range(len(g.lines)))
+    assert len(g.slabs) == len(set(g.slabs)) == 2**n
+    assert {len(slab) for slab in g.slabs} == {g.resolution}
+    assert b"".join(slab_bytes(g, s) for s in g.index) == pack(slabs, g.resolution)
     assert g.solid_count == sum(int(np.count_nonzero(slab)) for slab in slabs)
 
     g = build_grid(SLICES, n)
     assert g.index == tuple(z % 2 for z in range(g.resolution))
     full = np.ones((g.resolution, g.resolution), dtype=bool)
-    assert g.packed == pack([full, ~full], g.resolution)
+    assert len(g.lines) == len(g.slabs) == 2
+    assert slab_bytes(g, 0) + slab_bytes(g, 1) == pack([full, ~full], g.resolution)
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -243,16 +265,18 @@ def test_guard_bits_are_zero(kind, n):
     g = build_grid(kind, n)
     assert g.stride == stride(g.resolution) > g.resolution
     assert g.slab_bytes * 8 == g.resolution * g.stride
+    assert all(len(line) * 8 == g.stride for line in g.lines)
+    assert all(int.from_bytes(line, "little") >> g.resolution == 0 for line in g.lines)
     rows = unpack(g)
-    assert len(rows) == len(set(g.index))
+    assert len(rows) == len(g.slabs) == len(set(g.index))
     assert not rows[..., g.resolution:].any()
 
 
 def test_grid_build_memory_n6():
-    # the build allocates one packed row per distinct slab (4.29 MB for the
-    # sponge, 0.13 MB for the slices) plus O(res^2) scratch; a packed row
-    # per z would add 44-49 MB, and a second copy of the rows (joining each
-    # slab apart, or keeping them as ints too) 4.3 MB
+    # the build allocates the line table (for the sponge, 65 lines of 92
+    # bytes and 64 slabs of 729 line ids, 0.39 MB in all; 18 KB for the
+    # slices) plus O(res) scratch, about 30 KB; joining the slabs as
+    # bitsets would add 4.3 MB
     for kind in (MENGER, SLICES):
         tracemalloc.start()
         try:
@@ -260,13 +284,13 @@ def test_grid_build_memory_n6():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < g.packed.nbytes + 4 * 2**20, (kind, (peak - g.packed.nbytes) / 2**20)
+        assert peak < table_bytes(g) + 64 * 2**10, (kind, peak - table_bytes(g))
 
 
 def test_face_counts_memory_n6():
-    # each distinct slab is an int only between the first and the last
-    # distinct pair that needs it, so few of the 64 sponge slabs (about
-    # 67 KB each) are live at once; holding all of them took 4.6 MB
+    # the count holds no slab bitset: only the line ints, each y's column
+    # of line ids and the line-pair memo (about 0.56 MB for the sponge);
+    # joining each distinct slab as an int took 1 MB, and 4.6 MB for all
     g = build_grid(MENGER, 6)
     tracemalloc.start()
     try:
@@ -274,13 +298,14 @@ def test_face_counts_memory_n6():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20, peak / 2**20
+    assert peak < 2**20, peak / 2**20
 
 
 def test_grid_build_deterministic():
     a = build_grid(MENGER, 3)
     b = build_grid(MENGER, 3)
-    assert a.packed.tobytes() == b.packed.tobytes()
+    assert a.lines == b.lines
+    assert a.slabs == b.slabs
     assert a.index == b.index
     assert a.solid_count == b.solid_count
 
@@ -366,52 +391,73 @@ def _summed_masks(g):
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("n", range(7))
 def test_face_counts_match_exposed_masks(kind, n):
+    # the row-class count against the slab-by-slab popcounts of the mesh's
+    # exposure bitsets
     g = build_grid(kind, n)
     assert voxel.face_counts(g) == _summed_masks(g)
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
 def test_face_counts_exact_for_one_row_per_slab(kind):
-    # the same occupancy with every z in its own packed row, so equal slabs
-    # sit in different rows: the count must not assume distinct rows differ
+    # the same occupancy with every z its own slab and every (z, y) its own
+    # line, so equal slabs and equal lines sit under different ids: the
+    # count must not assume distinct ids differ
     g = build_grid(kind, 3)
-    size = g.slab_bytes
-    packed = memoryview(b"".join(g.packed[i * size:(i + 1) * size] for i in g.index))
-    spread = VoxelGrid(kind=kind, n=3, resolution=g.resolution, packed=packed,
-                       index=tuple(range(g.resolution)), solid_count=g.solid_count)
+    res = g.resolution
+    lines = tuple(g.lines[i] for s in g.index for i in g.slabs[s])
+    slabs = tuple(tuple(range(z * res, (z + 1) * res)) for z in range(res))
+    spread = g._replace(lines=lines, slabs=slabs, index=tuple(range(res)))
+    assert [slab_bytes(spread, z) for z in range(res)] == [slab_bytes(g, s) for s in g.index]
     assert voxel.face_counts(spread) == voxel.face_counts(g)
     assert _summed_masks(spread) == _summed_masks(g)
 
 
 @st.composite
-def pooled_grids(draw):
-    """A hand-built grid of any resolution whose z-slabs are drawn, in any
-    order, from a pool of one to three random, empty or full slabs, so equal
-    slabs recur both adjacent and apart.  The pool may also hold a second
-    copy of one of its slabs, so an index need not give equal slabs one row.
-    Only ``resolution``, ``packed``, ``index`` and ``solid_count`` matter to
-    the face count."""
+def line_table_grids(draw):
+    """A hand-built line table of any resolution: a pool of random, empty
+    or full lines, slabs of random line ids per y, and an index drawing
+    those slabs in any order, so equal rows and slabs recur both adjacent
+    and apart.  The pool may also hold a second copy of one of its lines,
+    and the slabs a second copy of one slab, so equal lines and slabs need
+    not share an id.  Only ``resolution``, ``lines``, ``slabs``, ``index``
+    and ``solid_count`` matter to the face count."""
     res = draw(st.integers(1, 12))
-    cells = res * res
-    slab = st.one_of(st.just([False] * cells), st.just([True] * cells),
-                     st.lists(st.booleans(), min_size=cells, max_size=cells))
-    pool = [np.array(s, dtype=bool).reshape(res, res)
-            for s in draw(st.lists(slab, min_size=1, max_size=3))]
+    width = stride(res) // 8
+    line = st.one_of(st.just(0), st.just(2**res - 1), st.integers(0, 2**res - 1))
+    pool = draw(st.lists(line, min_size=1, max_size=res + 1))
     if draw(st.booleans()):
-        pool.append(pool[draw(st.sampled_from(range(len(pool))))].copy())
-    order = draw(st.lists(st.sampled_from(range(len(pool))), min_size=res, max_size=res))
+        pool.append(draw(st.sampled_from(pool)))
+    slab = st.lists(st.sampled_from(range(len(pool))), min_size=res, max_size=res)
+    slabs = draw(st.lists(slab.map(tuple), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        slabs.append(draw(st.sampled_from(slabs)))
+    order = draw(st.lists(st.sampled_from(range(len(slabs))), min_size=res, max_size=res))
     return VoxelGrid(kind=SLICES, n=0, resolution=res,
-                     packed=pack(pool, res), index=tuple(order),
-                     solid_count=sum(int(pool[i].sum()) for i in order))
+                     lines=tuple(bits.to_bytes(width, "little") for bits in pool),
+                     slabs=tuple(slabs), index=tuple(order),
+                     solid_count=sum(pool[i].bit_count() for z in order for i in slabs[z]))
 
 
 @settings(max_examples=150, deadline=None)
-@given(pooled_grids())
+@given(line_table_grids())
 def test_face_counts_random_pooled_grids(g):
     assert count_exposed_faces(g) == pair_count_faces(g)
     assert voxel.face_counts(g) == _summed_masks(g)
+
+
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+def test_oracle_equivalence_n7(kind):
+    # the line table reaches n = 7 (2187^3 cells) in about 0.05 s (2 vCPU,
+    # Python 3.11), beyond the CLI's oracle cap
+    started = time.perf_counter()
+    g = build_grid(kind, 7, cap=7)
+    faces = voxel.face_counts(g)
+    elapsed = time.perf_counter() - started
+    assert tuple(faces) == metrics.model_face_counts(kind, 7)
+    assert g.solid_count == metrics.model_volume(kind, 7) * 27**7
+    assert elapsed < 1.0, elapsed
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -453,5 +499,8 @@ def test_grid_shape_and_edge():
     assert g.voxel_edge == Fraction(1, 9)
     assert g.stride == 16  # 9 cells and 7 guard bits per y-row
     assert g.slab_bytes == 9 * 2
-    assert g.packed.shape == (4 * 18,)
+    # 5 lines of 2 bytes: the digit-one unions 0, 1, 2, 3 and the empty line
+    assert g.packed.shape == (5 * 2,)
+    assert g.lines == (b"\xff\x01", b"\x6d\x01", b"\xc7\x01", b"\x45\x01", b"\x00\x00")
+    assert g.slabs[0] == (0, 1, 0, 2, 3, 2, 0, 1, 0)
     assert g.index == (0, 1, 0, 2, 3, 2, 0, 1, 0)
