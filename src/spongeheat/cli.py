@@ -254,6 +254,10 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # numpy, which only ``mesh`` loads, starts an OpenBLAS worker pool on
+    # import; nothing here calls BLAS, so skip the pool unless the user has
+    # asked for one.  ``run`` leaves the environment alone for library callers
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run())
 
 

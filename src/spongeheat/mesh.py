@@ -8,20 +8,23 @@ to float32 once, so identical runs produce byte-identical files and
 coincident corners are bit-identical.
 
 The writers generate and write the mesh in chunks of at most ``_CHUNK``
-consecutive faces.  A slab's exposed faces come from
-:func:`spongeheat.voxel.exposed_bits` as six int bitsets.  This is the only
-module that imports numpy, and :func:`_slab_mask` does the one
-int-to-array step: it unpacks the bitsets into the slab's (y, x, direction)
-face mask, whose faces :func:`_faces` enumerates once, as ascending flat
-indices, and hands out chunk by chunk.  Every triangle is then assembled
-from small lookup tables indexed by (x, direction) and (y, direction): STL
-record pairs and y corners, or OBJ lattice keys.  No per-face integer
-lattice is built, and every STL chunk goes through one record buffer of
-``2 * _CHUNK`` records, so export memory is bounded by one slab's face
-mask and one chunk (plus, for OBJ, one vertex id per lattice corner), not
-by the mesh or the records of its largest slab: the n = 5 sponge STL
-traces under 2 MiB, and its command peaks at about 31 MB resident, a few
-MB above the interpreter and numpy.
+consecutive faces.  This is the only module that imports numpy.  A y-row's
+exposed faces depend only on its row key: its own line and those of the
+rows at y +- 1 and of the same row in the slabs z +- 1.  :func:`_faces`
+works out each distinct key's faces once, by the exposure rule of
+:mod:`spongeheat.voxel`, keeps them as int16 (x, direction) rows (1,599
+keys and 0.6 MB for the n = 5 sponge), joins a slab's rows and hands the
+faces out chunk by chunk.  Every triangle is then assembled from small
+lookup tables indexed by (x, direction) and (y, direction): STL record
+pairs and y corners, or OBJ corner keys.  No per-face integer lattice is
+built, and every STL chunk goes through one record buffer of ``2 *
+_CHUNK`` records.  OBJ keeps vertex ids for the two z-planes of the
+current slab only, 2 * (3^n + 1)^2 int32, and its face pass renumbers the
+corners in the same order as its vertex pass.  So export memory is the
+row faces, one slab's face list and one chunk, not the mesh or a lattice
+table: the n = 5 sponge STL traces under 3 MiB, and its command peaks at
+about 31 MB resident, the OBJ at about 35 MB, a few MB above the
+interpreter and numpy.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .voxel import VoxelGrid, count_exposed_faces, exposed_bits
+from .voxel import VoxelGrid, _across, _bits, _in_plane, count_exposed_faces
 
 #: Face directions in emission order; normals point from solid into coolant.
 _NORMALS = np.array(
@@ -52,7 +55,8 @@ _CORNERS = np.array(
     dtype=np.int64,
 )
 # The same corners as two triangles per face, split along (v0, v2).
-_TRIANGLES = _CORNERS[:, [0, 1, 2, 0, 2, 3]].reshape(6, 2, 3, 3)
+_QUAD_TRIANGLES = [0, 1, 2, 0, 2, 3]
+_TRIANGLES = _CORNERS[:, _QUAD_TRIANGLES].reshape(6, 2, 3, 3)
 
 
 class MeshBuffer(NamedTuple):
@@ -79,38 +83,65 @@ class MeshBuffer(NamedTuple):
         return np.concatenate([rec["normal"].copy() for rec in _stl_records(self.grid)])
 
 
-def _slab_mask(g: VoxelGrid, z: int) -> np.ndarray:
-    # the (y, x', direction) bool mask of slab z's exposed faces, x' < stride
-    size = g.slab_bytes
-    bits = b"".join(mask.to_bytes(size, byteorder="little") for mask in exposed_bits(g, z))
-    # read the bytes as (y, byte, direction) and unpack bit x of each y-row:
-    # that yields the mask directly, reordering the bytes rather than the 8x
-    # larger mask.  Each bitset is a subset of the slab, so no guard bit
-    # x' >= res is set
-    packed = np.frombuffer(bits, dtype=np.uint8).reshape(6, g.resolution, size // g.resolution)
-    return np.unpackbits(packed.transpose(1, 2, 0), axis=1, bitorder="little").view(bool)
-
-
 #: Most faces the writers assemble at once; it sizes the STL record buffer.
 _CHUNK = 4096
+
+
+def _row_faces(keys: list, bits: list, stride: int) -> list:
+    """The exposed faces of each row key, as ascending int16 rows x * 6 + d
+    of the (x, direction) tables.  A key holds the line ids of the row,
+    of the rows at y + 1 and y - 1, and of the same row in slabs z + 1 and
+    z - 1, indexing the line ints ``bits``; exposure is the rule of
+    :mod:`spongeheat.voxel`."""
+    width = stride // 8
+    masks = []
+    for key in keys:
+        cur, *nearby = map(bits.__getitem__, key)
+        masks += _in_plane(cur, stride)[:2]
+        masks += (_across(cur, b) for b in nearby)
+    raw = b"".join(mask.to_bytes(width, byteorder="little") for mask in masks)
+    # bit x of direction d of each key, unpacked as (key, direction, x) and
+    # read as (key, x, direction)
+    unpacked = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, 6, width),
+                             axis=2, bitorder="little")
+    row, xd = np.divmod(np.flatnonzero(unpacked.transpose(0, 2, 1)), 6 * stride)
+    return np.split(xd.astype(np.int16), np.searchsorted(row, range(1, len(keys))))
 
 
 def _faces(g: VoxelGrid):
     """Yield ``(z, xd, yd)`` for runs of at most ``_CHUNK`` consecutive
     exposed faces in emission order, each face as its rows x * 6 + d and
-    y * 6 + d of the (x, direction) and (y, direction) tables."""
-    for z in range(g.resolution):
-        flat = np.flatnonzero(_slab_mask(g, z))  # (y, x', d) indices, x' < stride
-        for start in range(0, len(flat), _CHUNK):
-            y, xd = np.divmod(flat[start:start + _CHUNK], 6 * g.stride)
-            yield z, xd, y * 6 + xd - xd // 6 * 6  # xd % 6, which numpy computes more slowly
+    y * 6 + d of the (x, direction) and (y, direction) tables.
+
+    Each y-row's faces depend only on its row key (see :func:`_row_faces`),
+    so they are worked out once per distinct key and kept as int16; a slab
+    joins its rows' lists.
+    """
+    res = g.resolution
+    bits = [*map(_bits, g.lines), 0]
+    outside = (len(g.lines),) * res  # the empty line beyond the lattice, in each y
+    slabs = [outside, *map(g.slabs.__getitem__, g.index), outside]
+    cache = {}
+    y6 = np.arange(0, 6 * res, 6, dtype=np.int16)
+    for z in range(res):
+        below, cur, above = slabs[z:z + 3]
+        keys = list(zip(cur, cur[1:] + outside[:1], outside[:1] + cur[:-1], above, below))
+        new = [key for key in dict.fromkeys(keys) if key not in cache]
+        if new:
+            cache.update(zip(new, _row_faces(new, bits, g.stride)))
+        rows = list(map(cache.__getitem__, keys))
+        xd = np.concatenate(rows)
+        yd = np.repeat(y6, list(map(len, rows))) + xd - xd // 6 * 6  # xd % 6, only faster
+        for start in range(0, len(xd), _CHUNK):
+            yield z, xd[start:start + _CHUNK], yd[start:start + _CHUNK]
 
 
-def _corner_table(res: int, axis: int) -> np.ndarray:
-    # (res * 6, 2, 3): lattice coordinate along ``axis`` of the triangle
-    # corners of the face at position p in direction d, row p * 6 + d
-    corners = np.arange(res)[:, None, None, None] + _TRIANGLES[..., axis]
-    return corners.reshape(res * 6, 2, 3)
+def _corner_table(res: int, axis: int, corners: np.ndarray = _TRIANGLES) -> np.ndarray:
+    # (res * 6, 2, 3), or (res * 6, 4) for the quad ``_CORNERS``: lattice
+    # coordinate along ``axis`` of the corners of the face at position p in
+    # direction d, row p * 6 + d
+    table = np.add.outer(np.arange(res), corners[..., axis])
+    return table.reshape(res * 6, *corners.shape[1:-1])
 
 
 def _lattice_coords(res: int) -> np.ndarray:
@@ -194,21 +225,64 @@ def write_stl_binary(m: MeshBuffer, sink) -> int:
     return 84 + 50 * written
 
 
-def _lattice_keys(g: VoxelGrid):
-    """Yield, per chunk of :func:`_faces`, the dense lattice key
-    x + side * (y + side * z) of every triangle corner, shape (K, 2, 3) for
-    K exposed faces, from a per-(x, direction) table (refreshed when z
-    changes) and a per-(y, direction) table."""
+def _first_appearances(keys: np.ndarray, bound: int) -> np.ndarray:
+    """The distinct values of ``keys``, ints in [0, bound), in order of
+    first appearance."""
+    # one sort of (key, position) pairs, each packed into one int (int32
+    # where it fits: it sorts about twice as fast): the first pair of each
+    # run of equal keys holds that key's first position
+    shift = max(len(keys) - 1, 1).bit_length()
+    dtype = np.int32 if bound << shift <= 2**31 else np.int64
+    pairs = np.sort(keys.astype(dtype) << shift | np.arange(len(keys), dtype=dtype))
+    runs = pairs >> shift
+    first = np.empty(len(pairs), dtype=bool)
+    first[:1] = True
+    np.not_equal(runs[1:], runs[:-1], out=first[1:])
+    positions = pairs[first] & ((1 << shift) - 1)
+    positions.sort()
+    return np.take(keys, positions)
+
+
+def _numbered(g: VoxelGrid):
+    """Number the lattice corners of the mesh 1-based in order of first
+    appearance (triangle-major), and yield, per chunk of :func:`_faces`,
+    ``(z, keys, fresh, ids)``.  ``keys`` (K, 4) holds the four quad corners
+    of each of the chunk's K faces as x + side * (y + side * dz), on the
+    z-plane z + dz for dz in {0, 1}; ``fresh`` the keys the chunk numbers,
+    in order; ``ids`` the id of each key, valid until the next chunk.
+
+    Only slab z's two planes hold ids: a corner on plane z can only be
+    numbered by slab z - 1 or z, so plane z + 1's ids move down when the
+    next slab is z + 1 and are dropped when it lies further on.  The
+    numbering is a pure function of the grid, so every pass over it
+    repeats the same ids.
+    """
     res = g.resolution
     side = res + 1
-    x_keys = _corner_table(res, 0).reshape(res, 6, 2, 3)
-    y_keys = _corner_table(res, 1) * side
+    plane = side * side
+    # int32 quad-corner keys per (x, direction) and (y, direction) row, z
+    # relative to the slab.  First appearance over the quads is first
+    # appearance over the triangles, which only repeat the quad's (v0, v2)
+    xz_keys = _corner_table(res, 0, _CORNERS).reshape(res, 6, 4) + _CORNERS[..., 2] * plane
+    xz_keys = xz_keys.reshape(res * 6, 4).astype(np.int32)
+    y_keys = (_corner_table(res, 1, _CORNERS) * side).astype(np.int32)
+    ids = np.zeros(2 * plane, dtype=np.int32)  # 0: not numbered yet
+    count = 0
     last = None
     for z, xd, yd in _faces(g):
         if z != last:
-            xz_keys = (x_keys + (z + _TRIANGLES[..., 2]) * side * side).reshape(res * 6, 2, 3)
+            if last == z - 1:
+                ids[:plane] = ids[plane:]
+                ids[plane:] = 0
+            else:
+                ids[:] = 0
             last = z
-        yield xz_keys[xd] + y_keys[yd]
+        # np.take: several times faster than fancy indexing at these sizes
+        keys = np.take(xz_keys, xd, axis=0) + np.take(y_keys, yd, axis=0)
+        fresh = _first_appearances(keys[np.take(ids, keys) == 0], 2 * plane)
+        ids[fresh] = np.arange(count + 1, count + 1 + len(fresh))
+        count += len(fresh)
+        yield z, keys, fresh, ids
 
 
 def write_obj(m: MeshBuffer, sink) -> int:
@@ -216,28 +290,22 @@ def write_obj(m: MeshBuffer, sink) -> int:
     by bit-identical coordinates), numbered 1-based in order of first
     appearance; LF endings.  Returns the byte count.
 
-    Two passes over the chunks: the first numbers and writes the vertices,
-    the second writes the faces.  Memory is one int32 id per lattice
-    corner, (3^n + 1)^3 of them, plus one slab's face mask and one chunk.
+    Two passes over the chunks, each numbering the corners afresh in the
+    same order: the first writes the vertices, the second the faces.
+    Memory is one int32 id per corner of two z-planes, 2 * (3^n + 1)^2 of
+    them, plus the row faces, one slab's face list and one chunk.
     """
     side = m.grid.resolution + 1
     labels = np.array([f"{float(c):.9g}" for c in _lattice_coords(m.grid.resolution)],
                       dtype=object)
-    ids = np.zeros(side**3, dtype=np.int32)  # 0: not numbered yet
     nbytes = 0
-    count = 0
-    for keys in _lattice_keys(m.grid):
-        keys = keys.reshape(-1)
-        fresh = np.flatnonzero(ids[keys] == 0)
-        _, first = np.unique(keys[fresh], return_index=True)
-        fresh = keys[fresh[np.sort(first)]]  # first appearance, triangle-major
-        ids[fresh] = np.arange(count + 1, count + 1 + len(fresh))
-        count += len(fresh)
-        z, y, x = np.unravel_index(fresh, (side, side, side))
+    for z, _, fresh, _ in _numbered(m.grid):
+        dz, y, x = np.unravel_index(fresh, (2, side, side))
         nbytes += _write_lines(sink, "v %s %s %s\n",
-                               labels[np.column_stack((x, y, z))].ravel().tolist())
-    for keys in _lattice_keys(m.grid):
-        nbytes += _write_lines(sink, "f %d %d %d\n", ids[keys].ravel().tolist())
+                               labels[np.column_stack((x, y, z + dz))].ravel().tolist())
+    for _, keys, _, ids in _numbered(m.grid):
+        corners = np.take(np.take(ids, keys), _QUAD_TRIANGLES, axis=1)
+        nbytes += _write_lines(sink, "f %d %d %d\n", corners.ravel().tolist())
     return nbytes
 
 

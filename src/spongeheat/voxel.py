@@ -26,9 +26,9 @@ that is s & ~(s >> 1) for +x and s & ~(s << 1) for -x (the guard bits are
 the coolant beyond each row's ends), shifts by W for +-y, and a & ~b
 between adjacent slabs for +-z.  The same two rules apply line by line:
 the x-shifts to a single line, and a & ~b between the lines of adjacent
-rows (+-y) or of the same row in adjacent slabs (+-z).  The mesh writers
-read slab bitsets through :func:`exposed_bits`; :func:`face_counts` counts
-per line, once per row class and line pair.
+rows (+-y) or of the same row in adjacent slabs (+-z).  :func:`face_counts`
+counts per line, once per row class and line pair, and the mesh writers
+list each distinct row's exposed faces by the same rule.
 """
 from __future__ import annotations
 
@@ -91,11 +91,6 @@ def _stride(res: int) -> int:
 
 def _bits(line: bytes) -> int:
     return int.from_bytes(line, byteorder="little")
-
-
-def _slab_int(g: VoxelGrid, slab: int) -> int:
-    # joined on demand: the grid holds no slab bitset
-    return _bits(b"".join(map(g.lines.__getitem__, g.slabs[slab])))
 
 
 def _digit_one_masks(res: int, n: int) -> list[int]:
@@ -183,15 +178,6 @@ def _across(a: int, b: int) -> int:
     slab and its z-neighbour, or a line and the line next to it in y (0
     when the neighbour lies outside the lattice)."""
     return a & ~b
-
-
-def exposed_bits(g: VoxelGrid, z: int) -> tuple[int, ...]:
-    """Slab z's exposed faces as six bitsets in the joined slab layout
-    (bit x + g.stride * y), directions in the order +x, -x, +y, -y, +z, -z."""
-    cur = _slab_int(g, g.index[z])
-    above, below = (_slab_int(g, g.index[w]) if 0 <= w < g.resolution else 0
-                    for w in (z + 1, z - 1))
-    return (*_in_plane(cur, g.stride), _across(cur, above), _across(cur, below))
 
 
 def _dot(weights, values) -> int:

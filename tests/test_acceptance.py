@@ -6,6 +6,7 @@ the n = 6 oracle run (729^3 cells, about a second for both models).
 
 import io
 import math
+import sys
 import time
 from bisect import bisect_right
 from collections import Counter
@@ -20,6 +21,13 @@ MENGER = ModelKind.MENGER_SPONGE
 SLICES = ModelKind.SLICES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def table_bytes(grid) -> int:
+    """Memory held by the grid's line table: lines, slab tuples and index
+    (as ``tests/test_voxel.py`` measures it)."""
+    return sum(map(sys.getsizeof,
+                   (*grid.lines, *grid.slabs, grid.lines, grid.slabs, grid.index)))
 
 
 def test_criterion_1_table_golden_reproduction():
@@ -54,7 +62,7 @@ def test_criterion_1_table_golden_reproduction():
 
 def test_criterion_2_oracle_equivalence():
     """Voxel-measured volume and surface equal the closed forms exactly for
-    both models, n = 0..5; n = 5 within 10 s and 5 MB packed."""
+    both models, n = 0..5; n = 5 within 10 s and a line table under 128 KB."""
     n5_elapsed = {}
     for kind in (MENGER, SLICES):
         for n in range(6):
@@ -68,7 +76,7 @@ def test_criterion_2_oracle_equivalence():
             if n == 5:
                 n5_elapsed[kind] = elapsed
                 assert elapsed < 10.0, f"n=5 {kind} took {elapsed:.2f}s"
-                assert grid.packed.nbytes < 5_000_000
+                assert table_bytes(grid) < 128 * 2**10
     print(f"\nACCEPTANCE 2 oracle-equivalence: PASS "
           f"(exact rational equality, both models, n=0..5; "
           f"n=5 in {max(n5_elapsed.values()):.2f}s)")
@@ -76,7 +84,7 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_2_oracle_equivalence_n6():
     """The same exact equality at n = 6 (729^3 cells) for both models, each
-    within 10 s and 5 MB packed."""
+    within 10 s and a line table under 512 KB."""
     for kind in (MENGER, SLICES):
         started = time.perf_counter()
         grid = voxel.build_grid(kind, 6)
@@ -84,9 +92,9 @@ def test_criterion_2_oracle_equivalence_n6():
         assert voxel.measure_surface(grid) == metrics.model_surface(kind, 6)
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"n=6 {kind} took {elapsed:.2f}s"
-        assert grid.packed.nbytes < 5_000_000
+        assert table_bytes(grid) < 512 * 2**10
         print(f"\nACCEPTANCE 2b oracle n=6 {kind.value}: PASS ({elapsed:.1f}s, "
-              f"{grid.packed.nbytes / 1e6:.1f} MB packed)")
+              f"{table_bytes(grid) / 2**10:.0f} KB line table)")
 
 
 def test_criterion_3_algebraic_identities():

@@ -2,12 +2,13 @@
 
 import inspect
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
 import golden
-from spongeheat import analysis, mesh, metrics, voxel
+from spongeheat import analysis, cli, mesh, metrics, voxel
 from spongeheat.cli import build_parser, run
 
 
@@ -311,3 +312,38 @@ def test_io_failure_exits_3(tmp_path, capsys, monkeypatch):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert "table" in capsys.readouterr().out
+
+
+def _main_code(monkeypatch, argv) -> int:
+    monkeypatch.setattr("sys.argv", ["spongeheat", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    return exit_info.value.code
+
+
+def _unset_blas_threads(monkeypatch):
+    # set first: undoing the setenv removes whatever the test leaves there,
+    # while a delenv of an unset name would record nothing to undo
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+
+
+def test_main_sets_one_blas_thread_when_unset(monkeypatch, capsys):
+    # numpy's OpenBLAS worker pool is never used
+    _unset_blas_threads(monkeypatch)
+    assert _main_code(monkeypatch, ["row", "--n", "1"]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_main_keeps_the_users_blas_threads(monkeypatch, capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    assert _main_code(monkeypatch, ["row", "--n", "1"]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+
+
+def test_run_leaves_environment_untouched(monkeypatch, tmp_path, capsys):
+    _unset_blas_threads(monkeypatch)
+    before = dict(os.environ)
+    assert run(["row", "--n", "1"]) == 0
+    assert run(["mesh", "--model", "menger", "--n", "1", "--out", str(tmp_path / "m.stl")]) == 0
+    assert dict(os.environ) == before

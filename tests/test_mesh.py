@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from spongeheat import mesh
+from spongeheat import mesh, metrics, voxel
 from spongeheat.mesh import MeshBuffer, mesh_from_grid, write_obj, write_stl_binary
 from spongeheat.metrics import ModelKind
 from spongeheat.voxel import VoxelGrid, build_grid, count_exposed_faces
@@ -195,10 +195,95 @@ def test_chunk_size_does_not_change_bytes(kind, n, monkeypatch):
         assert _digests(kind, n) == expected, chunk
 
 
+class _StlGeometry:
+    """A sink that reads a binary STL back from its bytes as they stream in,
+    whole records at a time.  It rounds each vertex to its lattice integer
+    and sums, exactly in int64, det(v0, v1, v2) (six times the enclosed
+    volume) and |(v1 - v0) x (v2 - v0)| (twice the area); it keeps every
+    directed edge a -> b as one int key."""
+
+    def __init__(self, res):
+        self.res = res
+        self.side = res + 1
+        self.pending = bytearray()
+        self.header = None
+        self.det = 0
+        self.area = 0
+        self.edges = []
+
+    def write(self, data):
+        self.pending += memoryview(data).tobytes()
+        if self.header is None:
+            self.header = bytes(self.pending[:84])
+            del self.pending[:84]
+        whole = len(self.pending) // 50 * 50
+        records = np.frombuffer(bytes(self.pending[:whole]), dtype=mesh._STL_RECORD)
+        del self.pending[:whole]
+        verts = np.rint(records["verts"].astype(np.float64) * self.res).astype(np.int64)
+        assert ((verts >= 0) & (verts <= self.res)).all()
+        assert ((verts / self.res).astype(np.float32) == records["verts"]).all()
+        v0, v1, v2 = verts[:, 0], verts[:, 1], verts[:, 2]
+        self.det += int((v0 * np.cross(v1, v2)).sum())
+        cross = np.cross(v1 - v0, v2 - v0)
+        # axis-aligned, so its length is its one nonzero component's size,
+        # and it points along the stored normal
+        assert (np.count_nonzero(cross, axis=1) == 1).all()
+        assert (np.sign(cross) == records["normal"]).all()
+        self.area += int(np.abs(cross).sum())
+        keys = verts[..., 0] + self.side * (verts[..., 1] + self.side * verts[..., 2])
+        self.edges.append(keys * self.side**3 + np.roll(keys, -1, axis=1))
+
+    def unmatched_edges(self) -> int:
+        """Directed edges a -> b without a matching b -> a, counted as the
+        positions where the sorted edges and sorted reversed edges differ."""
+        edges = np.concatenate(self.edges).reshape(-1)
+        cube = self.side**3
+        reverse = edges % cube * cube + edges // cube
+        edges.sort()
+        reverse.sort()
+        return int(np.count_nonzero(edges != reverse))
+
+
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+@pytest.mark.parametrize("n", range(5))
+def test_stl_bytes_enclose_closed_form_volume_and_surface(kind, n):
+    # read back from the written bytes: the divergence theorem gives the
+    # solid count V * 27^n, the triangle areas twice the face count S * 9^n,
+    # and matched directed edges a closed, consistently wound surface
+    g = build_grid(kind, n)
+    m = mesh_from_grid(g)
+    sink = _StlGeometry(g.resolution)
+    write_stl_binary(m, sink)
+    assert not sink.pending
+    volume = metrics.model_volume(kind, n) * 27**n
+    surface = metrics.model_surface(kind, n) * 9**n
+    assert volume.denominator == surface.denominator == 1
+    assert sink.det == 6 * volume
+    assert sink.area == 2 * surface == m.triangle_count
+    assert sink.unmatched_edges() == 0
+
+
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+@pytest.mark.parametrize("n", range(5))
+def test_faces_per_direction_match_face_counts(kind, n):
+    # the row-class face lists the writers emit, counted per direction,
+    # against the oracle's per-direction count
+    g = build_grid(kind, n)
+    counts = np.zeros(6, dtype=np.int64)
+    for _, xd, yd in mesh._faces(g):
+        assert xd.dtype == yd.dtype == np.int16
+        assert (xd % 6 == yd % 6).all()
+        assert ((xd // 6 < g.resolution) & (yd // 6 < g.resolution)).all()
+        counts += np.bincount(xd % 6, minlength=6)
+    assert counts.tolist() == voxel.face_counts(g)
+
+
 # -- OBJ --------------------------------------------------------------------------
 
 def test_obj_streams_in_bounded_memory():
-    # one int32 id per lattice corner, plus one slab's face mask and one chunk
+    # one int32 id per corner of two z-planes, 2 * 82^2 of them, plus the
+    # row faces, one slab's face list and one chunk; a table of every
+    # lattice corner would add 4 * 82^3 bytes (2.1 MiB)
     m = mesh_from_grid(build_grid(MENGER, 4))
     sink = _ByteCounter()
     tracemalloc.start()
@@ -208,7 +293,7 @@ def test_obj_streams_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert nbytes == sink.nbytes > 20_000_000
-    assert peak < 4 * 82**3 + 2.5 * 2**20
+    assert peak < 2.5 * 2**20
 
 
 def _obj_records(payload: bytes):
