@@ -1,5 +1,5 @@
 """Reference-table reproduction, printed-precision formatting, efficiency
-series, crossover location, and CSV/JSON emission.
+series, crossover location, and text/CSV/JSON emission.
 
 Formatting conventions follow the published reference table: plain columns
 carry 4 decimal places (3 once the value reaches 100, i.e. 6 significant
@@ -72,40 +72,51 @@ def full_table(n_max: int) -> list[EfficiencyRow]:
 # printed-precision formatting
 
 
+def _half_up(value: Fraction) -> int:
+    # the integer nearest a non-negative rational, halves rounded up
+    return (2 * value.numerator + value.denominator) // (2 * value.denominator)
+
+
+def _exponent(mag: Fraction) -> int:
+    # e with 10^e <= mag < 10^(e + 1) for mag > 0 (-1 for 0): the digit
+    # counts of numerator and denominator fix it to within one
+    e = len(str(mag.numerator)) - len(str(mag.denominator))
+    return e - 1 if mag < Fraction(10) ** e else e
+
+
+def _significant(mag: Fraction, sig: int) -> tuple[int, int]:
+    """A positive rational rounded half up to ``sig`` significant digits,
+    as ``(digits, e)``: the ``sig``-digit integer ``digits`` times
+    ``10^(e - sig + 1)``."""
+    e = _exponent(mag)
+    digits = _half_up(mag * Fraction(10) ** (sig - 1 - e))
+    if digits == 10**sig:  # rounding carried into the next power of ten
+        return 10 ** (sig - 1), e + 1
+    return digits, e
+
+
 def round_half_away(value: Fraction, decimals: int) -> str:
     """Render a rational at a fixed number of decimals, rounding halves away
     from zero (exact integer arithmetic, no float involved)."""
     sign = "-" if value < 0 else ""
-    scaled = abs(value) * 10**decimals
-    q, r = divmod(scaled.numerator, scaled.denominator)
-    if 2 * r >= scaled.denominator:
-        q += 1
-    digits = str(q).rjust(decimals + 1, "0")
+    digits = str(_half_up(abs(value) * 10**decimals)).rjust(decimals + 1, "0")
     if decimals == 0:
         return sign + digits
     return sign + digits[:-decimals] + "." + digits[-decimals:]
 
 
 def _format_fixed(value: Fraction) -> str:
-    # 4 decimals, capped to 6 significant digits for values >= 100
-    mag = abs(value)
-    int_digits = len(str(int(mag))) if mag >= 1 else 1
-    return round_half_away(value, max(0, min(4, 6 - int_digits)))
+    # 4 decimals, capped to 6 significant digits for values >= 100 (by the
+    # exponent before rounding)
+    return round_half_away(value, max(0, min(4, 5 - _exponent(abs(value)))))
 
 
 def _format_shorthand(value: Fraction) -> str:
     # mantissa(-p) with 1 <= mantissa < 10, for 0 < value < 1
-    p = 0
-    mag = abs(value)
-    while mag < 1:
-        mag *= 10
-        p += 1
-    text = round_half_away(mag, 4)
-    if text.startswith("10."):  # rounding carried the mantissa past 10
-        text = round_half_away(mag / 10, 4)
-        p -= 1
     sign = "-" if value < 0 else ""
-    return f"{sign}{text}({-p})"
+    q, e = _significant(abs(value), 5)
+    digits = str(q)
+    return f"{sign}{digits[0]}.{digits[1:]}({e})"
 
 
 def _format_efficiency(value: Fraction) -> str:
@@ -139,20 +150,7 @@ def decimal_string(value: Fraction, sig: int = 10) -> str:
     if value == 0:
         return "0." + "0" * (sig - 1)
     sign = "-" if value < 0 else ""
-    mag = abs(value)
-    # exponent e with 10^e <= mag < 10^(e+1)
-    e = len(str(mag.numerator)) - len(str(mag.denominator))
-    while mag < Fraction(10) ** e:
-        e -= 1
-    while mag >= Fraction(10) ** (e + 1):
-        e += 1
-    scaled = mag * Fraction(10) ** (sig - 1 - e)
-    q, r = divmod(scaled.numerator, scaled.denominator)
-    if 2 * r >= scaled.denominator:
-        q += 1
-    if q == 10**sig:
-        q //= 10
-        e += 1
+    q, e = _significant(abs(value), sig)
     digits = str(q)
     if not -10 <= e <= 15:
         return f"{sign}{digits[0]}.{digits[1:]}e{e:+d}"
@@ -279,6 +277,19 @@ def _bracket(ts: list[float], t: float) -> tuple[int, int]:
 
 ROWS_CSV_HEADER = ",".join(TABLE_COLUMNS)
 SERIES_CSV_HEADER = ",".join(SERIES_COLUMNS)
+
+
+def emit_text(rows: Sequence[EfficiencyRow], sink: BinaryIO) -> int:
+    """Write table rows as the reference table prints them (see
+    :func:`format_paper_precision`): a header line, then one line per row,
+    each column right-aligned to its widest cell, two spaces apart.
+    Returns the byte count."""
+    cells = [dict(zip(TABLE_COLUMNS, TABLE_COLUMNS))]
+    cells += [format_paper_precision(row) for row in rows]
+    widths = {col: max(len(line[col]) for line in cells) for col in TABLE_COLUMNS}
+    return _write_text(sink, "".join(
+        "  ".join(line[col].rjust(widths[col]) for col in TABLE_COLUMNS) + "\n"
+        for line in cells))
 
 
 def emit_csv(data, sink: BinaryIO) -> int:

@@ -108,36 +108,25 @@ def _write_file(path: str, write) -> int:
     return nbytes
 
 
-def _render_text_table(rows) -> str:
-    cells = [dict(zip(analysis.TABLE_COLUMNS, analysis.TABLE_COLUMNS))]
-    cells += [analysis.format_paper_precision(row) for row in rows]
-    widths = {
-        col: max(len(line[col]) for line in cells) for col in analysis.TABLE_COLUMNS
-    }
-    return "\n".join(
-        "  ".join(line[col].rjust(widths[col]) for col in analysis.TABLE_COLUMNS)
-        for line in cells
-    )
-
-
-def _emit_rows(rows, fmt: str) -> None:
-    if fmt == "text":
-        print(_render_text_table(rows))
-    elif fmt == "csv":
-        analysis.emit_csv(rows, sys.stdout.buffer)
-        sys.stdout.buffer.flush()
+def _emit(fmt: str, **sections) -> None:
+    """Write table rows (``rows=``) or a crossover report (``crossover=``,
+    JSON only) to stdout's byte stream in ``fmt``, flushed before anything
+    else is printed."""
+    sink = sys.stdout.buffer
+    if fmt == "json":
+        analysis.emit_json(sink, **sections)
     else:
-        analysis.emit_json(sys.stdout.buffer, rows=rows)
-        sys.stdout.buffer.flush()
+        (analysis.emit_text if fmt == "text" else analysis.emit_csv)(sections["rows"], sink)
+    sink.flush()
 
 
 def _cmd_table(args) -> int:
-    _emit_rows(analysis.full_table(args.max_n), args.format)
+    _emit(args.format, rows=analysis.full_table(args.max_n))
     return 0
 
 
 def _cmd_row(args) -> int:
-    _emit_rows([analysis.table_row(args.n)], args.format)
+    _emit(args.format, rows=[analysis.table_row(args.n)])
     return 0
 
 
@@ -183,20 +172,16 @@ def _cmd_crossover(args) -> int:
     try:
         report = analysis.find_crossover(sponge, slabs)
     except analysis.NoCrossoverError as exc:
-        if args.format == "json":
-            analysis.emit_json(sys.stdout.buffer, crossover=None)
-            sys.stdout.buffer.flush()
-        else:
-            print(f"no crossover: {exc}")
-        return 0
-    if args.format == "json":
-        analysis.emit_json(sys.stdout.buffer, crossover=report)
-        sys.stdout.buffer.flush()
+        report, text = None, f"no crossover: {exc}"
     else:
-        print(f"method:  {report.method}")
-        print(f"s_star:  {report.s_star:.8g}")
-        print(f"bracket: menger n in {list(report.menger_bracket)}, "
-              f"slices n in {list(report.slices_bracket)}")
+        text = (f"method:  {report.method}\n"
+                f"s_star:  {report.s_star:.8g}\n"
+                f"bracket: menger n in {list(report.menger_bracket)}, "
+                f"slices n in {list(report.slices_bracket)}")
+    if args.format == "json":
+        _emit("json", crossover=report)
+    else:
+        print(text)
     return 0
 
 

@@ -18,7 +18,9 @@ through z % 2; a sponge row depends only on the union of the digit-one sets
 of y and z, so there are at most 2^n + 1 lines (65 lines, 6 KB at n = 6).
 Joined in y order, a slab's lines are its bitset, cell (x, y) at bit
 x + W * y.  Grids are never mutated afterwards, and all measurements are
-read-only.
+read-only.  The solid count is not stored: ``VoxelGrid.solid_count`` sums
+:func:`slab_counts`, which popcounts each line once, so the volume and the
+per-slab report of a failed verification read one count.
 
 Exposure is defined here once: a face is exposed when its cell is solid and
 the cell across it is coolant or outside the lattice.  On a slab bitset s
@@ -62,7 +64,11 @@ class VoxelGrid(NamedTuple):
     lines: tuple[bytes, ...]  # distinct y-rows
     slabs: tuple[tuple[int, ...], ...]  # distinct z-slabs: one line id per y
     index: tuple[int, ...]  # one slab id per z
-    solid_count: int
+
+    @property
+    def solid_count(self) -> int:
+        """Solid cells of the grid, the sum of :func:`slab_counts`."""
+        return sum(slab_counts(self))
 
     @property
     def packed(self) -> memoryview:
@@ -77,10 +83,6 @@ class VoxelGrid(NamedTuple):
     @property
     def stride(self) -> int:
         return _stride(self.resolution)
-
-    @property
-    def slab_bytes(self) -> int:
-        return self.resolution * self.stride // 8
 
 
 def _stride(res: int) -> int:
@@ -126,11 +128,10 @@ def build_grid(kind: ModelKind, n: int, cap: int = ORACLE_CAP) -> VoxelGrid:
     # of mx, my, mz set: the row is empty if my & mz, else it holds every x
     # with mx & (my | mz) == 0.  So each y-row is one of a few lines, keyed
     # by that union (None: the empty line); a slice plate is line 0 (all x)
-    # throughout.  Each line is built once, with its solid count, and
-    # numbered in order of first appearance.
+    # throughout.  Each line is built once and numbered in order of first
+    # appearance.
     line_ids: dict[int | None, int] = {}
     lines = []
-    solids = []
     slabs = []
     for key in slab_ids:
         if sponge:
@@ -142,14 +143,10 @@ def build_grid(kind: ModelKind, n: int, cap: int = ORACLE_CAP) -> VoxelGrid:
                 bits = 0 if u is None else sum(row for mx, row in cells.items() if not mx & u)
                 line_ids[u] = len(lines)
                 lines.append(bits.to_bytes(width, byteorder="little"))
-                solids.append(bits.bit_count())
         line_of = {my: line_ids[u] for my, u in unions.items()}  # by y-row mask
         slabs.append(tuple(map(line_of.__getitem__, masks)))
-    per_slab = Counter(index)
-    solid_count = sum(per_slab[i] * sum(map(solids.__getitem__, slab))
-                      for i, slab in enumerate(slabs))
     return VoxelGrid(kind=kind, n=n, resolution=res, lines=tuple(lines), slabs=tuple(slabs),
-                     index=index, solid_count=solid_count)
+                     index=index)
 
 
 def slab_counts(g: VoxelGrid) -> list[int]:

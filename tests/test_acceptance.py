@@ -6,28 +6,21 @@ the n = 6 oracle run (729^3 cells, about a second for both models).
 
 import io
 import math
-import sys
 import time
-from bisect import bisect_right
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import golden
 from spongeheat import analysis, mesh, metrics, voxel
 from spongeheat.metrics import ModelKind
+from stl_geometry import StlGeometry
+from test_analysis import _interp  # piecewise log-linear, as the crossover tests check it
+from test_voxel import table_bytes  # the line table's memory, as the voxel tests measure it
 
 MENGER = ModelKind.MENGER_SPONGE
 SLICES = ModelKind.SLICES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-
-
-def table_bytes(grid) -> int:
-    """Memory held by the grid's line table: lines, slab tuples and index
-    (as ``tests/test_voxel.py`` measures it)."""
-    return sum(map(sys.getsizeof,
-                   (*grid.lines, *grid.slabs, grid.lines, grid.slabs, grid.index)))
 
 
 def test_criterion_1_table_golden_reproduction():
@@ -112,12 +105,6 @@ def test_criterion_3_algebraic_identities():
     print("\nACCEPTANCE 3 algebraic-identities: PASS (three identities, n=0..12, exact)")
 
 
-def _interp(ts, es, t):
-    i = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
-    w = (t - ts[i]) / (ts[i + 1] - ts[i])
-    return es[i] + w * (es[i + 1] - es[i])
-
-
 def test_criterion_4_crossover_property():
     """find_crossover returns s_star in [12, 52] on the reference series, and
     the sponge strictly beats the interpolated slice curve at every sponge
@@ -159,9 +146,10 @@ def test_criterion_5_threshold_reproduction():
 
 
 def test_criterion_6_mesh_conformance():
-    """STL of the n=1 sponge is exactly 7284 bytes / 144 triangles; triangle
-    count is twice the exposed faces for both models n <= 4; every n <= 2
-    sponge mesh edge is shared by exactly two triangles."""
+    """STL of the n=1 sponge is exactly 7284 bytes / 144 triangles; for both
+    models n <= 4, read back from the STL bytes, the triangle count is twice
+    the exposed faces, and every directed edge occurs once, with its reverse
+    (a closed, consistently wound surface)."""
     sink = io.BytesIO()
     buffer = mesh.mesh_from_grid(voxel.build_grid(MENGER, 1))
     assert buffer.triangle_count == 144
@@ -171,17 +159,10 @@ def test_criterion_6_mesh_conformance():
     for kind in (MENGER, SLICES):
         for n in range(5):
             grid = voxel.build_grid(kind, n)
-            assert (len(mesh.mesh_from_grid(grid).triangles)
-                    == 2 * voxel.count_exposed_faces(grid)), (kind, n)
-
-    for n in range(3):
-        buffer = mesh.mesh_from_grid(voxel.build_grid(MENGER, n))
-        index = {}
-        counts = Counter()
-        for tri in buffer.triangles:
-            ids = [index.setdefault(v.tobytes(), len(index)) for v in tri]
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                counts[tuple(sorted((ids[a], ids[b])))] += 1
-        assert set(counts.values()) == {2}, n
+            reader = StlGeometry(grid.resolution)
+            mesh.write_stl_binary(mesh.mesh_from_grid(grid), reader)
+            assert reader.records == reader.count == 2 * voxel.count_exposed_faces(grid), (kind, n)
+            assert reader.edge_defects() == (0, 0), (kind, n)
     print("\nACCEPTANCE 6 mesh-conformance: PASS (7284-byte n=1 STL, 144 triangles; "
-          "2 triangles per exposed face for n<=4; n<=2 sponge meshes watertight)")
+          "read back for both models n<=4: 2 triangles per exposed face, every directed "
+          "edge once and reversed once)")

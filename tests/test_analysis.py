@@ -5,7 +5,7 @@ import io
 import json
 import math
 from bisect import bisect_right
-from decimal import ROUND_HALF_UP, Decimal, getcontext
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -96,6 +96,8 @@ def test_shorthand_examples():
 def test_shorthand_mantissa_carry():
     # 0.0999996 -> mantissa 9.99996 rounds past 10, must renormalize
     assert analysis._format_shorthand(Fraction(999996, 10**7)) == "1.0000(-1)"
+    assert analysis._format_shorthand(Fraction(-999995, 10**8)) == "-1.0000(-2)"
+    assert analysis._format_shorthand(Fraction(999994, 10**8)) == "9.9999(-3)"
 
 
 def test_efficiency_format_threshold():
@@ -125,6 +127,13 @@ def test_golden_table_with_documented_errata():
         assert corrected == golden.ERRATA[key][1]
 
 
+def _quotient(num: int, den: int) -> Decimal:
+    # to 60 digits, far past any digit that the rounding looks at
+    with localcontext() as context:
+        context.prec = 60
+        return Decimal(num) / Decimal(den)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     num=st.integers(-(10**9), 10**9),
@@ -132,9 +141,7 @@ def test_golden_table_with_documented_errata():
     decimals=st.integers(0, 8),
 )
 def test_round_half_away_matches_decimal_module(num, den, decimals):
-    getcontext().prec = 60
-    want = Decimal(num) / Decimal(den)
-    want = want.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP)
+    want = _quotient(num, den).quantize(Decimal(1).scaleb(-decimals), ROUND_HALF_UP)
     got = round_half_away(Fraction(num, den), decimals)
     assert Decimal(got) == want
     # fixed-point shape: optional sign, no exponent, exactly `decimals` places
@@ -150,6 +157,40 @@ def test_decimal_string():
     assert decimal_string(Fraction(0)) == "0.000000000"
     assert decimal_string(Fraction(27)) == "27.00000000"
     assert decimal_string(Fraction(-20, 27)) == "-0.7407407407"
+    # a 10-digit mantissa that rounds up to 10^10 carries into the exponent
+    assert decimal_string(Fraction(99999999995, 10**11)) == "1.000000000"
+    assert decimal_string(Fraction(-99999999995)) == "-100000000000"
+
+
+#: (num, den) with 10^-9 <= num / den <= 10^9 (no padding zeros): any ratio,
+#: and halves at the 10th or 5th significant digit, and carries to 10^11
+_RATIOS = st.one_of(
+    st.tuples(st.integers(1, 10**9), st.integers(1, 10**9)),
+    st.tuples(st.one_of(st.integers(10**9, 10**10 - 1).map(lambda m: 10 * m + 5),
+                        st.integers(10**4, 10**5 - 1).map(lambda m: 10 * m + 5),
+                        st.integers(1, 10**5).map(lambda t: 10**11 - t)),
+              st.integers(2, 14).map(lambda k: 10**k)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratio=_RATIOS, sign=st.sampled_from([1, -1]))
+def test_significant_digits_match_decimal_module(ratio, sign):
+    # decimal_string at 10 significant digits, and below 1 the shorthand's
+    # mantissa in [1, 10) at 4 decimals, against ROUND_HALF_UP
+    num, den = ratio
+    exact = sign * _quotient(num, den)
+
+    def want(sig):
+        return exact.quantize(Decimal(1).scaleb(exact.adjusted() - sig + 1), ROUND_HALF_UP)
+
+    got = decimal_string(Fraction(sign * num, den))
+    assert Decimal(got) == want(10)
+    assert len(got.lstrip("-").replace(".", "").lstrip("0")) == 10
+    if num < den:
+        mantissa, exponent = analysis._format_shorthand(Fraction(sign * num, den))[:-1].split("(")
+        assert Decimal(mantissa).scaleb(int(exponent)) == want(5)
+        assert 1 <= abs(Decimal(mantissa)) < 10 and len(mantissa.split(".")[1]) == 4
 
 
 # -- series ----------------------------------------------------------------------

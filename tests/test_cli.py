@@ -62,6 +62,9 @@ def test_voxel_verify_slices(capsys):
     assert run(["voxel-verify", "--model", "slices", "--n", "2"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "V=0.5556" in out
+    for model in ("menger", "slices"):  # the default oracle cap reaches n = 7
+        assert run(["voxel-verify", "--model", model, "--n", "7"]) == 0
+        assert f"PASS model={model} n=7" in capsys.readouterr().out
 
 
 def test_voxel_verify_mismatch_exits_2(capsys, monkeypatch):
@@ -110,7 +113,7 @@ def test_voxel_verify_mismatch_exits_2(capsys, monkeypatch):
         index[4] = len(g.slabs)
         return g._replace(lines=(*g.lines, bytes(line)),
                           slabs=(*g.slabs, (len(g.lines), *plate[1:])),
-                          index=tuple(index), solid_count=g.solid_count - 1)
+                          index=tuple(index))
 
     monkeypatch.setattr(voxel, "build_grid", build_grid)
     assert run(["voxel-verify", "--model", "slices", "--n", "2"]) == 2

@@ -4,15 +4,15 @@ import hashlib
 import io
 import struct
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from spongeheat import mesh, metrics, voxel
-from spongeheat.mesh import MeshBuffer, mesh_from_grid, write_obj, write_stl_binary
+from spongeheat.mesh import mesh_from_grid, write_obj, write_stl_binary
 from spongeheat.metrics import ModelKind
 from spongeheat.voxel import VoxelGrid, build_grid, count_exposed_faces
+from stl_geometry import StlGeometry
 
 MENGER = ModelKind.MENGER_SPONGE
 SLICES = ModelKind.SLICES
@@ -21,50 +21,13 @@ SLICES = ModelKind.SLICES
 def _empty_mesh():
     # a single coolant voxel: nothing solid, so no exposed face
     grid = VoxelGrid(kind=SLICES, n=0, resolution=1, lines=(bytes(1),), slabs=((0,),),
-                     index=(0,), solid_count=0)
+                     index=(0,))
     return mesh_from_grid(grid)
 
 
 @pytest.mark.parametrize("n,expected", [(0, 12), (1, 144), (2, 2112)])
 def test_menger_triangle_counts(n, expected):
     assert mesh_from_grid(build_grid(MENGER, n)).triangle_count == expected
-
-
-@pytest.mark.parametrize("kind", [MENGER, SLICES])
-@pytest.mark.parametrize("n", range(3))
-def test_triangles_are_two_per_exposed_face(kind, n):
-    g = build_grid(kind, n)
-    assert len(mesh_from_grid(g).triangles) == 2 * count_exposed_faces(g)
-
-
-@pytest.mark.parametrize("kind", [MENGER, SLICES])
-def test_orientation_matches_normals(kind):
-    m = mesh_from_grid(build_grid(kind, 2))
-    tris = m.triangles.astype(np.float64)
-    cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    # positive multiple of the stored axis-aligned unit normal
-    dots = np.einsum("ij,ij->i", cross, m.normals.astype(np.float64))
-    assert (dots > 0).all()
-    lengths = np.linalg.norm(cross, axis=1)
-    assert np.allclose(cross / lengths[:, None], m.normals)
-
-
-def test_vertices_are_voxel_corners():
-    g = build_grid(MENGER, 2)
-    m = mesh_from_grid(g)
-    res = g.resolution
-    flat = m.triangles.reshape(-1)
-    steps = np.round(flat.astype(np.float64) * res).astype(int)
-    assert ((0 <= steps) & (steps <= res)).all()
-    assert (flat == (steps / res).astype(np.float32)).all()
-    assert flat.min() >= 0.0 and flat.max() <= 1.0
-
-
-def test_mesh_deterministic():
-    a = mesh_from_grid(build_grid(MENGER, 2))
-    b = mesh_from_grid(build_grid(MENGER, 2))
-    assert a.triangles.tobytes() == b.triangles.tobytes()
-    assert a.normals.tobytes() == b.normals.tobytes()
 
 
 # -- STL --------------------------------------------------------------------------
@@ -145,22 +108,19 @@ def test_stl_layout():
     assert raw[:80].rstrip(b"\0").isascii()
     (count,) = struct.unpack_from("<I", raw, 80)
     assert count == m.triangle_count == 144
-    # first record: 12 little-endian float32 then a zero attribute
-    record = struct.unpack_from("<12fH", raw, 84)
-    assert record[:3] == tuple(m.normals[0])
-    assert record[3:6] == tuple(m.triangles[0, 0])
-    assert record[12] == 0
-    # every attribute word is zero
-    for i in range(count):
-        (attr,) = struct.unpack_from("<H", raw, 84 + 50 * i + 48)
-        assert attr == 0
+    # first record, 12 little-endian float32 and a zero attribute: voxel
+    # (0, 0, 0) exposes -x first, corners (0, 0, 0), (0, 0, 1), (0, 1, 1) / 3
+    third = float(np.float32(1 / 3))
+    assert struct.unpack_from("<12fH", raw, 84) == (
+        -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, third, 0.0, third, third, 0)
 
 
 def test_stl_deterministic_bytes():
-    a, b = io.BytesIO(), io.BytesIO()
-    write_stl_binary(mesh_from_grid(build_grid(SLICES, 2)), a)
-    write_stl_binary(mesh_from_grid(build_grid(SLICES, 2)), b)
-    assert a.getvalue() == b.getvalue()
+    for kind in (MENGER, SLICES):
+        a, b = io.BytesIO(), io.BytesIO()
+        write_stl_binary(mesh_from_grid(build_grid(kind, 2)), a)
+        write_stl_binary(mesh_from_grid(build_grid(kind, 2)), b)
+        assert a.getvalue() == b.getvalue(), kind
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -195,72 +155,40 @@ def test_chunk_size_does_not_change_bytes(kind, n, monkeypatch):
         assert _digests(kind, n) == expected, chunk
 
 
-class _StlGeometry:
-    """A sink that reads a binary STL back from its bytes as they stream in,
-    whole records at a time.  It rounds each vertex to its lattice integer
-    and sums, exactly in int64, det(v0, v1, v2) (six times the enclosed
-    volume) and |(v1 - v0) x (v2 - v0)| (twice the area); it keeps every
-    directed edge a -> b as one int key."""
+def _read_back(kind, n):
+    """The grid of one model and its STL bytes read back by :class:`StlGeometry`."""
+    g = build_grid(kind, n)
+    m, sink = mesh_from_grid(g), StlGeometry(g.resolution)
+    write_stl_binary(m, sink)
+    assert not sink.pending and sink.records == sink.count == m.triangle_count
+    return g, sink
 
-    def __init__(self, res):
-        self.res = res
-        self.side = res + 1
-        self.pending = bytearray()
-        self.header = None
-        self.det = 0
-        self.area = 0
-        self.edges = []
 
-    def write(self, data):
-        self.pending += memoryview(data).tobytes()
-        if self.header is None:
-            self.header = bytes(self.pending[:84])
-            del self.pending[:84]
-        whole = len(self.pending) // 50 * 50
-        records = np.frombuffer(bytes(self.pending[:whole]), dtype=mesh._STL_RECORD)
-        del self.pending[:whole]
-        verts = np.rint(records["verts"].astype(np.float64) * self.res).astype(np.int64)
-        assert ((verts >= 0) & (verts <= self.res)).all()
-        assert ((verts / self.res).astype(np.float32) == records["verts"]).all()
-        v0, v1, v2 = verts[:, 0], verts[:, 1], verts[:, 2]
-        self.det += int((v0 * np.cross(v1, v2)).sum())
-        cross = np.cross(v1 - v0, v2 - v0)
-        # axis-aligned, so its length is its one nonzero component's size,
-        # and it points along the stored normal
-        assert (np.count_nonzero(cross, axis=1) == 1).all()
-        assert (np.sign(cross) == records["normal"]).all()
-        self.area += int(np.abs(cross).sum())
-        keys = verts[..., 0] + self.side * (verts[..., 1] + self.side * verts[..., 2])
-        self.edges.append(keys * self.side**3 + np.roll(keys, -1, axis=1))
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+@pytest.mark.parametrize("n", range(3))
+def test_triangles_are_two_per_exposed_face(kind, n):
+    g, sink = _read_back(kind, n)
+    assert sink.records == 2 * count_exposed_faces(g)
 
-    def unmatched_edges(self) -> int:
-        """Directed edges a -> b without a matching b -> a, counted as the
-        positions where the sorted edges and sorted reversed edges differ."""
-        edges = np.concatenate(self.edges).reshape(-1)
-        cube = self.side**3
-        reverse = edges % cube * cube + edges // cube
-        edges.sort()
-        reverse.sort()
-        return int(np.count_nonzero(edges != reverse))
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_menger_mesh_watertight(n):
+    assert _read_back(MENGER, n)[1].edge_defects() == (0, 0)
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
 @pytest.mark.parametrize("n", range(5))
 def test_stl_bytes_enclose_closed_form_volume_and_surface(kind, n):
-    # read back from the written bytes: the divergence theorem gives the
-    # solid count V * 27^n, the triangle areas twice the face count S * 9^n,
-    # and matched directed edges a closed, consistently wound surface
-    g = build_grid(kind, n)
-    m = mesh_from_grid(g)
-    sink = _StlGeometry(g.resolution)
-    write_stl_binary(m, sink)
-    assert not sink.pending
+    # the divergence theorem gives the solid count V * 27^n, the triangle
+    # areas twice the face count S * 9^n, and each directed edge once with
+    # its reverse a closed, consistently wound surface
+    g, sink = _read_back(kind, n)
     volume = metrics.model_volume(kind, n) * 27**n
     surface = metrics.model_surface(kind, n) * 9**n
     assert volume.denominator == surface.denominator == 1
     assert sink.det == 6 * volume
-    assert sink.area == 2 * surface == m.triangle_count
-    assert sink.unmatched_edges() == 0
+    assert sink.area == 2 * surface == sink.records
+    assert sink.edge_defects() == (0, 0)
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -348,24 +276,3 @@ def test_obj_round_trips_float32_exactly():
     for line in vs:
         for token in line.split()[1:]:
             assert np.float32(float(token)).tobytes() in allowed
-
-
-# -- watertightness -----------------------------------------------------------------
-
-def _edge_counts(m: MeshBuffer) -> Counter:
-    index = {}
-    counts = Counter()
-    for tri in m.triangles:
-        ids = []
-        for vertex in tri:
-            key = vertex.tobytes()
-            ids.append(index.setdefault(key, len(index)))
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            counts[tuple(sorted((ids[a], ids[b])))] += 1
-    return counts
-
-
-@pytest.mark.parametrize("n", [0, 1, 2])
-def test_menger_mesh_watertight(n):
-    counts = _edge_counts(mesh_from_grid(build_grid(MENGER, n)))
-    assert counts and set(counts.values()) == {2}

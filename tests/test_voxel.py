@@ -264,7 +264,6 @@ def test_guard_bits_are_zero(kind, n):
     # the +-x exposure shifts read the guard bits past each y-row as coolant
     g = build_grid(kind, n)
     assert g.stride == stride(g.resolution) > g.resolution
-    assert g.slab_bytes * 8 == g.resolution * g.stride
     assert all(len(line) * 8 == g.stride for line in g.lines)
     assert all(int.from_bytes(line, "little") >> g.resolution == 0 for line in g.lines)
     rows = unpack(g)
@@ -302,17 +301,13 @@ def test_face_counts_memory_n6():
 
 
 def test_grid_build_deterministic():
-    a = build_grid(MENGER, 3)
-    b = build_grid(MENGER, 3)
-    assert a.lines == b.lines
-    assert a.slabs == b.slabs
-    assert a.index == b.index
-    assert a.solid_count == b.solid_count
+    # every field: the line table, its numbering, and the model it holds
+    assert build_grid(MENGER, 3) == build_grid(MENGER, 3)
 
 
 def test_oracle_cap():
     with pytest.raises(OracleCapError):
-        build_grid(MENGER, 7)
+        build_grid(MENGER, 8)
     with pytest.raises(OracleCapError):
         build_grid(SLICES, 3, cap=2)
     # distinct from the closed-form cap error
@@ -347,16 +342,17 @@ def pair_count_faces(g):
     """Reference face count: 6 * solids - 2 * (solid-solid adjacent pairs),
     one pass over every z-slab, with no memo and no per-direction masks."""
     res = g.resolution
-    pairs = 0
+    solids = pairs = 0
     prev = None
     for z in range(res):
         cur = decode_slab(g, z)
+        solids += int(np.count_nonzero(cur))
         pairs += int(np.count_nonzero(cur[:, 1:] & cur[:, :-1]))  # x-neighbors
         pairs += int(np.count_nonzero(cur[1:, :] & cur[:-1, :]))  # y-neighbors
         if prev is not None:
             pairs += int(np.count_nonzero(cur & prev))  # z-neighbors
         prev = cur
-    return 6 * g.solid_count - 2 * pairs
+    return 6 * solids - 2 * pairs
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -438,8 +434,8 @@ def line_table_grids(draw):
     those slabs in any order, so equal rows and slabs recur both adjacent
     and apart.  The pool may also hold a second copy of one of its lines,
     and the slabs a second copy of one slab, so equal lines and slabs need
-    not share an id.  Only ``resolution``, ``lines``, ``slabs``, ``index``
-    and ``solid_count`` matter to the face count."""
+    not share an id.  Only ``resolution``, ``lines``, ``slabs`` and
+    ``index`` matter to the face count."""
     res = draw(st.integers(1, 12))
     width = stride(res) // 8
     line = st.one_of(st.just(0), st.just(2**res - 1), st.integers(0, 2**res - 1))
@@ -453,8 +449,7 @@ def line_table_grids(draw):
     order = draw(st.lists(st.sampled_from(range(len(slabs))), min_size=res, max_size=res))
     return VoxelGrid(kind=SLICES, n=0, resolution=res,
                      lines=tuple(bits.to_bytes(width, "little") for bits in pool),
-                     slabs=tuple(slabs), index=tuple(order),
-                     solid_count=sum(pool[i].bit_count() for z in order for i in slabs[z]))
+                     slabs=tuple(slabs), index=tuple(order))
 
 
 @settings(max_examples=150, deadline=None)
@@ -467,9 +462,9 @@ def test_face_counts_random_pooled_grids(g):
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
 def test_oracle_equivalence_n7(kind):
     # the line table reaches n = 7 (2187^3 cells) in about 0.05 s (2 vCPU,
-    # Python 3.11), beyond the CLI's oracle cap
+    # Python 3.11)
     started = time.perf_counter()
-    g = build_grid(kind, 7, cap=7)
+    g = build_grid(kind, 7)
     faces = voxel.face_counts(g)
     elapsed = time.perf_counter() - started
     assert tuple(faces) == metrics.model_face_counts(kind, 7)
@@ -495,7 +490,7 @@ def test_slab_counts(kind, n):
     g = build_grid(kind, n)
     counts = voxel.slab_counts(g)
     assert len(counts) == g.resolution
-    assert sum(counts) == g.solid_count == metrics.model_volume(kind, n) * 27**n
+    assert sum(counts) == metrics.model_volume(kind, n) * 27**n
     assert counts == [metrics.model_slab_count(kind, n, z) for z in range(g.resolution)]
     if n <= 3:
         assert counts == [int(decode_slab(g, z).sum()) for z in range(g.resolution)]
@@ -515,7 +510,6 @@ def test_grid_shape_and_edge():
     assert g.resolution == 9
     assert g.voxel_edge == Fraction(1, 9)
     assert g.stride == 16  # 9 cells and 7 guard bits per y-row
-    assert g.slab_bytes == 9 * 2
     # 5 lines of 2 bytes: the digit-one unions 0, 1, 2, 3 and the empty line
     assert g.packed.shape == (5 * 2,)
     assert g.lines == (b"\xff\x01", b"\x6d\x01", b"\xc7\x01", b"\x45\x01", b"\x00\x00")
