@@ -11,20 +11,20 @@ The writers generate and write the mesh in chunks of at most ``_CHUNK``
 consecutive faces.  This is the only module that imports numpy.  A y-row's
 exposed faces depend only on its row key: its own line and those of the
 rows at y +- 1 and of the same row in the slabs z +- 1.  :func:`_faces`
-works out each distinct key's faces once, by the exposure rule of
-:mod:`spongeheat.voxel`, keeps them as int16 (x, direction) rows (1,599
-keys and 0.6 MB for the n = 5 sponge), joins a slab's rows and hands the
-faces out chunk by chunk.  Every triangle is then assembled from small
-lookup tables indexed by (x, direction) and (y, direction): STL record
-pairs and y corners, or OBJ corner keys.  No per-face integer lattice is
-built, and every STL chunk goes through one record buffer of ``2 *
-_CHUNK`` records.  OBJ keeps vertex ids for the two z-planes of the
-current slab only, 2 * (3^n + 1)^2 int32, and its face pass renumbers the
-corners in the same order as its vertex pass.  So export memory is the
-row faces, one slab's face list and one chunk, not the mesh or a lattice
-table: the n = 5 sponge STL traces under 3 MiB, and its command peaks at
-about 31 MB resident, the OBJ at about 35 MB, a few MB above the
-interpreter and numpy.
+lists each distinct slab's line ids by y once, works out each distinct
+key's faces once, by the exposure rule of :mod:`spongeheat.voxel`, keeps
+them as int16 (x, direction) rows (1,599 keys and 0.6 MB for the n = 5
+sponge), joins a slab's rows and hands the faces out chunk by chunk.
+Every triangle is then assembled from small lookup tables indexed by
+(x, direction) and (y, direction): STL record pairs and y corners, or OBJ
+corner keys.  No per-face integer lattice is built, and every STL chunk
+goes through one record buffer of ``2 * _CHUNK`` records.  OBJ keeps
+vertex ids for the two z-planes of the current slab only, 2 * (3^n + 1)^2
+int32, and its face pass renumbers the corners in the same order as its
+vertex pass.  So export memory is the row faces, one slab's face list and
+one chunk, not the mesh or a lattice table: the n = 5 sponge STL traces
+under 3 MiB, and its command peaks at about 31 MB resident, the OBJ at
+about 35 MB, a few MB above the interpreter and numpy.
 """
 from __future__ import annotations
 
@@ -120,7 +120,9 @@ def _faces(g: VoxelGrid):
     res = g.resolution
     bits = [*map(_bits, g.lines), 0]
     outside = (len(g.lines),) * res  # the empty line beyond the lattice, in each y
-    slabs = [outside, *map(g.slabs.__getitem__, g.index), outside]
+    # each distinct slab's line ids in y order, built once
+    per_y = {s: tuple(map(g.table[s].__getitem__, g.rows)) for s in set(g.index)}
+    slabs = [outside, *map(per_y.__getitem__, g.index), outside]
     cache = {}
     y6 = np.arange(0, 6 * res, 6, dtype=np.int16)
     for z in range(res):

@@ -30,9 +30,9 @@ from typing import NamedTuple
 #: stay exact at any n; the cap bounds rational bit growth.
 CLOSED_FORM_CAP = 12
 
-#: Largest iteration order the voxel oracle accepts by default (2187^3
-#: cells, a 35 KB line table for the sponge).
-ORACLE_CAP = 7
+#: Largest iteration order the voxel oracle accepts by default (59049^3
+#: cells, a 17 MB line table for the sponge).
+ORACLE_CAP = 10
 
 #: Largest iteration order the ``mesh`` command exports: the n = 5 sponge
 #: STL is 655 MB (13.1 M triangles); n = 6 would be 12.9 GB.

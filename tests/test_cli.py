@@ -62,7 +62,7 @@ def test_voxel_verify_slices(capsys):
     assert run(["voxel-verify", "--model", "slices", "--n", "2"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "V=0.5556" in out
-    for model in ("menger", "slices"):  # the default oracle cap reaches n = 7
+    for model in ("menger", "slices"):  # within the default oracle cap (CI runs n = 10)
         assert run(["voxel-verify", "--model", model, "--n", "7"]) == 0
         assert f"PASS model={model} n=7" in capsys.readouterr().out
 
@@ -100,20 +100,21 @@ def test_voxel_verify_mismatch_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(voxel, "face_counts", counts)
 
     # plant a slab fault in the oracle grid: clear cell (0, 0) of plate z = 4
-    # only, by giving that z its own copy of the plate whose row y = 0 is a
-    # new line without cell 0
+    # only, by giving row y = 0 a row class of its own (the same line as
+    # before in every slab) and z = 4 its own copy of the plate, whose line
+    # in that class is a new line without cell 0
     build = voxel.build_grid
 
     def build_grid(kind, n, cap):
         g = build(kind, n, cap)
-        plate = g.slabs[g.index[4]]
-        line = bytearray(g.lines[plate[0]])
+        plate = g.table[g.index[4]]
+        line = bytearray(g.lines[plate[g.rows[0]]])
         line[0] &= ~1
         index = list(g.index)
-        index[4] = len(g.slabs)
-        return g._replace(lines=(*g.lines, bytes(line)),
-                          slabs=(*g.slabs, (len(g.lines), *plate[1:])),
-                          index=tuple(index))
+        index[4] = len(g.table)
+        table = [(*row, row[g.rows[0]]) for row in g.table] + [(*plate, len(g.lines))]
+        return g._replace(lines=(*g.lines, bytes(line)), table=tuple(table),
+                          index=tuple(index), rows=(len(plate), *g.rows[1:]))
 
     monkeypatch.setattr(voxel, "build_grid", build_grid)
     assert run(["voxel-verify", "--model", "slices", "--n", "2"]) == 2
@@ -220,7 +221,7 @@ def test_usage_error_bad_model(capsys):
 
 def test_oracle_cap_upward_rejected(capsys):
     assert run(["voxel-verify", "--model", "menger", "--n", "7",
-                "--oracle-cap", "8"]) == 1
+                "--oracle-cap", str(metrics.ORACLE_CAP + 1)]) == 1
     assert "lower" in capsys.readouterr().err
 
 

@@ -19,7 +19,6 @@ from spongeheat.voxel import (
     VoxelGrid,
     build_grid,
     count_exposed_faces,
-    measure_surface,
     measure_volume,
 )
 
@@ -73,8 +72,9 @@ def stride(res):
 
 def slab_bytes(g, s):
     """The one decoder of the line table: distinct slab s as little-endian
-    bytes, cell (x, y) at bit x + stride * y (its lines joined in y order)."""
-    return b"".join(g.lines[i] for i in g.slabs[s])
+    bytes, cell (x, y) at bit x + stride * y (the lines of its row classes
+    joined in y order)."""
+    return b"".join(g.lines[g.table[s][r]] for r in g.rows)
 
 
 def cell(g, x, y, z):
@@ -87,7 +87,7 @@ def unpack(g, slabs=None):
     """The distinct slabs ``slabs`` (all of them by default) as a
     (slab, y, bit) bool array, guard bits included."""
     res = g.resolution
-    ids = range(len(g.slabs)) if slabs is None else slabs
+    ids = range(len(g.table)) if slabs is None else slabs
     packed = np.frombuffer(b"".join(slab_bytes(g, s) for s in ids), dtype=np.uint8)
     bits = np.unpackbits(packed.reshape(len(ids), -1), axis=-1, bitorder="little")
     return bits.reshape(-1, res, stride(res)).view(bool)
@@ -107,8 +107,8 @@ def pack(slabs, res):
 
 
 def table_bytes(g):
-    """Memory held by the grid's line table: lines, slab tuples and index."""
-    return sum(map(sys.getsizeof, (*g.lines, *g.slabs, g.lines, g.slabs, g.index)))
+    """Memory held by the grid's line table: lines, table, index and rows."""
+    return sum(map(sys.getsizeof, (*g.lines, *g.table, g.lines, g.table, g.index, g.rows)))
 
 
 def menger_by_subdivision(x, y, z, n, res):
@@ -210,39 +210,52 @@ def test_grid_bits_match_scalar_predicate(kind, n):
 
 def menger_slab_by_digits(z, n):
     """Independent reference for sponge slab z: the base-3 digit test applied
-    one digit position at a time, with no digit-one masks."""
+    one digit position at a time, with no digit-one masks.  Digit k removes
+    cell (x, y) when two of x, y and z have digit 1 there: x and y both, or
+    either of them when z does."""
     res = 3**n
     v = np.arange(res)
-    solid = np.ones((res, res), dtype=bool)
+    removed = np.zeros((res, res), dtype=bool)
     for k in range(n):
         one = (v // 3**k) % 3 == 1
-        solid &= one[None, :].astype(int) + one[:, None] + ((z // 3**k) % 3 == 1) < 2
-    return solid
+        pair = np.logical_or if (z // 3**k) % 3 == 1 else np.logical_and
+        removed |= pair.outer(one, one)
+    return ~removed
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", range(7))
 def test_distinct_slab_build_matches_per_slab_build(n):
-    # reference: every z-slab enumerated on its own, nothing shared between
-    # z values with the same digit-one mask
+    # reference: every z-slab enumerated on its own, cell by cell, nothing
+    # shared between z values with the same digit-one mask; the grid grows
+    # its lines one digit at a time
     g = build_grid(MENGER, n)
-    slabs = [menger_slab_by_digits(z, n) for z in range(g.resolution)]
-    width = stride(g.resolution) // 8
+    res = g.resolution
+    width = stride(res) // 8
     assert (g.packed.format, g.packed.ndim, g.packed.readonly) == ("B", 1, True)
     assert g.packed == b"".join(g.lines)
-    # each distinct y-row once: at most 2^n + 1 lines (the digit-one unions
-    # and the empty line), every one of them used; 2^n distinct slabs
-    assert len(set(g.lines)) == len(g.lines) <= 2**n + 1
+    # each distinct y-row once: the 2^n digit-one unions and the empty line
+    # last, every one of them used (the empty line from n = 1 on), in a
+    # 2^n x 2^n table keyed by the digit-one masks of z and y
+    assert len(set(g.lines)) == len(g.lines) == 2**n + 1
+    assert g.lines[-1] == bytes(width)
     assert {len(line) for line in g.lines} == {width}
-    assert {i for slab in g.slabs for i in slab} == set(range(len(g.lines)))
-    assert len(g.slabs) == len(set(g.slabs)) == 2**n
-    assert {len(slab) for slab in g.slabs} == {g.resolution}
-    assert b"".join(slab_bytes(g, s) for s in g.index) == pack(slabs, g.resolution)
-    assert g.solid_count == sum(int(np.count_nonzero(slab)) for slab in slabs)
+    assert {i for row in g.table for i in row} | {2**n} == set(range(len(g.lines)))
+    assert len(g.table) == len(set(g.table)) == 2**n
+    assert {len(row) for row in g.table} == {2**n}
+    assert g.rows == g.index and set(g.index) == set(range(2**n))
+    solids = 0
+    for z in range(res):
+        slab = menger_slab_by_digits(z, n)
+        assert slab_bytes(g, g.index[z]) == pack([slab], res), z
+        solids += int(np.count_nonzero(slab))
+    assert g.solid_count == solids
 
     g = build_grid(SLICES, n)
     assert g.index == tuple(z % 2 for z in range(g.resolution))
+    assert g.rows == (0,) * g.resolution
+    assert g.table == ((0,), (1,))
     full = np.ones((g.resolution, g.resolution), dtype=bool)
-    assert len(g.lines) == len(g.slabs) == 2
+    assert len(g.lines) == 2
     assert slab_bytes(g, 0) + slab_bytes(g, 1) == pack([full, ~full], g.resolution)
 
 
@@ -267,15 +280,16 @@ def test_guard_bits_are_zero(kind, n):
     assert all(len(line) * 8 == g.stride for line in g.lines)
     assert all(int.from_bytes(line, "little") >> g.resolution == 0 for line in g.lines)
     rows = unpack(g)
-    assert len(rows) == len(g.slabs) == len(set(g.index))
+    assert len(rows) == len(g.table)
     assert not rows[..., g.resolution:].any()
 
 
 def test_grid_build_memory_n6():
     # the build allocates the line table (for the sponge, 65 lines of 92
-    # bytes and 64 slabs of 729 line ids, 0.39 MB in all; 18 KB for the
-    # slices) plus O(res) scratch, about 30 KB; joining the slabs as
-    # bitsets would add 4.3 MB
+    # bytes, a 64 x 64 table of line ids and the z and y indexes, 56 KB in
+    # all; 12 KB for the slices) plus O(res) scratch, about 10 KB; a line id
+    # per slab and y took 0.39 MB, and joining the slabs as bitsets would
+    # add 4.3 MB
     for kind in (MENGER, SLICES):
         tracemalloc.start()
         try:
@@ -283,13 +297,14 @@ def test_grid_build_memory_n6():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < table_bytes(g) + 64 * 2**10, (kind, peak - table_bytes(g))
+        assert peak < table_bytes(g) + 32 * 2**10, (kind, peak - table_bytes(g))
 
 
 def test_face_counts_memory_n6():
-    # the count holds no slab bitset: only the line ints, each y's column
-    # of line ids and the line-pair memo (about 0.56 MB for the sponge);
-    # joining each distinct slab as an int took 1 MB, and 4.6 MB for all
+    # the count holds no slab bitset and no column of line ids per y: only
+    # the line ints, the class pairs and the line-pair memo (about 80 KB for
+    # the sponge; 0.56 MB with a column per y); joining each distinct slab
+    # as an int took 1 MB, and 4.6 MB for all
     g = build_grid(MENGER, 6)
     tracemalloc.start()
     try:
@@ -297,7 +312,7 @@ def test_face_counts_memory_n6():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**20, peak / 2**20
+    assert peak < 2**18, peak / 2**10
 
 
 def test_grid_build_deterministic():
@@ -307,7 +322,7 @@ def test_grid_build_deterministic():
 
 def test_oracle_cap():
     with pytest.raises(OracleCapError):
-        build_grid(MENGER, 8)
+        build_grid(MENGER, metrics.ORACLE_CAP + 1)
     with pytest.raises(OracleCapError):
         build_grid(SLICES, 3, cap=2)
     # distinct from the closed-form cap error
@@ -362,7 +377,7 @@ def test_face_count_matches_pair_count_reference(kind, n):
     assert count_exposed_faces(g) == pair_count_faces(g)
 
 
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", range(10))
 def test_face_counts_per_direction_closed_forms(n):
     # the sponge is symmetric under the cube's rotations; slices expose
     # their plate faces on +-z and their rims on +-x and +-y
@@ -419,9 +434,9 @@ def test_face_counts_exact_for_one_row_per_slab(kind):
     # count must not assume distinct ids differ
     g = build_grid(kind, 3)
     res = g.resolution
-    lines = tuple(g.lines[i] for s in g.index for i in g.slabs[s])
-    slabs = tuple(tuple(range(z * res, (z + 1) * res)) for z in range(res))
-    spread = g._replace(lines=lines, slabs=slabs, index=tuple(range(res)))
+    lines = tuple(g.lines[g.table[s][r]] for s in g.index for r in g.rows)
+    table = tuple(tuple(range(z * res, (z + 1) * res)) for z in range(res))
+    spread = g._replace(lines=lines, table=table, index=tuple(range(res)), rows=tuple(range(res)))
     assert [slab_bytes(spread, z) for z in range(res)] == [slab_bytes(g, s) for s in g.index]
     assert voxel.face_counts(spread) == voxel.face_counts(g)
     assert _summed_masks(spread) == _summed_masks(g)
@@ -430,26 +445,29 @@ def test_face_counts_exact_for_one_row_per_slab(kind):
 @st.composite
 def line_table_grids(draw):
     """A hand-built line table of any resolution: a pool of random, empty
-    or full lines, slabs of random line ids per y, and an index drawing
-    those slabs in any order, so equal rows and slabs recur both adjacent
-    and apart.  The pool may also hold a second copy of one of its lines,
-    and the slabs a second copy of one slab, so equal lines and slabs need
-    not share an id.  Only ``resolution``, ``lines``, ``slabs`` and
-    ``index`` matter to the face count."""
+    or full lines, slabs of random line ids per row class, and index and
+    rows drawing those slabs and classes in any order, so equal rows and
+    slabs recur both adjacent and apart.  The pool may also hold a second
+    copy of one of its lines, and the table a second copy of one slab, so
+    equal lines and slabs need not share an id; classes may be unused or
+    equal.  Only ``resolution``, ``lines``, ``table``, ``index`` and
+    ``rows`` matter to the face count."""
     res = draw(st.integers(1, 12))
     width = stride(res) // 8
     line = st.one_of(st.just(0), st.just(2**res - 1), st.integers(0, 2**res - 1))
     pool = draw(st.lists(line, min_size=1, max_size=res + 1))
     if draw(st.booleans()):
         pool.append(draw(st.sampled_from(pool)))
-    slab = st.lists(st.sampled_from(range(len(pool))), min_size=res, max_size=res)
-    slabs = draw(st.lists(slab.map(tuple), min_size=1, max_size=3))
+    classes = draw(st.integers(1, res))
+    slab = st.lists(st.sampled_from(range(len(pool))), min_size=classes, max_size=classes)
+    table = draw(st.lists(slab.map(tuple), min_size=1, max_size=3))
     if draw(st.booleans()):
-        slabs.append(draw(st.sampled_from(slabs)))
-    order = draw(st.lists(st.sampled_from(range(len(slabs))), min_size=res, max_size=res))
+        table.append(draw(st.sampled_from(table)))
+    order = draw(st.lists(st.sampled_from(range(len(table))), min_size=res, max_size=res))
+    rows = draw(st.lists(st.sampled_from(range(classes)), min_size=res, max_size=res))
     return VoxelGrid(kind=SLICES, n=0, resolution=res,
                      lines=tuple(bits.to_bytes(width, "little") for bits in pool),
-                     slabs=tuple(slabs), index=tuple(order))
+                     table=tuple(table), index=tuple(order), rows=tuple(rows))
 
 
 @settings(max_examples=150, deadline=None)
@@ -461,7 +479,7 @@ def test_face_counts_random_pooled_grids(g):
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
 def test_oracle_equivalence_n7(kind):
-    # the line table reaches n = 7 (2187^3 cells) in about 0.05 s (2 vCPU,
+    # the line table reaches n = 7 (2187^3 cells) in about 0.03 s (2 vCPU,
     # Python 3.11)
     started = time.perf_counter()
     g = build_grid(kind, 7)
@@ -479,11 +497,11 @@ def test_oracle_equivalence_small(kind, n):
     # acceptance suite
     g = build_grid(kind, n)
     assert measure_volume(g) == metrics.model_volume(kind, n)
-    assert measure_surface(g) == metrics.model_surface(kind, n)
+    assert count_exposed_faces(g) * g.voxel_edge**2 == metrics.model_surface(kind, n)
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", range(10))
 def test_slab_counts(kind, n):
     # per-z solid counts: each equals its closed form, and together they are
     # the solid count V * 27^n
@@ -500,9 +518,10 @@ def test_measure_examples():
     assert measure_volume(build_grid(MENGER, 1)) == Fraction(20, 27)
     assert measure_volume(build_grid(SLICES, 1)) == Fraction(2, 3)
     assert measure_volume(build_grid(MENGER, 4)) == Fraction(160000, 531441)
-    assert measure_surface(build_grid(MENGER, 0)) == 6
-    assert measure_surface(build_grid(SLICES, 4)) == Fraction(6806, 81)
-    assert measure_surface(build_grid(MENGER, 3)) == Fraction(18048, 729)
+    for kind, n, surface in [(MENGER, 0, 6), (SLICES, 4, Fraction(6806, 81)),
+                             (MENGER, 3, Fraction(18048, 729))]:
+        g = build_grid(kind, n)
+        assert count_exposed_faces(g) * g.voxel_edge**2 == surface
 
 
 def test_grid_shape_and_edge():
@@ -513,5 +532,6 @@ def test_grid_shape_and_edge():
     # 5 lines of 2 bytes: the digit-one unions 0, 1, 2, 3 and the empty line
     assert g.packed.shape == (5 * 2,)
     assert g.lines == (b"\xff\x01", b"\x6d\x01", b"\xc7\x01", b"\x45\x01", b"\x00\x00")
-    assert g.slabs[0] == (0, 1, 0, 2, 3, 2, 0, 1, 0)
-    assert g.index == (0, 1, 0, 2, 3, 2, 0, 1, 0)
+    # slab s, row class r: the empty line 4 if s & r, else line s | r
+    assert g.table == ((0, 1, 2, 3), (1, 4, 3, 4), (2, 3, 4, 4), (3, 4, 4, 4))
+    assert g.index == g.rows == (0, 1, 0, 2, 3, 2, 0, 1, 0)
