@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .voxel import VoxelGrid, _across, _bits, _in_plane, count_exposed_faces
+from .voxel import VoxelGrid, _across, _along, count_exposed_faces
 
 #: Face directions in emission order; normals point from solid into coolant.
 _NORMALS = np.array(
@@ -87,17 +87,17 @@ class MeshBuffer(NamedTuple):
 _CHUNK = 4096
 
 
-def _row_faces(keys: list, bits: list, stride: int) -> list:
+def _row_faces(keys: list, lines: list, stride: int) -> list:
     """The exposed faces of each row key, as ascending int16 rows x * 6 + d
     of the (x, direction) tables.  A key holds the line ids of the row,
     of the rows at y + 1 and y - 1, and of the same row in slabs z + 1 and
-    z - 1, indexing the line ints ``bits``; exposure is the rule of
-    :mod:`spongeheat.voxel`."""
+    z - 1, indexing ``lines``; exposure is the rule of
+    :mod:`spongeheat.voxel`.  Each mask is unpacked from ``stride`` bits."""
     width = stride // 8
     masks = []
     for key in keys:
-        cur, *nearby = map(bits.__getitem__, key)
-        masks += _in_plane(cur, stride)[:2]
+        cur, *nearby = map(lines.__getitem__, key)
+        masks += _along(cur)
         masks += (_across(cur, b) for b in nearby)
     raw = b"".join(mask.to_bytes(width, byteorder="little") for mask in masks)
     # bit x of direction d of each key, unpacked as (key, direction, x) and
@@ -118,7 +118,7 @@ def _faces(g: VoxelGrid):
     joins its rows' lists.
     """
     res = g.resolution
-    bits = [*map(_bits, g.lines), 0]
+    lines = [*g.lines, 0]
     outside = (len(g.lines),) * res  # the empty line beyond the lattice, in each y
     # each distinct slab's line ids in y order, built once
     per_y = {s: tuple(map(g.table[s].__getitem__, g.rows)) for s in set(g.index)}
@@ -130,7 +130,7 @@ def _faces(g: VoxelGrid):
         keys = list(zip(cur, cur[1:] + outside[:1], outside[:1] + cur[:-1], above, below))
         new = [key for key in dict.fromkeys(keys) if key not in cache]
         if new:
-            cache.update(zip(new, _row_faces(new, bits, g.stride)))
+            cache.update(zip(new, _row_faces(new, lines, g.stride)))
         rows = list(map(cache.__getitem__, keys))
         xd = np.concatenate(rows)
         yd = np.repeat(y6, list(map(len, rows))) + xd - xd // 6 * 6  # xd % 6, only faster

@@ -6,35 +6,32 @@ measured volume and surface must equal the closed forms in
 :mod:`spongeheat.metrics` with plain rational equality.  That check is the
 central anti-regression property of the package.
 
-Occupancy is stored as a line table, in plain Python bytes and ints (this
-module imports no numpy).  A y-row is a little-endian bitset of W = 8 *
-((3^n + 8) // 8) bits, cell x at bit x: whole bytes, ending in at least one
-zero guard bit, since 3^n is never a multiple of 8.  ``VoxelGrid.lines``
-holds each distinct row once, and row y of slab z is line
-``table[index[z]][rows[y]]``: ``index`` maps z to its slab and ``rows``
-maps y to its row class.  A sponge cell is solid iff no base-3 digit
-position is 1 in two or more of x, y and z, so a row depends on y and z
-only through their digit-one masks (the set of digits equal to 1).  The
-sponge table is 2^n x 2^n, keyed by those masks, and ``rows`` equals
-``index``: the row of slab s and class r is the empty line if s & r, else
-line s | r, so there are 2^n + 1 lines (65 lines, 6 KB at n = 6).  A slice
-row depends only on z % 2: two slabs, one row class, a full line and the
+Occupancy is stored as a line table of plain Python ints (this module
+imports no numpy).  A y-row is an int bitset, cell x at bit x, with no bit
+set at or above 3^n.  ``VoxelGrid.lines`` holds each distinct row once,
+and row y of slab z is line ``table[index[z]][rows[y]]``: ``index`` maps z
+to its slab and ``rows`` maps y to its row class.  A sponge cell is solid
+iff no base-3 digit position is 1 in two or more of x, y and z, so a row
+depends on y and z only through their digit-one masks (the set of digits
+equal to 1).  The sponge table is 2^n x 2^n, keyed by those masks, and
+``rows`` equals ``index``: the row of slab s and class r is the empty line
+if s & r, else line s | r, so there are 2^n + 1 lines.  A slice row
+depends only on z % 2: two slabs, one row class, a full line and the
 empty one.  Grids are never mutated afterwards, and all measurements are
 read-only.  The solid count is not stored: ``VoxelGrid.solid_count`` sums
 :func:`slab_counts`, which popcounts each line once, so the volume and the
 per-slab report of a failed verification read one count.
 
 Exposure is defined here once: a face is exposed when its cell is solid and
-the cell across it is coolant or outside the lattice.  On a slab bitset s
-(its rows joined in y order, cell (x, y) at bit x + W * y) that is
-s & ~(s >> 1) for +x and s & ~(s << 1) for -x (the guard bits are the
-coolant beyond each row's ends), shifts by W for +-y, and a & ~b between
-adjacent slabs for +-z.  The same two rules apply line by line: the
-x-shifts to a single line, and a & ~b between the lines of adjacent rows
-(+-y) or of the same row in adjacent slabs (+-z).  :func:`face_counts`
-counts per table entry, once per (slab, row class), pair of consecutive
-classes or pair of consecutive slabs, and the mesh writers list each
-distinct row's exposed faces by the same rule.
+the cell across it is coolant or outside the lattice.  On a line that is
+line & ~(line >> 1) for +x and line & ~(line << 1) for -x (the zeros
+shifted in past each end are the coolant beyond the row), and a & ~b
+between the lines of adjacent rows (+-y) or of the same row in adjacent
+slabs (+-z).  :func:`face_counts` counts per table entry, once per (slab,
+row class), pair of consecutive classes or pair of consecutive slabs, and
+the mesh writers list each distinct row's exposed faces by the same rule.
+Bytes appear only in ``VoxelGrid.packed``, whose fixed-width rows end in
+zero guard bits, and in the mesh writers' unpacking of exposure masks.
 """
 from __future__ import annotations
 
@@ -55,17 +52,17 @@ class OracleCapError(ValueError):
 class VoxelGrid(NamedTuple):
     """Immutable occupancy grid of one model at order n, as a line table.
 
-    ``lines`` holds each distinct y-row once, ``stride // 8`` bytes,
-    little-endian: cell x of the row is bit x, and the guard bits
-    x >= resolution are zero.  ``table`` holds one line id per slab and
-    row class, ``index`` the slab of each z and ``rows`` the row class of
-    each y, so row y of slab z is line ``table[index[z]][rows[y]]``.
+    ``lines`` holds each distinct y-row once as an int: cell x of the row
+    is bit x, and no bit is set at or above ``resolution``.  ``table``
+    holds one line id per slab and row class, ``index`` the slab of each z
+    and ``rows`` the row class of each y, so row y of slab z is line
+    ``table[index[z]][rows[y]]``.
     """
 
     kind: ModelKind
     n: int
     resolution: int
-    lines: tuple[bytes, ...]  # distinct y-rows
+    lines: tuple[int, ...]  # distinct y-rows
     table: tuple[tuple[int, ...], ...]  # per slab: one line id per row class
     index: tuple[int, ...]  # one slab id per z
     rows: tuple[int, ...]  # one row class per y
@@ -77,9 +74,12 @@ class VoxelGrid(NamedTuple):
 
     @property
     def packed(self) -> memoryview:
-        """The line table back to back (read-only, 1-D): line i is bytes
-        [i * stride // 8, (i + 1) * stride // 8)."""
-        return memoryview(b"".join(self.lines))
+        """The line table back to back as bytes (read-only, 1-D): line i is
+        bytes [i * stride // 8, (i + 1) * stride // 8), little-endian, its
+        guard bits x >= resolution zero."""
+        width = self.stride // 8
+        return memoryview(b"".join(line.to_bytes(width, byteorder="little")
+                                   for line in self.lines))
 
     @property
     def voxel_edge(self) -> Fraction:
@@ -87,17 +87,9 @@ class VoxelGrid(NamedTuple):
 
     @property
     def stride(self) -> int:
-        return _stride(self.resolution)
-
-
-def _stride(res: int) -> int:
-    # bits per y-row: the least multiple of 8 above res, so that every row
-    # is whole bytes and ends in at least one zero guard bit
-    return 8 * ((res + 8) // 8)
-
-
-def _bits(line: bytes) -> int:
-    return int.from_bytes(line, byteorder="little")
+        # bits per packed y-row: the least multiple of 8 above resolution,
+        # so that every row is whole bytes and ends in a zero guard bit
+        return 8 * ((self.resolution + 8) // 8)
 
 
 def _weights(ids: tuple[int, ...], size: int) -> list[int]:
@@ -123,34 +115,32 @@ def build_grid(kind: ModelKind, n: int, cap: int = ORACLE_CAP) -> VoxelGrid:
         # a time: over k + 1 digits, x = x' + 3^k * d with d = 0 and 2
         # always and d = 1 only when digit k is not in u, and the masks
         # repeat three times, the middle copy with digit k.
-        bits, masks = [1], [0]
+        lines, masks = [1], [0]
         for k in range(n):
             step = 3**k
-            outer = [a | a << 2 * step for a in bits]
-            bits = [a | b << step for a, b in zip(outer, bits)] + outer
+            outer = [a | a << 2 * step for a in lines]
+            lines = [a | b << step for a, b in zip(outer, lines)] + outer
             masks = masks + [m | 1 << k for m in masks] + masks
         # row class r of slab s: the empty line when a digit is 1 in both
         # y and z, else the line of the union of their masks
-        empty = len(bits)
+        empty = len(lines)
         ids = list(range(empty))  # one int object per id, shared by the table
         table = tuple(tuple([empty if s & r else ids[s | r] for r in ids]) for s in ids)
         index = rows = tuple(masks)
     else:
         # plates on the even z, one full line; the gaps empty
-        bits = [(1 << res) - 1]
+        lines = [(1 << res) - 1]
         table = ((0,), (1,))
         index = tuple(z % 2 for z in range(res))
         rows = (0,) * res
-    width = _stride(res) // 8
-    lines = tuple(line.to_bytes(width, byteorder="little") for line in (*bits, 0))
-    return VoxelGrid(kind=kind, n=n, resolution=res, lines=lines, table=table, index=index,
-                     rows=rows)
+    return VoxelGrid(kind=kind, n=n, resolution=res, lines=(*lines, 0), table=table,
+                     index=index, rows=rows)
 
 
 def slab_counts(g: VoxelGrid) -> list[int]:
     """Solid cells of each z-slab, z = 0..resolution-1, popcounting each
     line of ``g.lines`` once and weighting it by its row class."""
-    solids = [_bits(line).bit_count() for line in g.lines]
+    solids = [line.bit_count() for line in g.lines]
     weights = _weights(g.rows, len(g.table[0]))
     counts = [_dot(weights, map(solids.__getitem__, row)) for row in g.table]
     return list(map(counts.__getitem__, g.index))
@@ -161,18 +151,16 @@ def measure_volume(g: VoxelGrid) -> Fraction:
     return g.solid_count * g.voxel_edge**3
 
 
-def _in_plane(s: int, stride: int) -> tuple[int, int, int, int]:
-    """The bitsets of slab ``s``'s cells exposed in +x, -x, +y, -y.  The zero
-    guard bits stand for the coolant beyond both ends of each y-row, and the
-    shifted-in zeros for the coolant beyond the first and last row.  On a
-    single line, the first two are its +x and -x exposure."""
-    return s & ~(s >> 1), s & ~(s << 1), s & ~(s >> stride), s & ~(s << stride)
+def _along(line: int) -> tuple[int, int]:
+    """The bitsets of ``line``'s cells exposed in +x and -x: the zeros
+    shifted in past either end stand for the coolant beyond the row."""
+    return line & ~(line >> 1), line & ~(line << 1)
 
 
 def _across(a: int, b: int) -> int:
-    """The bitset of ``a``'s cells exposed towards the adjacent ``b``: a
-    slab and its z-neighbour, or a line and the line next to it in y (0
-    when the neighbour lies outside the lattice)."""
+    """The bitset of line ``a``'s cells exposed towards the adjacent line
+    ``b``: the row next to it in y, or the same row in the next slab in z
+    (0 when the neighbour lies outside the lattice)."""
     return a & ~b
 
 
@@ -189,14 +177,14 @@ def face_counts(g: VoxelGrid) -> list[int]:
     beyond the lattice.  Exact for any line table, even one that stores two
     equal lines, classes or slabs under different ids."""
     outside = len(g.lines)  # the empty line beyond the lattice
-    bits = [*map(_bits, g.lines), 0]
-    plus_x = [_in_plane(line, g.stride)[0].bit_count() for line in bits]
-    minus_x = [_in_plane(line, g.stride)[1].bit_count() for line in bits]
+    lines = (*g.lines, 0)
+    plus_x = [_along(line)[0].bit_count() for line in lines]
+    minus_x = [_along(line)[1].bit_count() for line in lines]
 
     @lru_cache(maxsize=None)
     def exposed(a: int, b: int) -> int:
         # the faces line a exposes towards line b, counted once per pair
-        return _across(bits[a], bits[b]).bit_count()
+        return _across(lines[a], lines[b]).bit_count()
 
     classes = len(g.table[0])
     slab_weights = _weights(g.index, len(g.table))

@@ -108,12 +108,11 @@ def test_voxel_verify_mismatch_exits_2(capsys, monkeypatch):
     def build_grid(kind, n, cap):
         g = build(kind, n, cap)
         plate = g.table[g.index[4]]
-        line = bytearray(g.lines[plate[g.rows[0]]])
-        line[0] &= ~1
+        line = g.lines[plate[g.rows[0]]] & ~1
         index = list(g.index)
         index[4] = len(g.table)
         table = [(*row, row[g.rows[0]]) for row in g.table] + [(*plate, len(g.lines))]
-        return g._replace(lines=(*g.lines, bytes(line)), table=tuple(table),
+        return g._replace(lines=(*g.lines, line), table=tuple(table),
                           index=tuple(index), rows=(len(plate), *g.rows[1:]))
 
     monkeypatch.setattr(voxel, "build_grid", build_grid)

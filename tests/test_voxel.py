@@ -66,44 +66,30 @@ def is_solid_slices(x: int, y: int, z: int, n: int) -> bool:
 
 
 def stride(res):
-    """Bits per y-row: whole bytes, at least one guard bit past x = res - 1."""
+    """Bits per packed y-row: whole bytes, at least one guard bit past
+    x = res - 1."""
     return 8 * ((res + 8) // 8)
 
 
-def slab_bytes(g, s):
-    """The one decoder of the line table: distinct slab s as little-endian
-    bytes, cell (x, y) at bit x + stride * y (the lines of its row classes
-    joined in y order)."""
-    return b"".join(g.lines[g.table[s][r]] for r in g.rows)
+def slab_lines(g, s):
+    """The one decoder of the line table: distinct slab s as its y-rows, in
+    y order, each an int with cell x at bit x."""
+    return [g.lines[g.table[s][r]] for r in g.rows]
 
 
 def cell(g, x, y, z):
-    """Bit x + stride * y of slab z."""
-    i = x + stride(g.resolution) * y
-    return bool(slab_bytes(g, g.index[z])[i // 8] >> (i % 8) & 1)
-
-
-def unpack(g, slabs=None):
-    """The distinct slabs ``slabs`` (all of them by default) as a
-    (slab, y, bit) bool array, guard bits included."""
-    res = g.resolution
-    ids = range(len(g.table)) if slabs is None else slabs
-    packed = np.frombuffer(b"".join(slab_bytes(g, s) for s in ids), dtype=np.uint8)
-    bits = np.unpackbits(packed.reshape(len(ids), -1), axis=-1, bitorder="little")
-    return bits.reshape(-1, res, stride(res)).view(bool)
+    """Bit x of row y of slab z."""
+    return bool(slab_lines(g, g.index[z])[y] >> x & 1)
 
 
 def decode_slab(g, z):
     """Slab z as a (y, x) bool array."""
-    return unpack(g, [g.index[z]])[0, :, :g.resolution]
-
-
-def pack(slabs, res):
-    """(y, x) bool slabs of resolution res as bytes in the layout of
-    :func:`slab_bytes`, back to back."""
-    bits = np.zeros((len(slabs), res, stride(res)), dtype=bool)
-    bits[..., :res] = slabs
-    return np.packbits(bits, axis=-1, bitorder="little").tobytes()
+    res = g.resolution
+    width = (res + 7) // 8
+    raw = b"".join(line.to_bytes(width, "little") for line in slab_lines(g, g.index[z]))
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(res, width), axis=1,
+                         bitorder="little")
+    return bits[:, :res].view(bool)
 
 
 def table_bytes(g):
@@ -230,15 +216,11 @@ def test_distinct_slab_build_matches_per_slab_build(n):
     # its lines one digit at a time
     g = build_grid(MENGER, n)
     res = g.resolution
-    width = stride(res) // 8
-    assert (g.packed.format, g.packed.ndim, g.packed.readonly) == ("B", 1, True)
-    assert g.packed == b"".join(g.lines)
     # each distinct y-row once: the 2^n digit-one unions and the empty line
     # last, every one of them used (the empty line from n = 1 on), in a
     # 2^n x 2^n table keyed by the digit-one masks of z and y
     assert len(set(g.lines)) == len(g.lines) == 2**n + 1
-    assert g.lines[-1] == bytes(width)
-    assert {len(line) for line in g.lines} == {width}
+    assert g.lines[-1] == 0
     assert {i for row in g.table for i in row} | {2**n} == set(range(len(g.lines)))
     assert len(g.table) == len(set(g.table)) == 2**n
     assert {len(row) for row in g.table} == {2**n}
@@ -246,7 +228,7 @@ def test_distinct_slab_build_matches_per_slab_build(n):
     solids = 0
     for z in range(res):
         slab = menger_slab_by_digits(z, n)
-        assert slab_bytes(g, g.index[z]) == pack([slab], res), z
+        assert np.array_equal(decode_slab(g, z), slab), z
         solids += int(np.count_nonzero(slab))
     assert g.solid_count == solids
 
@@ -254,9 +236,9 @@ def test_distinct_slab_build_matches_per_slab_build(n):
     assert g.index == tuple(z % 2 for z in range(g.resolution))
     assert g.rows == (0,) * g.resolution
     assert g.table == ((0,), (1,))
-    full = np.ones((g.resolution, g.resolution), dtype=bool)
     assert len(g.lines) == 2
-    assert slab_bytes(g, 0) + slab_bytes(g, 1) == pack([full, ~full], g.resolution)
+    full = 2**g.resolution - 1
+    assert slab_lines(g, 0) == [full] * g.resolution and slab_lines(g, 1) == [0] * g.resolution
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -274,21 +256,25 @@ def test_grid_bits_match_scalar_predicate_sampled(kind, n):
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
 @pytest.mark.parametrize("n", range(7))
 def test_guard_bits_are_zero(kind, n):
-    # the +-x exposure shifts read the guard bits past each y-row as coolant
+    # the +-x exposure shifts read the zeros past each end of a line as
+    # coolant, so no line holds a bit at or above the resolution; packed,
+    # every line is stride bits, little-endian, so its guard bits are zero
     g = build_grid(kind, n)
+    assert all(0 <= line < 1 << g.resolution for line in g.lines)
     assert g.stride == stride(g.resolution) > g.resolution
-    assert all(len(line) * 8 == g.stride for line in g.lines)
-    assert all(int.from_bytes(line, "little") >> g.resolution == 0 for line in g.lines)
-    rows = unpack(g)
-    assert len(rows) == len(g.table)
-    assert not rows[..., g.resolution:].any()
+    width = g.stride // 8
+    packed = g.packed
+    assert (packed.format, packed.ndim, packed.readonly) == ("B", 1, True)
+    assert packed.nbytes == width * len(g.lines)
+    assert [int.from_bytes(packed[i * width:(i + 1) * width], "little")
+            for i in range(len(g.lines))] == list(g.lines)
 
 
 def test_grid_build_memory_n6():
-    # the build allocates the line table (for the sponge, 65 lines of 92
-    # bytes, a 64 x 64 table of line ids and the z and y indexes, 56 KB in
-    # all; 12 KB for the slices) plus O(res) scratch, about 10 KB; a line id
-    # per slab and y took 0.39 MB, and joining the slabs as bitsets would
+    # the build allocates the line table (for the sponge, 65 int lines of
+    # 124 bytes, a 64 x 64 table of line ids and the z and y indexes, 56 KB
+    # in all; 12 KB for the slices) plus O(res) scratch, about 2 KB; a line
+    # id per slab and y took 0.39 MB, and joining the slabs as bitsets would
     # add 4.3 MB
     for kind in (MENGER, SLICES):
         tracemalloc.start()
@@ -313,6 +299,21 @@ def test_face_counts_memory_n6():
     finally:
         tracemalloc.stop()
     assert peak < 2**18, peak / 2**10
+
+
+def test_face_counts_memory_n9():
+    # the count reads the grid's line ints as they are: the memo of line
+    # pairs, the class pairs and the per-line +-x counts take about 1.3 MB
+    # for the sponge; a second copy of the 513 lines as ints, decoded from
+    # bytes, took it to 2.7 MB
+    g = build_grid(MENGER, 9)
+    tracemalloc.start()
+    try:
+        voxel.face_counts(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak / 1e6
 
 
 def test_grid_build_deterministic():
@@ -377,7 +378,7 @@ def test_face_count_matches_pair_count_reference(kind, n):
     assert count_exposed_faces(g) == pair_count_faces(g)
 
 
-@pytest.mark.parametrize("n", range(10))
+@pytest.mark.parametrize("n", range(metrics.ORACLE_CAP + 1))
 def test_face_counts_per_direction_closed_forms(n):
     # the sponge is symmetric under the cube's rotations; slices expose
     # their plate faces on +-z and their rims on +-x and +-y
@@ -393,20 +394,26 @@ def test_face_counts_per_direction_closed_forms(n):
 
 
 def slab_int(g, slab):
-    """Distinct slab ``slab`` as one int bitset, cell (x, y) at bit
-    x + stride * y."""
-    return int.from_bytes(slab_bytes(g, slab), byteorder="little")
+    """Distinct slab ``slab`` as one int bitset, its rows joined in y order
+    at ``stride`` bits each: cell (x, y) at bit x + stride * y, and zero
+    guard bits between the rows."""
+    width = stride(g.resolution) // 8
+    return int.from_bytes(b"".join(line.to_bytes(width, "little")
+                                   for line in slab_lines(g, slab)), "little")
 
 
 def exposed_bits(g, z):
     """Slab-level reference: slab z's exposed faces as six bitsets in the
-    joined slab layout, directions in the order +x, -x, +y, -y, +z, -z,
-    each a whole-slab shift of the voxel exposure rule."""
+    joined slab layout, directions in the order +x, -x, +y, -y, +z, -z.
+    Each is a whole-slab shift: by 1 for +-x, the guard bits standing for
+    the coolant beyond each row's ends, by ``stride`` for +-y, and against
+    the adjacent slab (0 outside the lattice) for +-z."""
+    w = stride(g.resolution)
     cur = slab_int(g, g.index[z])
-    above, below = (slab_int(g, g.index[w]) if 0 <= w < g.resolution else 0
-                    for w in (z + 1, z - 1))
-    return (*voxel._in_plane(cur, g.stride), voxel._across(cur, above),
-            voxel._across(cur, below))
+    above, below = (slab_int(g, g.index[v]) if 0 <= v < g.resolution else 0
+                    for v in (z + 1, z - 1))
+    return (cur & ~(cur >> 1), cur & ~(cur << 1), cur & ~(cur >> w), cur & ~(cur << w),
+            cur & ~above, cur & ~below)
 
 
 def _summed_masks(g):
@@ -437,7 +444,7 @@ def test_face_counts_exact_for_one_row_per_slab(kind):
     lines = tuple(g.lines[g.table[s][r]] for s in g.index for r in g.rows)
     table = tuple(tuple(range(z * res, (z + 1) * res)) for z in range(res))
     spread = g._replace(lines=lines, table=table, index=tuple(range(res)), rows=tuple(range(res)))
-    assert [slab_bytes(spread, z) for z in range(res)] == [slab_bytes(g, s) for s in g.index]
+    assert [slab_lines(spread, z) for z in range(res)] == [slab_lines(g, s) for s in g.index]
     assert voxel.face_counts(spread) == voxel.face_counts(g)
     assert _summed_masks(spread) == _summed_masks(g)
 
@@ -453,7 +460,6 @@ def line_table_grids(draw):
     equal.  Only ``resolution``, ``lines``, ``table``, ``index`` and
     ``rows`` matter to the face count."""
     res = draw(st.integers(1, 12))
-    width = stride(res) // 8
     line = st.one_of(st.just(0), st.just(2**res - 1), st.integers(0, 2**res - 1))
     pool = draw(st.lists(line, min_size=1, max_size=res + 1))
     if draw(st.booleans()):
@@ -466,7 +472,7 @@ def line_table_grids(draw):
     order = draw(st.lists(st.sampled_from(range(len(table))), min_size=res, max_size=res))
     rows = draw(st.lists(st.sampled_from(range(classes)), min_size=res, max_size=res))
     return VoxelGrid(kind=SLICES, n=0, resolution=res,
-                     lines=tuple(bits.to_bytes(width, "little") for bits in pool),
+                     lines=tuple(pool),
                      table=tuple(table), index=tuple(order), rows=tuple(rows))
 
 
@@ -501,7 +507,7 @@ def test_oracle_equivalence_small(kind, n):
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
-@pytest.mark.parametrize("n", range(10))
+@pytest.mark.parametrize("n", range(metrics.ORACLE_CAP + 1))
 def test_slab_counts(kind, n):
     # per-z solid counts: each equals its closed form, and together they are
     # the solid count V * 27^n
@@ -528,10 +534,11 @@ def test_grid_shape_and_edge():
     g = build_grid(MENGER, 2)
     assert g.resolution == 9
     assert g.voxel_edge == Fraction(1, 9)
-    assert g.stride == 16  # 9 cells and 7 guard bits per y-row
-    # 5 lines of 2 bytes: the digit-one unions 0, 1, 2, 3 and the empty line
-    assert g.packed.shape == (5 * 2,)
-    assert g.lines == (b"\xff\x01", b"\x6d\x01", b"\xc7\x01", b"\x45\x01", b"\x00\x00")
+    # 5 lines: the digit-one unions 0, 1, 2, 3 and the empty line
+    assert g.lines == (0b111111111, 0b101101101, 0b111000111, 0b101000101, 0)
+    # packed as 2 bytes a line: 9 cells and 7 zero guard bits, little-endian
+    assert g.stride == 16
+    assert bytes(g.packed) == b"\xff\x01\x6d\x01\xc7\x01\x45\x01\x00\x00"
     # slab s, row class r: the empty line 4 if s & r, else line s | r
     assert g.table == ((0, 1, 2, 3), (1, 4, 3, 4), (2, 3, 4, 4), (3, 4, 4, 4))
     assert g.index == g.rows == (0, 1, 0, 2, 3, 2, 0, 1, 0)
