@@ -202,6 +202,7 @@ def _cmd_mesh(args) -> int:
     cap = _check_cap(args.oracle_cap)
     if args.n > metrics.MESH_CAP:
         raise _UsageError(f"mesh export is capped at n = {metrics.MESH_CAP}, got {args.n}")
+    metrics.check_iteration(args.n, cap=cap)
     # imported only after the refusals above, so a refused export loads no numpy
     from . import mesh, voxel
 

@@ -22,14 +22,15 @@ read-only.  The solid count is not stored: ``VoxelGrid.solid_count`` sums
 :func:`slab_counts`, which popcounts each line once, so the volume and the
 per-slab report of a failed verification read one count.
 
-Exposure is defined here once: a face is exposed when its cell is solid and
-the cell across it is coolant or outside the lattice.  On a line that is
-line & ~(line >> 1) for +x and line & ~(line << 1) for -x (the zeros
-shifted in past each end are the coolant beyond the row), and a & ~b
-between the lines of adjacent rows (+-y) or of the same row in adjacent
-slabs (+-z).  :func:`face_counts` counts per table entry, once per (slab,
-row class), pair of consecutive classes or pair of consecutive slabs, and
-the mesh writers list each distinct row's exposed faces by the same rule.
+A face is exposed when its cell is solid and the cell across it is coolant
+or outside the lattice.  Along an axis every run of solid cells ends in one
++ and one - face, so :func:`face_counts` counts each axis once, per table
+entry: the runs of each line along x, and along y and z the solid cells
+minus the touching pairs a & b of adjacent rows or slabs (a cell next to the
+outside touches nothing).  The mesh writers list each row's exposed faces
+by the rule itself: line & ~(line >> 1) for +x, line & ~(line << 1) for -x
+(the zeros shifted in past each end are the coolant beyond the row), and
+a & ~b towards the adjacent line b in y or z.
 Bytes appear only in ``VoxelGrid.packed``, whose fixed-width rows end in
 zero guard bits, and in the mesh writers' unpacking of exposure masks.
 """
@@ -169,45 +170,36 @@ def _dot(weights, values) -> int:
 
 
 def face_counts(g: VoxelGrid) -> list[int]:
-    """Exposed faces per direction (+x, -x, +y, -y, +z, -z), counted on the
-    table entries.  Each count is weighted by how many z use the slab and
-    how many y fall in the row class: +-x once per (slab, class) line, +-y
-    once per slab and distinct pair of consecutive classes, and +-z once
-    per class and distinct pair of consecutive slabs, with the empty line
-    beyond the lattice.  Exact for any line table, even one that stores two
-    equal lines, classes or slabs under different ids."""
-    outside = len(g.lines)  # the empty line beyond the lattice
-    lines = (*g.lines, 0)
-    plus_x = [_along(line)[0].bit_count() for line in lines]
-    minus_x = [_along(line)[1].bit_count() for line in lines]
+    """Exposed faces per direction (+x, -x, +y, -y, +z, -z), one count per
+    axis, since every run of solid cells ends in one + and one - face: the
+    runs of each (slab, class) line along x; along y and z the solid cells
+    minus the touching pairs, once per slab and distinct pair of consecutive
+    classes and once per class and distinct pair of consecutive slabs, each
+    weighted by how many z and y share it.  Exact for any line table, even
+    one that stores equal lines, classes or slabs under different ids."""
+    solid = g.solid_count
+    runs = [_along(line)[0].bit_count() for line in g.lines]
+    slab_weights = _weights(g.index, len(g.table))
+    class_weights = _weights(g.rows, len(g.table[0]))
+    class_pairs = Counter(zip(g.rows, g.rows[1:]))
+    slab_pairs = Counter(zip(g.index, g.index[1:]))
+    below, above = [a for a, _ in class_pairs], [b for _, b in class_pairs]
+    pair_weights = list(class_pairs.values())
 
     @lru_cache(maxsize=None)
-    def exposed(a: int, b: int) -> int:
-        # the faces line a exposes towards line b, counted once per pair
-        return _across(lines[a], lines[b]).bit_count()
+    def touching(a: int, b: int) -> int:
+        # the solid cells of line a whose neighbour in line b is solid,
+        # counted once per pair
+        return (g.lines[a] & g.lines[b]).bit_count()
 
-    classes = len(g.table[0])
-    slab_weights = _weights(g.index, len(g.table))
-    class_weights = _weights(g.rows, classes)
-    ends = [classes, *g.rows, classes]  # class ``classes``: the outside line
-    pairs = Counter(zip(ends, ends[1:]))
-    below, above = zip(*pairs)
-    pair_weights = list(pairs.values())
-    counts = [0] * 6
+    x = y = z = 0
     for row, m in zip(g.table, slab_weights):
-        counts[0] += m * _dot(class_weights, map(plus_x.__getitem__, row))
-        counts[1] += m * _dot(class_weights, map(minus_x.__getitem__, row))
-        line = (*row, outside).__getitem__
-        a, b = list(map(line, below)), list(map(line, above))
-        counts[2] += m * _dot(pair_weights, map(exposed, a, b))
-        counts[3] += m * _dot(pair_weights, map(exposed, b, a))
-    table = (*g.table, (outside,) * classes)  # and the slab beyond the lattice
-    ends = [len(g.table), *g.index, len(g.table)]
-    for (a, b), k in Counter(zip(ends, ends[1:])).items():
-        a, b = table[a], table[b]
-        counts[4] += k * _dot(class_weights, map(exposed, a, b))
-        counts[5] += k * _dot(class_weights, map(exposed, b, a))
-    return counts
+        x += m * _dot(class_weights, map(runs.__getitem__, row))
+        line = row.__getitem__
+        y += m * _dot(pair_weights, map(touching, map(line, below), map(line, above)))
+    for (a, b), k in slab_pairs.items():
+        z += k * _dot(class_weights, map(touching, g.table[a], g.table[b]))
+    return [x, x, solid - y, solid - y, solid - z, solid - z]
 
 
 def count_exposed_faces(g: VoxelGrid, faces: list[int] | None = None) -> int:

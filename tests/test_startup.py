@@ -53,6 +53,10 @@ def _run_fresh(argv):
     pytest.param(["row", "--n", "13"], 1, id="usage-error"),
     pytest.param(["mesh", "--model", "menger", "--n", "6", "--out", "{tmp}/m6.stl"], 1,
                  id="mesh-above-cap"),
+    pytest.param(["mesh", "--model", "menger", "--n", "-1", "--out", "{tmp}/m.stl"], 1,
+                 id="mesh-negative-n"),
+    pytest.param(["mesh", "--model", "menger", "--n", "3", "--oracle-cap", "2",
+                  "--out", "{tmp}/m3.stl"], 1, id="mesh-above-oracle-cap"),
     pytest.param(["mesh", "--model", "menger", "--n", "1", "--out", "{tmp}/missing/m1.stl"], 3,
                  id="mesh-missing-dir"),
 ])
