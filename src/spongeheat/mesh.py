@@ -121,7 +121,7 @@ def _faces(g: VoxelGrid):
     lines = [*g.lines, 0]
     outside = (len(g.lines),) * res  # the empty line beyond the lattice, in each y
     # each distinct slab's line ids in y order, built once
-    per_y = {s: tuple(map(g.table[s].__getitem__, g.rows)) for s in set(g.index)}
+    per_y = {s: tuple(map(g.table[s].__getitem__, g.index)) for s in set(g.index)}
     slabs = [outside, *map(per_y.__getitem__, g.index), outside]
     cache = {}
     y6 = np.arange(0, 6 * res, 6, dtype=np.int16)

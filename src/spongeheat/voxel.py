@@ -8,16 +8,17 @@ central anti-regression property of the package.
 
 Occupancy is stored as a line table of plain Python ints (this module
 imports no numpy).  A y-row is an int bitset, cell x at bit x, with no bit
-set at or above 3^n.  ``VoxelGrid.lines`` holds each distinct row once,
-and row y of slab z is line ``table[index[z]][rows[y]]``: ``index`` maps z
-to its slab and ``rows`` maps y to its row class.  A sponge cell is solid
+set at or above 3^n.  ``VoxelGrid.lines`` holds each distinct row once.
+Both models treat y and z alike, so one axis map serves both: ``index``
+maps a position to an id, the slab for z and the row class for y, and row
+y of slab z is line ``table[index[z]][index[y]]``.  A sponge cell is solid
 iff no base-3 digit position is 1 in two or more of x, y and z, so a row
 depends on y and z only through their digit-one masks (the set of digits
-equal to 1).  The sponge table is 2^n x 2^n, keyed by those masks, and
-``rows`` equals ``index``: the row of slab s and class r is the empty line
-if s & r, else line s | r, so there are 2^n + 1 lines.  A slice row
-depends only on z % 2: two slabs, one row class, a full line and the
-empty one.  Grids are never mutated afterwards, and all measurements are
+equal to 1).  The sponge table is 2^n x 2^n, keyed by those masks: the row
+of slab s and class r is the empty line if s & r, else line s | r, so
+there are 2^n + 1 lines.  A slice row depends only on z % 2: the table is
+2 x 2, a full line in both classes of the even slabs and the empty one in
+the odd.  Grids are never mutated afterwards, and all measurements are
 read-only.  The solid count is not stored: ``VoxelGrid.solid_count`` sums
 :func:`slab_counts`, which popcounts each line once, so the volume and the
 per-slab report of a failed verification read one count.
@@ -54,19 +55,16 @@ class VoxelGrid(NamedTuple):
     """Immutable occupancy grid of one model at order n, as a line table.
 
     ``lines`` holds each distinct y-row once as an int: cell x of the row
-    is bit x, and no bit is set at or above ``resolution``.  ``table``
-    holds one line id per slab and row class, ``index`` the slab of each z
-    and ``rows`` the row class of each y, so row y of slab z is line
-    ``table[index[z]][rows[y]]``.
+    is bit x, and no bit is set at or above ``resolution``.  ``table`` is
+    square, one line id per slab and row class, and ``index`` maps each
+    position to an id: the slab of z and the row class of y, so row y of
+    slab z is line ``table[index[z]][index[y]]``.
     """
 
-    kind: ModelKind
-    n: int
     resolution: int
     lines: tuple[int, ...]  # distinct y-rows
     table: tuple[tuple[int, ...], ...]  # per slab: one line id per row class
-    index: tuple[int, ...]  # one slab id per z
-    rows: tuple[int, ...]  # one row class per y
+    index: tuple[int, ...]  # one id per position: the slab of z, the class of y
 
     @property
     def solid_count(self) -> int:
@@ -127,22 +125,20 @@ def build_grid(kind: ModelKind, n: int, cap: int = ORACLE_CAP) -> VoxelGrid:
         empty = len(lines)
         ids = list(range(empty))  # one int object per id, shared by the table
         table = tuple(tuple([empty if s & r else ids[s | r] for r in ids]) for s in ids)
-        index = rows = tuple(masks)
+        index = tuple(masks)
     else:
         # plates on the even z, one full line; the gaps empty
         lines = [(1 << res) - 1]
-        table = ((0,), (1,))
+        table = ((0, 0), (1, 1))
         index = tuple(z % 2 for z in range(res))
-        rows = (0,) * res
-    return VoxelGrid(kind=kind, n=n, resolution=res, lines=(*lines, 0), table=table,
-                     index=index, rows=rows)
+    return VoxelGrid(resolution=res, lines=(*lines, 0), table=table, index=index)
 
 
 def slab_counts(g: VoxelGrid) -> list[int]:
     """Solid cells of each z-slab, z = 0..resolution-1, popcounting each
     line of ``g.lines`` once and weighting it by its row class."""
     solids = [line.bit_count() for line in g.lines]
-    weights = _weights(g.rows, len(g.table[0]))
+    weights = _weights(g.index, len(g.table))
     counts = [_dot(weights, map(solids.__getitem__, row)) for row in g.table]
     return list(map(counts.__getitem__, g.index))
 
@@ -174,17 +170,15 @@ def face_counts(g: VoxelGrid) -> list[int]:
     axis, since every run of solid cells ends in one + and one - face: the
     runs of each (slab, class) line along x; along y and z the solid cells
     minus the touching pairs, once per slab and distinct pair of consecutive
-    classes and once per class and distinct pair of consecutive slabs, each
+    ids and once per class and distinct pair of consecutive ids, each
     weighted by how many z and y share it.  Exact for any line table, even
     one that stores equal lines, classes or slabs under different ids."""
     solid = g.solid_count
     runs = [_along(line)[0].bit_count() for line in g.lines]
-    slab_weights = _weights(g.index, len(g.table))
-    class_weights = _weights(g.rows, len(g.table[0]))
-    class_pairs = Counter(zip(g.rows, g.rows[1:]))
-    slab_pairs = Counter(zip(g.index, g.index[1:]))
-    below, above = [a for a, _ in class_pairs], [b for _, b in class_pairs]
-    pair_weights = list(class_pairs.values())
+    weights = _weights(g.index, len(g.table))
+    pairs = Counter(zip(g.index, g.index[1:]))
+    below, above = [a for a, _ in pairs], [b for _, b in pairs]
+    pair_weights = list(pairs.values())
 
     @lru_cache(maxsize=None)
     def touching(a: int, b: int) -> int:
@@ -193,12 +187,12 @@ def face_counts(g: VoxelGrid) -> list[int]:
         return (g.lines[a] & g.lines[b]).bit_count()
 
     x = y = z = 0
-    for row, m in zip(g.table, slab_weights):
-        x += m * _dot(class_weights, map(runs.__getitem__, row))
+    for row, m in zip(g.table, weights):
+        x += m * _dot(weights, map(runs.__getitem__, row))
         line = row.__getitem__
         y += m * _dot(pair_weights, map(touching, map(line, below), map(line, above)))
-    for (a, b), k in slab_pairs.items():
-        z += k * _dot(class_weights, map(touching, g.table[a], g.table[b]))
+    for (a, b), k in pairs.items():
+        z += k * _dot(weights, map(touching, g.table[a], g.table[b]))
     return [x, x, solid - y, solid - y, solid - z, solid - z]
 
 

@@ -100,20 +100,21 @@ def test_voxel_verify_mismatch_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(voxel, "face_counts", counts)
 
     # plant a slab fault in the oracle grid: clear cell (0, 0) of plate z = 4
-    # only, by giving row y = 0 a row class of its own (the same line as
-    # before in every slab) and z = 4 its own copy of the plate, whose line
-    # in that class is a new line without cell 0
+    # only, by giving position 0 an id of its own and z = 4 its own copy of
+    # the plate (each a copy of its old id's row and column, so every other
+    # row keeps its line), whose line in the class of y = 0 is a new line
+    # without cell 0
     build = voxel.build_grid
 
     def build_grid(kind, n, cap):
         g = build(kind, n, cap)
-        plate = g.table[g.index[4]]
-        line = g.lines[plate[g.rows[0]]] & ~1
-        index = list(g.index)
-        index[4] = len(g.table)
-        table = [(*row, row[g.rows[0]]) for row in g.table] + [(*plate, len(g.lines))]
-        return g._replace(lines=(*g.lines, line), table=tuple(table),
-                          index=tuple(index), rows=(len(plate), *g.rows[1:]))
+        ids = len(g.table)
+        source = [*range(ids), g.index[0], g.index[4]]  # the old id of each id
+        table = [[g.table[a][b] for b in source] for a in source]
+        table[ids + 1][ids] = len(g.lines)
+        line = g.lines[g.table[g.index[4]][g.index[0]]] & ~1
+        return g._replace(lines=(*g.lines, line), table=tuple(map(tuple, table)),
+                          index=(ids, *g.index[1:4], ids + 1, *g.index[5:]))
 
     monkeypatch.setattr(voxel, "build_grid", build_grid)
     assert run(["voxel-verify", "--model", "slices", "--n", "2"]) == 2
@@ -133,7 +134,7 @@ def test_voxel_verify_counts_faces_once(fault, capsys, monkeypatch):
     calls = []
 
     def face_counts(g):
-        calls.append(g.n)
+        calls.append(g.resolution)
         return counts(g)
 
     monkeypatch.setattr(voxel, "face_counts", face_counts)
@@ -141,7 +142,7 @@ def test_voxel_verify_counts_faces_once(fault, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert ("FAIL model=menger n=2" in out) == fault
     assert len(err.splitlines()) == (7 if fault else 0)
-    assert calls == [2]
+    assert calls == [9]
 
 
 def test_crossover_text(capsys):

@@ -3,7 +3,6 @@
 import hashlib
 import io
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from spongeheat.mesh import mesh_from_grid, write_obj, write_stl_binary
 from spongeheat.metrics import ModelKind
 from spongeheat.voxel import VoxelGrid, build_grid, count_exposed_faces
 from stl_geometry import StlGeometry
+from traced import traced_peak
 
 MENGER = ModelKind.MENGER_SPONGE
 SLICES = ModelKind.SLICES
@@ -20,8 +20,7 @@ SLICES = ModelKind.SLICES
 
 def _empty_mesh():
     # a single coolant voxel: nothing solid, so no exposed face
-    grid = VoxelGrid(kind=SLICES, n=0, resolution=1, lines=(0,), table=((0,),),
-                     index=(0,), rows=(0,))
+    grid = VoxelGrid(resolution=1, lines=(0,), table=((0,),), index=(0,))
     return mesh_from_grid(grid)
 
 
@@ -62,12 +61,7 @@ class _ByteCounter:
 def test_stl_streams_in_bounded_memory():
     m = mesh_from_grid(build_grid(MENGER, 4))
     sink = _ByteCounter()
-    tracemalloc.start()
-    try:
-        nbytes = write_stl_binary(m, sink)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    nbytes, peak = traced_peak(write_stl_binary, m, sink)
     assert nbytes == sink.nbytes == 84 + 50 * m.triangle_count
     assert nbytes > 33_000_000
     assert peak < nbytes / 8
@@ -88,12 +82,7 @@ def test_stl_n5_sponge_hash():
     # of records, whatever the size of the mesh or of its largest slab
     m = mesh_from_grid(build_grid(MENGER, 5))
     sink = _Sha256Sink()
-    tracemalloc.start()
-    try:
-        write_stl_binary(m, sink)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(write_stl_binary, m, sink)
     assert sink.digest.hexdigest() == (
         "ccaa469583aefe2db7a6baca993552d7e1d3924b2593a60fb977a07e596ed203")
     assert peak < 3 * 2**20
@@ -214,12 +203,7 @@ def test_obj_streams_in_bounded_memory():
     # lattice corner would add 4 * 82^3 bytes (2.1 MiB)
     m = mesh_from_grid(build_grid(MENGER, 4))
     sink = _ByteCounter()
-    tracemalloc.start()
-    try:
-        nbytes = write_obj(m, sink)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    nbytes, peak = traced_peak(write_obj, m, sink)
     assert nbytes == sink.nbytes > 20_000_000
     assert peak < 2.5 * 2**20
 

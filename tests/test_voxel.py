@@ -4,7 +4,6 @@ agreement of measured volume/surface with the closed forms."""
 import random
 import sys
 import time
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +20,7 @@ from spongeheat.voxel import (
     count_exposed_faces,
     measure_volume,
 )
+from traced import traced_peak
 
 MENGER = ModelKind.MENGER_SPONGE
 SLICES = ModelKind.SLICES
@@ -74,7 +74,7 @@ def stride(res):
 def slab_lines(g, s):
     """The one decoder of the line table: distinct slab s as its y-rows, in
     y order, each an int with cell x at bit x."""
-    return [g.lines[g.table[s][r]] for r in g.rows]
+    return [g.lines[g.table[s][r]] for r in g.index]
 
 
 def cell(g, x, y, z):
@@ -93,8 +93,8 @@ def decode_slab(g, z):
 
 
 def table_bytes(g):
-    """Memory held by the grid's line table: lines, table, index and rows."""
-    return sum(map(sys.getsizeof, (*g.lines, *g.table, g.lines, g.table, g.index, g.rows)))
+    """Memory held by the grid's line table: lines, table and index."""
+    return sum(map(sys.getsizeof, (*g.lines, *g.table, g.lines, g.table, g.index)))
 
 
 def menger_by_subdivision(x, y, z, n, res):
@@ -224,7 +224,7 @@ def test_distinct_slab_build_matches_per_slab_build(n):
     assert {i for row in g.table for i in row} | {2**n} == set(range(len(g.lines)))
     assert len(g.table) == len(set(g.table)) == 2**n
     assert {len(row) for row in g.table} == {2**n}
-    assert g.rows == g.index and set(g.index) == set(range(2**n))
+    assert set(g.index) == set(range(2**n))
     solids = 0
     for z in range(res):
         slab = menger_slab_by_digits(z, n)
@@ -234,11 +234,24 @@ def test_distinct_slab_build_matches_per_slab_build(n):
 
     g = build_grid(SLICES, n)
     assert g.index == tuple(z % 2 for z in range(g.resolution))
-    assert g.rows == (0,) * g.resolution
-    assert g.table == ((0,), (1,))
+    assert g.table == ((0, 0), (1, 1))
     assert len(g.lines) == 2
     full = 2**g.resolution - 1
     assert slab_lines(g, 0) == [full] * g.resolution and slab_lines(g, 1) == [0] * g.resolution
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_one_axis_map(n):
+    # the digit rule treats y and z alike, so one map gives the slab of z
+    # and the row class of y over a square table: the sponge's is symmetric
+    # in slab and class, and a slice slab holds one line in every class
+    sponge, slices = build_grid(MENGER, n), build_grid(SLICES, n)
+    for g in (sponge, slices):
+        assert len(g.index) == g.resolution
+        assert {len(row) for row in g.table} == {len(g.table)}
+    ids = range(len(sponge.table))
+    assert all(sponge.table[s][r] == sponge.table[r][s] for s in ids for r in ids)
+    assert all(len(set(row)) == 1 for row in slices.table)
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -272,53 +285,36 @@ def test_guard_bits_are_zero(kind, n):
 
 def test_grid_build_memory_n6():
     # the build allocates the line table (for the sponge, 65 int lines of
-    # 124 bytes, a 64 x 64 table of line ids and the z and y indexes, 56 KB
-    # in all; 12 KB for the slices) plus O(res) scratch, about 2 KB; a line
-    # id per slab and y took 0.39 MB, and joining the slabs as bitsets would
-    # add 4.3 MB
+    # 124 bytes, a 64 x 64 table of line ids and the index, 50 KB in all;
+    # 6 KB for the slices) plus O(res) scratch, under 8 KB; a line id per
+    # slab and y took 0.39 MB, and joining the slabs as bitsets would add
+    # 4.3 MB
     for kind in (MENGER, SLICES):
-        tracemalloc.start()
-        try:
-            g = build_grid(kind, 6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        g, peak = traced_peak(build_grid, kind, 6)
         assert peak < table_bytes(g) + 32 * 2**10, (kind, peak - table_bytes(g))
 
 
 def test_face_counts_memory_n6():
     # the count holds no slab bitset and no column of line ids per y: only
-    # the line ints, the class pairs and the line-pair memo (about 80 KB for
+    # the line ints, the id pairs and the line-pair memo (about 80 KB for
     # the sponge; 0.56 MB with a column per y); joining each distinct slab
     # as an int took 1 MB, and 4.6 MB for all
-    g = build_grid(MENGER, 6)
-    tracemalloc.start()
-    try:
-        voxel.face_counts(g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(voxel.face_counts, build_grid(MENGER, 6))
     assert peak < 2**18, peak / 2**10
 
 
 def test_face_counts_memory_n9():
     # the count reads the grid's line ints as they are and counts each axis
-    # once: the memo of about 5600 line pairs, the class and slab pairs and
+    # once: the memo of about 5600 line pairs, the id pairs and
     # the per-line run counts take about 1.07 MB for the sponge.  Counting
     # + and - apart, with an outside line and slab, took 1.33 MB, and a
     # second copy of the 513 lines as ints, decoded from bytes, 2.7 MB
-    g = build_grid(MENGER, 9)
-    tracemalloc.start()
-    try:
-        voxel.face_counts(g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(voxel.face_counts, build_grid(MENGER, 9))
     assert peak < 1.2e6, peak / 1e6
 
 
 def test_grid_build_deterministic():
-    # every field: the line table, its numbering, and the model it holds
+    # every field: the line table and its numbering
     assert build_grid(MENGER, 3) == build_grid(MENGER, 3)
 
 
@@ -442,9 +438,9 @@ def test_face_counts_exact_for_one_row_per_slab(kind):
     # count must not assume distinct ids differ
     g = build_grid(kind, 3)
     res = g.resolution
-    lines = tuple(g.lines[g.table[s][r]] for s in g.index for r in g.rows)
+    lines = tuple(g.lines[g.table[s][r]] for s in g.index for r in g.index)
     table = tuple(tuple(range(z * res, (z + 1) * res)) for z in range(res))
-    spread = g._replace(lines=lines, table=table, index=tuple(range(res)), rows=tuple(range(res)))
+    spread = g._replace(lines=lines, table=table, index=tuple(range(res)))
     assert [slab_lines(spread, z) for z in range(res)] == [slab_lines(g, s) for s in g.index]
     assert voxel.face_counts(spread) == voxel.face_counts(g)
     assert _summed_masks(spread) == _summed_masks(g)
@@ -453,28 +449,28 @@ def test_face_counts_exact_for_one_row_per_slab(kind):
 @st.composite
 def line_table_grids(draw):
     """A hand-built line table of any resolution: a pool of random, empty
-    or full lines, slabs of random line ids per row class, and index and
-    rows drawing those slabs and classes in any order, so equal rows and
-    slabs recur both adjacent and apart.  The pool may also hold a second
-    copy of one of its lines, and the table a second copy of one slab, so
-    equal lines and slabs need not share an id; classes may be unused or
-    equal.  Only ``resolution``, ``lines``, ``table``, ``index`` and
-    ``rows`` matter to the face count."""
+    or full lines, a square table of random line ids, and an index drawing
+    its ids in any order for z and y, so equal rows and slabs recur both
+    adjacent and apart.  The pool may also hold a second copy of one of its
+    lines, and the table a second copy of one id (its row and its column),
+    so equal lines, slabs and classes need not share an id; ids may be
+    unused.  Only ``resolution``, ``lines``, ``table`` and ``index`` matter
+    to the face count."""
     res = draw(st.integers(1, 12))
     line = st.one_of(st.just(0), st.just(2**res - 1), st.integers(0, 2**res - 1))
     pool = draw(st.lists(line, min_size=1, max_size=res + 1))
     if draw(st.booleans()):
         pool.append(draw(st.sampled_from(pool)))
-    classes = draw(st.integers(1, res))
-    slab = st.lists(st.sampled_from(range(len(pool))), min_size=classes, max_size=classes)
-    table = draw(st.lists(slab.map(tuple), min_size=1, max_size=3))
+    size = draw(st.integers(1, 4))
+    row = st.lists(st.sampled_from(range(len(pool))), min_size=size, max_size=size)
+    table = draw(st.lists(row, min_size=size, max_size=size))
     if draw(st.booleans()):
-        table.append(draw(st.sampled_from(table)))
-    order = draw(st.lists(st.sampled_from(range(len(table))), min_size=res, max_size=res))
-    rows = draw(st.lists(st.sampled_from(range(classes)), min_size=res, max_size=res))
-    return VoxelGrid(kind=SLICES, n=0, resolution=res,
-                     lines=tuple(pool),
-                     table=tuple(table), index=tuple(order), rows=tuple(rows))
+        twin = draw(st.sampled_from(range(size)))
+        table = [[*ids, ids[twin]] for ids in table]
+        table.append(table[twin])
+    index = draw(st.lists(st.sampled_from(range(len(table))), min_size=res, max_size=res))
+    return VoxelGrid(resolution=res, lines=tuple(pool), table=tuple(map(tuple, table)),
+                     index=tuple(index))
 
 
 @settings(max_examples=150, deadline=None)
@@ -545,4 +541,4 @@ def test_grid_shape_and_edge():
     assert bytes(g.packed) == b"\xff\x01\x6d\x01\xc7\x01\x45\x01\x00\x00"
     # slab s, row class r: the empty line 4 if s & r, else line s | r
     assert g.table == ((0, 1, 2, 3), (1, 4, 3, 4), (2, 3, 4, 4), (3, 4, 4, 4))
-    assert g.index == g.rows == (0, 1, 0, 2, 3, 2, 0, 1, 0)
+    assert g.index == (0, 1, 0, 2, 3, 2, 0, 1, 0)
