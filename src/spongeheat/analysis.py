@@ -105,9 +105,9 @@ def round_half_away(value: Fraction, decimals: int) -> str:
     return sign + digits[:-decimals] + "." + digits[-decimals:]
 
 
-def _format_fixed(value: Fraction) -> str:
-    # 4 decimals, capped to 6 significant digits for values >= 100 (by the
-    # exponent before rounding)
+def format_fixed(value: Fraction) -> str:
+    """A volume or surface as the table prints it: 4 decimals, capped to 6
+    significant digits for values >= 100 (by the exponent before rounding)."""
     return round_half_away(value, max(0, min(4, 5 - _exponent(abs(value)))))
 
 
@@ -121,7 +121,7 @@ def _format_shorthand(value: Fraction) -> str:
 
 def _format_efficiency(value: Fraction) -> str:
     if abs(value) >= 1:
-        return _format_fixed(value)
+        return format_fixed(value)
     return _format_shorthand(value)
 
 
@@ -140,7 +140,7 @@ def format_paper_precision(row: EfficiencyRow) -> dict[str, str]:
         if col in EFFICIENCY_COLUMNS:
             out[col] = _format_efficiency(value)
         else:
-            out[col] = _format_fixed(value)
+            out[col] = format_fixed(value)
     return out
 
 

@@ -12,9 +12,9 @@ import argparse
 import os
 import sys
 
-# Only the closed forms are imported here.  voxel and mesh stay lazy, imported
-# by the two commands that use them, so closed-form commands neither compile
-# nor import them (and only mesh loads numpy).
+# Only the closed forms are imported here.  voxel and mesh are imported by the
+# two commands that use them, after their checks, so closed-form and refused
+# commands neither compile nor import them (and only mesh loads numpy).
 from . import analysis, metrics
 
 
@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_cap(cap: int) -> int:
     if not 0 <= cap <= metrics.ORACLE_CAP:
-        raise _UsageError(f"--oracle-cap may only lower the default {metrics.ORACLE_CAP}")
+        raise _UsageError(f"--oracle-cap must be in [0, {metrics.ORACLE_CAP}] "
+                          "(it may only lower the default)")
     return cap
 
 
@@ -131,18 +132,17 @@ def _cmd_row(args) -> int:
 
 
 def _cmd_voxel_verify(args) -> int:
+    metrics.check_iteration(args.n, cap=_check_cap(args.oracle_cap))
     from . import voxel
 
     kind = _MODELS[args.model]
-    grid = voxel.build_grid(kind, args.n, cap=_check_cap(args.oracle_cap))
+    grid = voxel.build_grid(kind, args.n)
     closed_v = metrics.model_volume(kind, args.n)
     closed_s = metrics.model_surface(kind, args.n)
-    oracle_v = voxel.measure_volume(grid)
-    faces = voxel.face_counts(grid)  # counted once: the FAIL report reuses them
+    slabs, faces = voxel.measure(grid)  # counted once: the FAIL report reuses them
+    oracle_v = sum(slabs) * grid.voxel_edge**3
     oracle_s = voxel.count_exposed_faces(grid, faces) * grid.voxel_edge**2
-    strings = analysis.format_paper_precision(analysis.table_row(args.n))
-    dec_v = strings["V_M" if kind is metrics.ModelKind.MENGER_SPONGE else "V_s"]
-    dec_s = strings["S_M" if kind is metrics.ModelKind.MENGER_SPONGE else "S_s"]
+    dec_v, dec_s = analysis.format_fixed(closed_v), analysis.format_fixed(closed_s)
     ok = closed_v == oracle_v and closed_s == oracle_s
     print(f"volume : closed {closed_v}  oracle {oracle_v}  "
           f"{'MATCH' if closed_v == oracle_v else 'MISMATCH'}")
@@ -155,7 +155,7 @@ def _cmd_voxel_verify(args) -> int:
             print(f"faces {d}: oracle {oracle}  expected {closed}  "
                   f"{'MATCH' if oracle == closed else 'MISMATCH'}", file=sys.stderr)
         # then the first z-slab whose solid count differs from its closed form
-        for z, oracle in enumerate(voxel.slab_counts(grid)):
+        for z, oracle in enumerate(slabs):
             closed = metrics.model_slab_count(kind, args.n, z)
             if oracle != closed:
                 print(f"slab z={z}: oracle {oracle}  expected {closed}  MISMATCH",
@@ -206,7 +206,7 @@ def _cmd_mesh(args) -> int:
     # imported only after the refusals above, so a refused export loads no numpy
     from . import mesh, voxel
 
-    grid = voxel.build_grid(kind, args.n, cap=cap)
+    grid = voxel.build_grid(kind, args.n)
     buffer = mesh.mesh_from_grid(grid)
     writer = mesh.write_stl_binary if args.format == "stl" else mesh.write_obj
     nbytes = _write_file(args.out, lambda sink: writer(buffer, sink))

@@ -11,7 +11,7 @@ The writers generate and write the mesh in chunks of at most ``_CHUNK``
 consecutive faces.  This is the only module that imports numpy.  A y-row's
 exposed faces depend only on its row key: its own line and those of the
 rows at y +- 1 and of the same row in the slabs z +- 1.  :func:`_faces`
-lists each distinct slab's line ids by y once, works out each distinct
+reads line ids through ``voxel.slab_rows``, works out each distinct
 key's faces once, by the exposure rule of :mod:`spongeheat.voxel`, keeps
 them as int16 (x, direction) rows (1,599 keys and 0.6 MB for the n = 5
 sponge), joins a slab's rows and hands the faces out chunk by chunk.
@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .voxel import VoxelGrid, _across, _along, count_exposed_faces
+from .voxel import VoxelGrid, _across, _along, count_exposed_faces, slab_rows
 
 #: Face directions in emission order; normals point from solid into coolant.
 _NORMALS = np.array(
@@ -120,9 +120,7 @@ def _faces(g: VoxelGrid):
     res = g.resolution
     lines = [*g.lines, 0]
     outside = (len(g.lines),) * res  # the empty line beyond the lattice, in each y
-    # each distinct slab's line ids in y order, built once
-    per_y = {s: tuple(map(g.table[s].__getitem__, g.index)) for s in set(g.index)}
-    slabs = [outside, *map(per_y.__getitem__, g.index), outside]
+    slabs = [outside, *slab_rows(g), outside]
     cache = {}
     y6 = np.arange(0, 6 * res, 6, dtype=np.int16)
     for z in range(res):

@@ -19,19 +19,21 @@ of slab s and class r is the empty line if s & r, else line s | r, so
 there are 2^n + 1 lines.  A slice row depends only on z % 2: the table is
 2 x 2, a full line in both classes of the even slabs and the empty one in
 the odd.  Grids are never mutated afterwards, and all measurements are
-read-only.  The solid count is not stored: ``VoxelGrid.solid_count`` sums
-:func:`slab_counts`, which popcounts each line once, so the volume and the
-per-slab report of a failed verification read one count.
+read-only.
 
-A face is exposed when its cell is solid and the cell across it is coolant
-or outside the lattice.  Along an axis every run of solid cells ends in one
-+ and one - face, so :func:`face_counts` counts each axis once, per table
-entry: the runs of each line along x, and along y and z the solid cells
-minus the touching pairs a & b of adjacent rows or slabs (a cell next to the
-outside touches nothing).  The mesh writers list each row's exposed faces
-by the rule itself: line & ~(line >> 1) for +x, line & ~(line << 1) for -x
-(the zeros shifted in past each end are the coolant beyond the row), and
-a & ~b towards the adjacent line b in y or z.
+One entry per job: :func:`build_grid` builds (n <= ``ORACLE_CAP``),
+:func:`measure` counts and :func:`slab_rows` reads.  A face is exposed
+when its cell is solid and the cell across it is coolant or outside the
+lattice.  Along an axis every run of solid cells ends in one + and one -
+face, so :func:`measure` counts each axis once, per table entry: the runs
+of each line along x, and along y and z the solid cells (summed from
+:func:`slab_counts`, so the volume and the per-slab report of a failed
+verification read the same count) minus the touching pairs a & b of
+adjacent rows or slabs (a cell next to the outside touches nothing).  The
+mesh writers list each row's exposed faces by the rule itself: line &
+~(line >> 1) for +x, line & ~(line << 1) for -x (the zeros shifted in past
+each end are the coolant beyond the row), and a & ~b towards the adjacent
+line b in y or z.
 Bytes appear only in ``VoxelGrid.packed``, whose fixed-width rows end in
 zero guard bits, and in the mesh writers' unpacking of exposure masks.
 """
@@ -46,11 +48,6 @@ from typing import NamedTuple
 from .metrics import ORACLE_CAP, ModelKind, check_iteration
 
 
-class OracleCapError(ValueError):
-    """Iteration order outside the voxel oracle's cap (distinct from the
-    closed-form cap in metrics)."""
-
-
 class VoxelGrid(NamedTuple):
     """Immutable occupancy grid of one model at order n, as a line table.
 
@@ -58,7 +55,8 @@ class VoxelGrid(NamedTuple):
     is bit x, and no bit is set at or above ``resolution``.  ``table`` is
     square, one line id per slab and row class, and ``index`` maps each
     position to an id: the slab of z and the row class of y, so row y of
-    slab z is line ``table[index[z]][index[y]]``.
+    slab z is line ``table[index[z]][index[y]]``.  Only this module reads
+    ``table`` and ``index``; other modules read rows by :func:`slab_rows`.
     """
 
     resolution: int
@@ -97,16 +95,13 @@ def _weights(ids: tuple[int, ...], size: int) -> list[int]:
     return [counts[i] for i in range(size)]
 
 
-def build_grid(kind: ModelKind, n: int, cap: int = ORACLE_CAP) -> VoxelGrid:
-    """Voxelize one model at iteration order n (n <= cap).
+def build_grid(kind: ModelKind, n: int) -> VoxelGrid:
+    """Voxelize one model at iteration order n (n <= ``ORACLE_CAP``).
 
     Deterministic: the occupancy is a pure function of (kind, n), whatever
     the internal line, slab and row-class numbering.
     """
-    try:
-        n = check_iteration(n, cap=cap)
-    except ValueError as exc:
-        raise OracleCapError(str(exc)) from None
+    n = check_iteration(n, cap=ORACLE_CAP)
     res = 3**n
     if kind is ModelKind.MENGER_SPONGE:
         # Line u holds every x whose digit-one mask is disjoint from u, and
@@ -143,9 +138,12 @@ def slab_counts(g: VoxelGrid) -> list[int]:
     return list(map(counts.__getitem__, g.index))
 
 
-def measure_volume(g: VoxelGrid) -> Fraction:
-    """Solid-cell count times the voxel volume, as an exact rational."""
-    return g.solid_count * g.voxel_edge**3
+def slab_rows(g: VoxelGrid) -> list[tuple[int, ...]]:
+    """Each z-slab's line ids in y order: row y of slab z is line
+    ``g.lines[slab_rows(g)[z][y]]``.  Each distinct slab's tuple is built
+    once and shared by every z that holds it."""
+    rows = {s: tuple(map(g.table[s].__getitem__, g.index)) for s in set(g.index)}
+    return list(map(rows.__getitem__, g.index))
 
 
 def _along(line: int) -> tuple[int, int]:
@@ -165,15 +163,15 @@ def _dot(weights, values) -> int:
     return sum(map(mul, weights, values))
 
 
-def face_counts(g: VoxelGrid) -> list[int]:
-    """Exposed faces per direction (+x, -x, +y, -y, +z, -z), one count per
-    axis, since every run of solid cells ends in one + and one - face: the
-    runs of each (slab, class) line along x; along y and z the solid cells
-    minus the touching pairs, once per slab and distinct pair of consecutive
-    ids and once per class and distinct pair of consecutive ids, each
-    weighted by how many z and y share it.  Exact for any line table, even
-    one that stores equal lines, classes or slabs under different ids."""
-    solid = g.solid_count
+def measure(g: VoxelGrid) -> tuple[list[int], list[int]]:
+    """``(slabs, faces)``: the solid cells of each z-slab (:func:`slab_counts`)
+    and the exposed faces per direction (+x, -x, +y, -y, +z, -z), one count
+    per axis, since every run of solid cells ends in one + and one - face:
+    the runs of each (slab, class) line along x; along y and z the solid
+    cells minus the touching pairs, once per slab and distinct pair of
+    consecutive ids and once per class and distinct pair of consecutive ids,
+    each weighted by how many z and y share it.  Exact for any line table,
+    even one that stores equal lines, classes or slabs under different ids."""
     runs = [_along(line)[0].bit_count() for line in g.lines]
     weights = _weights(g.index, len(g.table))
     pairs = Counter(zip(g.index, g.index[1:]))
@@ -193,7 +191,10 @@ def face_counts(g: VoxelGrid) -> list[int]:
         y += m * _dot(pair_weights, map(touching, map(line, below), map(line, above)))
     for (a, b), k in pairs.items():
         z += k * _dot(weights, map(touching, g.table[a], g.table[b]))
-    return [x, x, solid - y, solid - y, solid - z, solid - z]
+    touching.cache_clear()  # the memo goes before the per-z list is held
+    slabs = slab_counts(g)
+    solid = sum(slabs)
+    return slabs, [x, x, solid - y, solid - y, solid - z, solid - z]
 
 
 def count_exposed_faces(g: VoxelGrid, faces: list[int] | None = None) -> int:
@@ -201,7 +202,7 @@ def count_exposed_faces(g: VoxelGrid, faces: list[int] | None = None) -> int:
 
     Faces on the lattice boundary count as exposed: the wrapping container
     outside the unit cube is coolant.  ``faces``, when given, is
-    ``face_counts(g)`` already counted, and is summed instead of counting
+    ``measure(g)[1]`` already counted, and is summed instead of counting
     again (the benchmark's tracer reads the total from this call).
     """
-    return sum(face_counts(g) if faces is None else faces)
+    return sum(measure(g)[1] if faces is None else faces)

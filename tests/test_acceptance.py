@@ -61,8 +61,9 @@ def test_criterion_2_oracle_equivalence():
         for n in range(6):
             started = time.perf_counter()
             grid = voxel.build_grid(kind, n)
-            measured_v = voxel.measure_volume(grid)
-            measured_s = voxel.count_exposed_faces(grid) * grid.voxel_edge**2
+            slabs, faces = voxel.measure(grid)
+            measured_v = sum(slabs) * grid.voxel_edge**3
+            measured_s = voxel.count_exposed_faces(grid, faces) * grid.voxel_edge**2
             elapsed = time.perf_counter() - started
             assert measured_v == metrics.model_volume(kind, n), (kind, n)
             assert measured_s == metrics.model_surface(kind, n), (kind, n)
@@ -81,8 +82,9 @@ def test_criterion_2_oracle_equivalence_n6():
     for kind in (MENGER, SLICES):
         started = time.perf_counter()
         grid = voxel.build_grid(kind, 6)
-        measured_s = voxel.count_exposed_faces(grid) * grid.voxel_edge**2
-        assert voxel.measure_volume(grid) == metrics.model_volume(kind, 6)
+        slabs, faces = voxel.measure(grid)
+        measured_s = voxel.count_exposed_faces(grid, faces) * grid.voxel_edge**2
+        assert sum(slabs) * grid.voxel_edge**3 == metrics.model_volume(kind, 6)
         assert measured_s == metrics.model_surface(kind, 6)
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"n=6 {kind} took {elapsed:.2f}s"

@@ -1,6 +1,5 @@
 """CLI tests: all subcommands, formats, exit codes, determinism."""
 
-import inspect
 import json
 import os
 from fractions import Fraction
@@ -79,14 +78,14 @@ def test_voxel_verify_mismatch_exits_2(capsys, monkeypatch):
                                 "slabs: all 3 MATCH"]
 
     # plant an oracle fault in one direction: one +z face too few
-    counts = voxel.face_counts
+    measure = voxel.measure
 
-    def face_counts(g):
-        faces = counts(g)
+    def faulty_measure(g):
+        slabs, faces = measure(g)
         faces[4] -= 1
-        return faces
+        return slabs, faces
 
-    monkeypatch.setattr(voxel, "face_counts", face_counts)
+    monkeypatch.setattr(voxel, "measure", faulty_measure)
     assert run(["voxel-verify", "--model", "slices", "--n", "2"]) == 2
     out, err = capsys.readouterr()
     assert "surface:" in out and "FAIL model=slices n=2" in out
@@ -97,7 +96,7 @@ def test_voxel_verify_mismatch_exits_2(capsys, monkeypatch):
     assert "faces -z: oracle 405  expected 405  MATCH" in lines
     assert "faces +x: oracle 45  expected 45  MATCH" in lines
     assert lines[-1] == "slabs: all 9 MATCH"
-    monkeypatch.setattr(voxel, "face_counts", counts)
+    monkeypatch.setattr(voxel, "measure", measure)
 
     # plant a slab fault in the oracle grid: clear cell (0, 0) of plate z = 4
     # only, by giving position 0 an id of its own and z = 4 its own copy of
@@ -106,13 +105,13 @@ def test_voxel_verify_mismatch_exits_2(capsys, monkeypatch):
     # without cell 0
     build = voxel.build_grid
 
-    def build_grid(kind, n, cap):
-        g = build(kind, n, cap)
+    def build_grid(kind, n):
+        g = build(kind, n)
         ids = len(g.table)
         source = [*range(ids), g.index[0], g.index[4]]  # the old id of each id
         table = [[g.table[a][b] for b in source] for a in source]
         table[ids + 1][ids] = len(g.lines)
-        line = g.lines[g.table[g.index[4]][g.index[0]]] & ~1
+        line = g.lines[voxel.slab_rows(g)[4][0]] & ~1
         return g._replace(lines=(*g.lines, line), table=tuple(map(tuple, table)),
                           index=(ids, *g.index[1:4], ids + 1, *g.index[5:]))
 
@@ -127,22 +126,28 @@ def test_voxel_verify_mismatch_exits_2(capsys, monkeypatch):
 
 @pytest.mark.parametrize("fault", [False, True])
 def test_voxel_verify_counts_faces_once(fault, capsys, monkeypatch):
-    # the surface check and, on FAIL, the per-direction report share one count
+    # one count serves the volume, the surface and, on FAIL, the direction
+    # and slab reports: the grid is measured once and its solid cells are
+    # summed once
     if fault:
         monkeypatch.setattr(metrics, "menger_surface", lambda n: Fraction(1, 2))
-    counts = voxel.face_counts
     calls = []
 
-    def face_counts(g):
-        calls.append(g.resolution)
-        return counts(g)
+    def counted(name):
+        count = getattr(voxel, name)
 
-    monkeypatch.setattr(voxel, "face_counts", face_counts)
+        def wrapper(g):
+            calls.append(name)
+            return count(g)
+        return wrapper
+
+    for name in ("measure", "slab_counts"):
+        monkeypatch.setattr(voxel, name, counted(name))
     assert run(["voxel-verify", "--model", "menger", "--n", "2"]) == (2 if fault else 0)
     out, err = capsys.readouterr()
     assert ("FAIL model=menger n=2" in out) == fault
     assert len(err.splitlines()) == (7 if fault else 0)
-    assert calls == [9]
+    assert calls == ["measure", "slab_counts"]
 
 
 def test_crossover_text(capsys):
@@ -225,6 +230,17 @@ def test_oracle_cap_upward_rejected(capsys):
     assert "lower" in capsys.readouterr().err
 
 
+def test_oracle_cap_negative_rejected(capsys):
+    # one message for either end of the range, from both commands that take it
+    message = (f"error: --oracle-cap must be in [0, {metrics.ORACLE_CAP}] "
+               "(it may only lower the default)\n")
+    for argv in [["voxel-verify", "--model", "menger", "--n", "0"],
+                 ["mesh", "--model", "menger", "--n", "0", "--out", "x.stl"]]:
+        for cap in ("-1", str(metrics.ORACLE_CAP + 1)):
+            assert run([*argv, "--oracle-cap", cap]) == 1
+            assert capsys.readouterr().err == message
+
+
 def test_oracle_cap_lowered(capsys):
     assert run(["voxel-verify", "--model", "menger", "--n", "3",
                 "--oracle-cap", "2"]) == 1
@@ -249,8 +265,13 @@ def test_mesh_cap_refuses_n6_before_building(monkeypatch, capsys):
 
 
 def test_caps_have_one_home_in_metrics(capsys):
-    cap = inspect.signature(voxel.build_grid).parameters["cap"].default
-    assert cap == metrics.ORACLE_CAP
+    # the grid refuses what the CLI refuses, with the message the CLI prints
+    assert run(["voxel-verify", "--model", "menger", "--n", str(metrics.ORACLE_CAP + 1)]) == 1
+    err = capsys.readouterr().err
+    for kind in metrics.ModelKind:
+        with pytest.raises(metrics.IterationOutOfRangeError) as refused:
+            voxel.build_grid(kind, metrics.ORACLE_CAP + 1)
+        assert err == f"error: {refused.value}\n"
     parser = build_parser()
     for argv in [["voxel-verify", "--model", "menger", "--n", "1"],
                  ["mesh", "--model", "menger", "--n", "1", "--out", "x.stl"]]:

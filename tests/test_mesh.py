@@ -192,7 +192,7 @@ def test_faces_per_direction_match_face_counts(kind, n):
         assert (xd % 6 == yd % 6).all()
         assert ((xd // 6 < g.resolution) & (yd // 6 < g.resolution)).all()
         counts += np.bincount(xd % 6, minlength=6)
-    assert counts.tolist() == voxel.face_counts(g)
+    assert counts.tolist() == voxel.measure(g)[1]
 
 
 # -- OBJ --------------------------------------------------------------------------

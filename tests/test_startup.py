@@ -1,6 +1,8 @@
 """Start-up cost: each command loads only the modules it needs.  Only
 ``mesh`` imports numpy; only ``--format json`` imports json; no command
 imports dataclasses, and none but ``mesh`` (through numpy) imports inspect.
+Only a ``voxel-verify`` or ``mesh`` that passed its checks loads
+``spongeheat.voxel``.
 
 Each case runs ``cli.run(argv)`` in a fresh interpreter, because this test
 process has already imported numpy through the other test modules.
@@ -15,15 +17,18 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# prints, as the last stdout line, the exit code and the top-level modules
-# that importing the CLI and running it added to those loaded at start-up
+# prints, as the last stdout line, the exit code and the top-level modules and
+# spongeheat submodules that importing the CLI and running it added to those
+# loaded at start-up
 _CHILD = """\
 import sys
 before = set(sys.modules)
 from spongeheat.cli import run
 code = run(sys.argv[1:])
 sys.stdout.flush()
-print(code, *sorted({name.partition(".")[0] for name in set(sys.modules) - before}))
+added = set(sys.modules) - before
+print(code, *sorted({name.partition(".")[0] for name in added}
+                    | {name for name in added if name.startswith("spongeheat.")}))
 """
 
 
@@ -51,6 +56,10 @@ def _run_fresh(argv):
     pytest.param(["voxel-verify", "--model", "slices", "--n", "6"], 0, id="voxel-verify-slices-6"),
     pytest.param(["--help"], 0, id="help"),
     pytest.param(["row", "--n", "13"], 1, id="usage-error"),
+    pytest.param(["voxel-verify", "--model", "menger", "--n", "11"], 1,
+                 id="voxel-verify-above-cap"),
+    pytest.param(["voxel-verify", "--model", "menger", "--n", "3", "--oracle-cap", "2"], 1,
+                 id="voxel-verify-above-oracle-cap"),
     pytest.param(["mesh", "--model", "menger", "--n", "6", "--out", "{tmp}/m6.stl"], 1,
                  id="mesh-above-cap"),
     pytest.param(["mesh", "--model", "menger", "--n", "-1", "--out", "{tmp}/m.stl"], 1,
@@ -67,13 +76,15 @@ def test_closed_form_and_refused_commands_never_import_numpy(argv, expected_code
     assert "spongeheat" in loaded  # the probe sees the package's own imports
     assert not loaded & {"numpy", "dataclasses", "inspect"}
     assert ("json" in loaded) == ("json" in argv)
+    # the oracle is imported only once a voxel-verify has passed its checks
+    assert ("spongeheat.voxel" in loaded) == (argv[0] == "voxel-verify" and code == 0)
 
 
 def test_mesh_imports_numpy(tmp_path):
     code, loaded = _run_fresh(["mesh", "--model", "slices", "--n", "1",
                                "--out", f"{tmp_path}/m1.stl"])
     assert code == 0
-    assert "numpy" in loaded
+    assert {"numpy", "spongeheat.voxel", "spongeheat.mesh"} <= loaded
     # numpy brings inspect with it; the package itself adds neither
     # dataclasses nor json
     assert not loaded & {"dataclasses", "json"}

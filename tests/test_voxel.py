@@ -5,6 +5,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -13,13 +14,7 @@ from hypothesis import strategies as st
 
 from spongeheat import metrics, voxel
 from spongeheat.metrics import IterationOutOfRangeError, ModelKind, check_iteration
-from spongeheat.voxel import (
-    OracleCapError,
-    VoxelGrid,
-    build_grid,
-    count_exposed_faces,
-    measure_volume,
-)
+from spongeheat.voxel import VoxelGrid, build_grid, count_exposed_faces, measure
 from traced import traced_peak
 
 MENGER = ModelKind.MENGER_SPONGE
@@ -71,22 +66,28 @@ def stride(res):
     return 8 * ((res + 8) // 8)
 
 
-def slab_lines(g, s):
-    """The one decoder of the line table: distinct slab s as its y-rows, in
-    y order, each an int with cell x at bit x."""
-    return [g.lines[g.table[s][r]] for r in g.index]
+@lru_cache(maxsize=4)
+def _slab_rows(g):
+    # once per grid: ``cell`` reads one bit at a time
+    return voxel.slab_rows(g)
+
+
+def slab_lines(g, z):
+    """The one decoder of the line table: slab z as its y-rows, in y order,
+    each an int with cell x at bit x, read through ``voxel.slab_rows``."""
+    return [g.lines[i] for i in _slab_rows(g)[z]]
 
 
 def cell(g, x, y, z):
     """Bit x of row y of slab z."""
-    return bool(slab_lines(g, g.index[z])[y] >> x & 1)
+    return bool(slab_lines(g, z)[y] >> x & 1)
 
 
 def decode_slab(g, z):
     """Slab z as a (y, x) bool array."""
     res = g.resolution
     width = (res + 7) // 8
-    raw = b"".join(line.to_bytes(width, "little") for line in slab_lines(g, g.index[z]))
+    raw = b"".join(line.to_bytes(width, "little") for line in slab_lines(g, z))
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(res, width), axis=1,
                          bitorder="little")
     return bits[:, :res].view(bool)
@@ -236,8 +237,9 @@ def test_distinct_slab_build_matches_per_slab_build(n):
     assert g.index == tuple(z % 2 for z in range(g.resolution))
     assert g.table == ((0, 0), (1, 1))
     assert len(g.lines) == 2
-    full = 2**g.resolution - 1
-    assert slab_lines(g, 0) == [full] * g.resolution and slab_lines(g, 1) == [0] * g.resolution
+    res, full = g.resolution, 2**g.resolution - 1
+    assert [slab_lines(g, z) for z in range(res)] == [[full * (1 - z % 2)] * res
+                                                      for z in range(res)]
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -299,7 +301,7 @@ def test_face_counts_memory_n6():
     # the line ints, the id pairs and the line-pair memo (about 80 KB for
     # the sponge; 0.56 MB with a column per y); joining each distinct slab
     # as an int took 1 MB, and 4.6 MB for all
-    _, peak = traced_peak(voxel.face_counts, build_grid(MENGER, 6))
+    _, peak = traced_peak(measure, build_grid(MENGER, 6))
     assert peak < 2**18, peak / 2**10
 
 
@@ -309,8 +311,25 @@ def test_face_counts_memory_n9():
     # the per-line run counts take about 1.07 MB for the sponge.  Counting
     # + and - apart, with an outside line and slab, took 1.33 MB, and a
     # second copy of the 513 lines as ints, decoded from bytes, 2.7 MB
-    _, peak = traced_peak(voxel.face_counts, build_grid(MENGER, 9))
+    _, peak = traced_peak(measure, build_grid(MENGER, 9))
     assert peak < 1.2e6, peak / 1e6
+
+
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+def test_slab_rows(kind):
+    # row y of slab z, and one tuple shared by every z of a distinct slab
+    g = build_grid(kind, 3)
+    rows = voxel.slab_rows(g)
+    assert rows == [tuple(g.table[g.index[z]][g.index[y]] for y in range(27)) for z in range(27)]
+    assert len({id(row) for row in rows}) == len(set(g.index))
+
+
+def test_public_api():
+    # one entry per job: build, count (and the count's face total), read
+    public = {name for name, obj in vars(voxel).items()
+              if not name.startswith("_") and getattr(obj, "__module__", None) == voxel.__name__}
+    assert public == {"VoxelGrid", "build_grid", "measure", "slab_counts", "slab_rows",
+                      "count_exposed_faces"}
 
 
 def test_grid_build_deterministic():
@@ -319,13 +338,13 @@ def test_grid_build_deterministic():
 
 
 def test_oracle_cap():
-    with pytest.raises(OracleCapError):
-        build_grid(MENGER, metrics.ORACLE_CAP + 1)
-    with pytest.raises(OracleCapError):
-        build_grid(SLICES, 3, cap=2)
-    # distinct from the closed-form cap error
-    assert not issubclass(OracleCapError, IterationOutOfRangeError)
-    assert not issubclass(IterationOutOfRangeError, OracleCapError)
+    # the build checks n against the oracle cap with the closed forms' check
+    cap = metrics.ORACLE_CAP
+    for kind in (MENGER, SLICES):
+        for n in (-1, cap + 1):
+            with pytest.raises(IterationOutOfRangeError, match=rf"^iteration order {n} "
+                               rf"outside \[0, {cap}\]$"):
+                build_grid(kind, n)
 
 
 # -- measurements ---------------------------------------------------------------
@@ -380,23 +399,23 @@ def test_face_counts_per_direction_closed_forms(n):
     # the sponge is symmetric under the cube's rotations; slices expose
     # their plate faces on +-z and their rims on +-x and +-y
     assert (2 * 20**n + 4 * 8**n) % 6 == 0
-    sponge = voxel.face_counts(build_grid(MENGER, n))
+    sponge = measure(build_grid(MENGER, n))[1]
     assert sponge == [(2 * 20**n + 4 * 8**n) // 6] * 6
     rho = metrics.slice_count(n)
-    slices = voxel.face_counts(build_grid(SLICES, n))
+    slices = measure(build_grid(SLICES, n))[1]
     assert slices == [rho * 3**n] * 4 + [rho * 9**n] * 2
     # the expected counts voxel-verify reports on a mismatch
     assert tuple(sponge) == metrics.model_face_counts(MENGER, n)
     assert tuple(slices) == metrics.model_face_counts(SLICES, n)
 
 
-def slab_int(g, slab):
-    """Distinct slab ``slab`` as one int bitset, its rows joined in y order
+def slab_int(g, z):
+    """Slab z as one int bitset, its rows joined in y order
     at ``stride`` bits each: cell (x, y) at bit x + stride * y, and zero
     guard bits between the rows."""
     width = stride(g.resolution) // 8
     return int.from_bytes(b"".join(line.to_bytes(width, "little")
-                                   for line in slab_lines(g, slab)), "little")
+                                   for line in slab_lines(g, z)), "little")
 
 
 def exposed_bits(g, z):
@@ -406,8 +425,8 @@ def exposed_bits(g, z):
     the coolant beyond each row's ends, by ``stride`` for +-y, and against
     the adjacent slab (0 outside the lattice) for +-z."""
     w = stride(g.resolution)
-    cur = slab_int(g, g.index[z])
-    above, below = (slab_int(g, g.index[v]) if 0 <= v < g.resolution else 0
+    cur = slab_int(g, z)
+    above, below = (slab_int(g, v) if 0 <= v < g.resolution else 0
                     for v in (z + 1, z - 1))
     return (cur & ~(cur >> 1), cur & ~(cur << 1), cur & ~(cur >> w), cur & ~(cur << w),
             cur & ~above, cur & ~below)
@@ -428,7 +447,7 @@ def test_face_counts_match_exposed_masks(kind, n):
     # the row-class count against slab-by-slab popcounts of whole-slab
     # exposure bitsets
     g = build_grid(kind, n)
-    assert voxel.face_counts(g) == _summed_masks(g)
+    assert measure(g)[1] == _summed_masks(g)
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -438,11 +457,11 @@ def test_face_counts_exact_for_one_row_per_slab(kind):
     # count must not assume distinct ids differ
     g = build_grid(kind, 3)
     res = g.resolution
-    lines = tuple(g.lines[g.table[s][r]] for s in g.index for r in g.index)
+    lines = tuple(line for z in range(res) for line in slab_lines(g, z))
     table = tuple(tuple(range(z * res, (z + 1) * res)) for z in range(res))
     spread = g._replace(lines=lines, table=table, index=tuple(range(res)))
-    assert [slab_lines(spread, z) for z in range(res)] == [slab_lines(g, s) for s in g.index]
-    assert voxel.face_counts(spread) == voxel.face_counts(g)
+    assert [slab_lines(spread, z) for z in range(res)] == [slab_lines(g, z) for z in range(res)]
+    assert measure(spread) == measure(g)
     assert _summed_masks(spread) == _summed_masks(g)
 
 
@@ -480,7 +499,7 @@ def test_face_counts_random_pooled_grids(g):
     reference = _summed_masks(g)
     # every run of solid cells along an axis ends in one + and one - face
     assert reference[0::2] == reference[1::2]
-    assert voxel.face_counts(g) == reference
+    assert measure(g)[1] == reference
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -489,11 +508,16 @@ def test_oracle_equivalence_n7(kind):
     # Python 3.11)
     started = time.perf_counter()
     g = build_grid(kind, 7)
-    faces = voxel.face_counts(g)
+    slabs, faces = measure(g)
     elapsed = time.perf_counter() - started
     assert tuple(faces) == metrics.model_face_counts(kind, 7)
-    assert g.solid_count == metrics.model_volume(kind, 7) * 27**7
+    assert sum(slabs) == g.solid_count == metrics.model_volume(kind, 7) * 27**7
     assert elapsed < 1.0, elapsed
+
+
+def measured_volume(g):
+    """Solid-cell count times the voxel volume, as the CLI works it out."""
+    return sum(measure(g)[0]) * g.voxel_edge**3
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -502,7 +526,7 @@ def test_oracle_equivalence_small(kind, n):
     # exact rational equality against the closed forms; n = 5 runs in the
     # acceptance suite
     g = build_grid(kind, n)
-    assert measure_volume(g) == metrics.model_volume(kind, n)
+    assert measured_volume(g) == metrics.model_volume(kind, n)
     assert count_exposed_faces(g) * g.voxel_edge**2 == metrics.model_surface(kind, n)
 
 
@@ -516,14 +540,15 @@ def test_slab_counts(kind, n):
     assert len(counts) == g.resolution
     assert sum(counts) == metrics.model_volume(kind, n) * 27**n
     assert counts == [metrics.model_slab_count(kind, n, z) for z in range(g.resolution)]
+    assert measure(g)[0] == counts
     if n <= 3:
         assert counts == [int(decode_slab(g, z).sum()) for z in range(g.resolution)]
 
 
 def test_measure_examples():
-    assert measure_volume(build_grid(MENGER, 1)) == Fraction(20, 27)
-    assert measure_volume(build_grid(SLICES, 1)) == Fraction(2, 3)
-    assert measure_volume(build_grid(MENGER, 4)) == Fraction(160000, 531441)
+    assert measured_volume(build_grid(MENGER, 1)) == Fraction(20, 27)
+    assert measured_volume(build_grid(SLICES, 1)) == Fraction(2, 3)
+    assert measured_volume(build_grid(MENGER, 4)) == Fraction(160000, 531441)
     for kind, n, surface in [(MENGER, 0, 6), (SLICES, 4, Fraction(6806, 81)),
                              (MENGER, 3, Fraction(18048, 729))]:
         g = build_grid(kind, n)
