@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check closed-form volume/surface against the voxel oracle")
     p.add_argument("--model", choices=sorted(_MODELS), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--oracle-cap", type=int, default=metrics.ORACLE_CAP)
+    p.add_argument("--oracle-cap", type=int, default=metrics.CLOSED_FORM_CAP)
 
     p = sub.add_parser("crossover",
                        help="locate where the sponge efficiency curve overtakes the slice curve")
@@ -70,14 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("stl", "obj"), default="stl")
     p.add_argument("--out", required=True)
-    p.add_argument("--oracle-cap", type=int, default=metrics.ORACLE_CAP)
+    p.add_argument("--oracle-cap", type=int, default=metrics.CLOSED_FORM_CAP)
 
     return parser
 
 
 def _check_cap(cap: int) -> int:
-    if not 0 <= cap <= metrics.ORACLE_CAP:
-        raise _UsageError(f"--oracle-cap must be in [0, {metrics.ORACLE_CAP}] "
+    if not 0 <= cap <= metrics.CLOSED_FORM_CAP:
+        raise _UsageError(f"--oracle-cap must be in [0, {metrics.CLOSED_FORM_CAP}] "
                           "(it may only lower the default)")
     return cap
 

@@ -87,7 +87,7 @@ class MeshBuffer(NamedTuple):
 _CHUNK = 4096
 
 
-def _row_faces(keys: list, lines: list, stride: int) -> list:
+def _row_faces(keys: list, lines: tuple, stride: int) -> list:
     """The exposed faces of each row key, as ascending int16 rows x * 6 + d
     of the (x, direction) tables.  A key holds the line ids of the row,
     of the rows at y + 1 and y - 1, and of the same row in slabs z + 1 and
@@ -118,8 +118,7 @@ def _faces(g: VoxelGrid):
     joins its rows' lists.
     """
     res = g.resolution
-    lines = [*g.lines, 0]
-    outside = (len(g.lines),) * res  # the empty line beyond the lattice, in each y
+    outside = (len(g.lines) - 1,) * res  # the grid's empty line beyond the lattice, in each y
     slabs = [outside, *slab_rows(g), outside]
     cache = {}
     y6 = np.arange(0, 6 * res, 6, dtype=np.int16)
@@ -128,7 +127,7 @@ def _faces(g: VoxelGrid):
         keys = list(zip(cur, cur[1:] + outside[:1], outside[:1] + cur[:-1], above, below))
         new = [key for key in dict.fromkeys(keys) if key not in cache]
         if new:
-            cache.update(zip(new, _row_faces(new, lines, g.stride)))
+            cache.update(zip(new, _row_faces(new, g.lines, g.stride)))
         rows = list(map(cache.__getitem__, keys))
         xd = np.concatenate(rows)
         yd = np.repeat(y6, list(map(len, rows))) + xd - xd // 6 * 6  # xd % 6, only faster

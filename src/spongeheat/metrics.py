@@ -22,18 +22,15 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-#: The three iteration-order caps below are the single named constants all
+#: The two iteration-order caps below are the single named constants all
 #: range checks use.  They live in this numpy-free module so that the CLI can
 #: check arguments without importing ``voxel`` or ``mesh``.
 #:
-#: Hard cap on the iteration order for closed-form evaluation.  The values
-#: stay exact at any n; the cap bounds rational bit growth.
+#: Hard cap on the iteration order for closed-form evaluation, and for the
+#: voxel oracle that checks them.  The values stay exact at any n; the cap
+#: bounds rational bit growth, and the oracle's sponge at n = 12 (531441^3
+#: cells) holds 4097 int lines of 71 KB, 290 MB, and a table of 3^12 ids.
 CLOSED_FORM_CAP = 12
-
-#: Largest iteration order the voxel oracle accepts by default (59049^3
-#: cells; for the sponge, 1025 int lines of 7.9 KB and 1024 x 1024 line
-#: ids, 17 MB).
-ORACLE_CAP = 10
 
 #: Largest iteration order the ``mesh`` command exports: the n = 5 sponge
 #: STL is 655 MB (13.1 M triangles); n = 6 would be 12.9 GB.

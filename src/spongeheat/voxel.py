@@ -6,27 +6,27 @@ measured volume and surface must equal the closed forms in
 :mod:`spongeheat.metrics` with plain rational equality.  That check is the
 central anti-regression property of the package.
 
-Occupancy is stored as a line table of plain Python ints (this module
-imports no numpy).  A y-row is an int bitset, cell x at bit x, with no bit
-set at or above 3^n.  ``VoxelGrid.lines`` holds each distinct row once.
-Both models treat y and z alike, so one axis map serves both: ``index``
-maps a position to an id, the slab for z and the row class for y, and row
-y of slab z is line ``table[index[z]][index[y]]``.  A sponge cell is solid
-iff no base-3 digit position is 1 in two or more of x, y and z, so a row
-depends on y and z only through their digit-one masks (the set of digits
-equal to 1).  The sponge table is 2^n x 2^n, keyed by those masks: the row
-of slab s and class r is the empty line if s & r, else line s | r, so
-there are 2^n + 1 lines.  A slice row depends only on z % 2: the table is
-2 x 2, a full line in both classes of the even slabs and the empty one in
-the odd.  Grids are never mutated afterwards, and all measurements are
-read-only.
+Occupancy is stored as a sparse line table of plain Python ints (this
+module imports no numpy).  A y-row is an int bitset, cell x at bit x, with
+no bit set at or above 3^n.  ``VoxelGrid.lines`` holds each distinct row
+once, the empty line last.  Both models treat y and z alike, so one axis
+map serves both: ``index`` maps a position to an id, the slab for z and the
+row class for y.  Each slab maps the row classes it stores to line ids, and
+a class it lacks reads the empty line.  A sponge cell is solid iff no
+base-3 digit position is 1 in two or more of x, y and z, so a row depends
+on y and z only through their digit-one masks (the set of digits equal to
+1).  The sponge's slabs and classes are those masks: slab s stores class r
+only when s & r == 0, as line s | r, so its table holds 3^n entries over
+2^n + 1 lines.  A slice row depends only on z % 2: the even slab stores a
+full line in both classes and the odd slab none.  Grids are never mutated
+afterwards, and all measurements are read-only.
 
-One entry per job: :func:`build_grid` builds (n <= ``ORACLE_CAP``),
-:func:`measure` counts and :func:`slab_rows` reads.  A face is exposed
-when its cell is solid and the cell across it is coolant or outside the
-lattice.  Along an axis every run of solid cells ends in one + and one -
-face, so :func:`measure` counts each axis once, per table entry: the runs
-of each line along x, and along y and z the solid cells (summed from
+One entry per job: :func:`build_grid` builds (any n the closed forms
+accept), :func:`measure` counts and :func:`slab_rows` reads.  A face is
+exposed when its cell is solid and the cell across it is coolant or outside
+the lattice.  Along an axis every run of solid cells ends in one + and one -
+face, so :func:`measure` counts each axis once, per stored table entry: the
+runs of each line along x, and along y and z the solid cells (summed from
 :func:`slab_counts`, so the volume and the per-slab report of a failed
 verification read the same count) minus the touching pairs a & b of
 adjacent rows or slabs (a cell next to the outside touches nothing).  The
@@ -42,26 +42,27 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 from typing import NamedTuple
 
-from .metrics import ORACLE_CAP, ModelKind, check_iteration
+from .metrics import ModelKind, check_iteration
 
 
 class VoxelGrid(NamedTuple):
-    """Immutable occupancy grid of one model at order n, as a line table.
+    """Immutable occupancy grid of one model at order n, as a sparse line table.
 
     ``lines`` holds each distinct y-row once as an int: cell x of the row
-    is bit x, and no bit is set at or above ``resolution``.  ``table`` is
-    square, one line id per slab and row class, and ``index`` maps each
-    position to an id: the slab of z and the row class of y, so row y of
-    slab z is line ``table[index[z]][index[y]]``.  Only this module reads
-    ``table`` and ``index``; other modules read rows by :func:`slab_rows`.
+    is bit x, and no bit is set at or above ``resolution``.  ``lines[-1]``
+    is the empty line.  ``table`` holds one map per slab from row class to
+    line id, and ``index`` maps each position to an id: the slab of z and
+    the row class of y.  So row y of slab z is line
+    ``table[index[z]][index[y]]``, and a class missing from the slab's map
+    is the empty line, ``len(lines) - 1``.  Only this module reads ``table``
+    and ``index``; other modules read rows by :func:`slab_rows`.
     """
 
     resolution: int
-    lines: tuple[int, ...]  # distinct y-rows
-    table: tuple[tuple[int, ...], ...]  # per slab: one line id per row class
+    lines: tuple[int, ...]  # distinct y-rows, the empty line last
+    table: tuple[dict[int, int], ...]  # per slab: row class -> line id, if stored
     index: tuple[int, ...]  # one id per position: the slab of z, the class of y
 
     @property
@@ -89,19 +90,13 @@ class VoxelGrid(NamedTuple):
         return 8 * ((self.resolution + 8) // 8)
 
 
-def _weights(ids: tuple[int, ...], size: int) -> list[int]:
-    # how many entries of ``ids`` hold each id in [0, size)
-    counts = Counter(ids)
-    return [counts[i] for i in range(size)]
-
-
 def build_grid(kind: ModelKind, n: int) -> VoxelGrid:
-    """Voxelize one model at iteration order n (n <= ``ORACLE_CAP``).
+    """Voxelize one model at iteration order n, any n the closed forms accept.
 
     Deterministic: the occupancy is a pure function of (kind, n), whatever
     the internal line, slab and row-class numbering.
     """
-    n = check_iteration(n, cap=ORACLE_CAP)
+    n = check_iteration(n)
     res = 3**n
     if kind is ModelKind.MENGER_SPONGE:
         # Line u holds every x whose digit-one mask is disjoint from u, and
@@ -115,34 +110,36 @@ def build_grid(kind: ModelKind, n: int) -> VoxelGrid:
             outer = [a | a << 2 * step for a in lines]
             lines = [a | b << step for a, b in zip(outer, lines)] + outer
             masks = masks + [m | 1 << k for m in masks] + masks
-        # row class r of slab s: the empty line when a digit is 1 in both
-        # y and z, else the line of the union of their masks
-        empty = len(lines)
-        ids = list(range(empty))  # one int object per id, shared by the table
-        table = tuple(tuple([empty if s & r else ids[s | r] for r in ids]) for s in ids)
+        # slab s stores row class r unless a digit is 1 in both y and z, as
+        # the line of the union of their masks
+        ids = list(range(len(lines)))  # one int object per id, shared by the table
+        table = tuple({r: ids[s | r] for r in ids if not s & r} for s in ids)
         index = tuple(masks)
     else:
-        # plates on the even z, one full line; the gaps empty
+        # plates on the even z, one full line; the gaps store none
         lines = [(1 << res) - 1]
-        table = ((0, 0), (1, 1))
+        table = ({0: 0, 1: 0}, {})
         index = tuple(z % 2 for z in range(res))
     return VoxelGrid(resolution=res, lines=(*lines, 0), table=table, index=index)
 
 
 def slab_counts(g: VoxelGrid) -> list[int]:
     """Solid cells of each z-slab, z = 0..resolution-1, popcounting each
-    line of ``g.lines`` once and weighting it by its row class."""
+    line of ``g.lines`` once and weighting each stored entry by its row
+    class."""
     solids = [line.bit_count() for line in g.lines]
-    weights = _weights(g.index, len(g.table))
-    counts = [_dot(weights, map(solids.__getitem__, row)) for row in g.table]
+    weights = Counter(g.index)
+    counts = [sum(weights[r] * solids[i] for r, i in row.items()) for row in g.table]
     return list(map(counts.__getitem__, g.index))
 
 
 def slab_rows(g: VoxelGrid) -> list[tuple[int, ...]]:
     """Each z-slab's line ids in y order: row y of slab z is line
-    ``g.lines[slab_rows(g)[z][y]]``.  Each distinct slab's tuple is built
-    once and shared by every z that holds it."""
-    rows = {s: tuple(map(g.table[s].__getitem__, g.index)) for s in set(g.index)}
+    ``g.lines[slab_rows(g)[z][y]]``, the empty line for a class the slab
+    does not store.  Each distinct slab's tuple is built once and shared by
+    every z that holds it."""
+    empty = len(g.lines) - 1
+    rows = {s: tuple(g.table[s].get(r, empty) for r in g.index) for s in set(g.index)}
     return list(map(rows.__getitem__, g.index))
 
 
@@ -159,24 +156,23 @@ def _across(a: int, b: int) -> int:
     return a & ~b
 
 
-def _dot(weights, values) -> int:
-    return sum(map(mul, weights, values))
-
-
 def measure(g: VoxelGrid) -> tuple[list[int], list[int]]:
     """``(slabs, faces)``: the solid cells of each z-slab (:func:`slab_counts`)
     and the exposed faces per direction (+x, -x, +y, -y, +z, -z), one count
     per axis, since every run of solid cells ends in one + and one - face:
-    the runs of each (slab, class) line along x; along y and z the solid
-    cells minus the touching pairs, once per slab and distinct pair of
-    consecutive ids and once per class and distinct pair of consecutive ids,
-    each weighted by how many z and y share it.  Exact for any line table,
-    even one that stores equal lines, classes or slabs under different ids."""
+    the runs of each stored (slab, class) line along x; along y and z the
+    solid cells minus the touching pairs, once per slab and stored class
+    with its distinct stored successors in y, and once per distinct pair of
+    consecutive slabs and class both store in z, each weighted by how many
+    z and y share it.  A class a slab does not store is the empty line and
+    touches nothing.  Exact for any line table, even one that stores empty
+    lines, or equal lines, classes or slabs under different ids."""
     runs = [_along(line)[0].bit_count() for line in g.lines]
-    weights = _weights(g.index, len(g.table))
+    weights = Counter(g.index)
     pairs = Counter(zip(g.index, g.index[1:]))
-    below, above = [a for a, _ in pairs], [b for _, b in pairs]
-    pair_weights = list(pairs.values())
+    successors = {}  # each class's distinct successors in y, with their counts
+    for (a, b), k in pairs.items():
+        successors.setdefault(a, []).append((b, k))
 
     @lru_cache(maxsize=None)
     def touching(a: int, b: int) -> int:
@@ -185,12 +181,15 @@ def measure(g: VoxelGrid) -> tuple[list[int], list[int]]:
         return (g.lines[a] & g.lines[b]).bit_count()
 
     x = y = z = 0
-    for row, m in zip(g.table, weights):
-        x += m * _dot(weights, map(runs.__getitem__, row))
-        line = row.__getitem__
-        y += m * _dot(pair_weights, map(touching, map(line, below), map(line, above)))
-    for (a, b), k in pairs.items():
-        z += k * _dot(weights, map(touching, g.table[a], g.table[b]))
+    for s, row in enumerate(g.table):
+        m = weights[s]
+        for r, a in row.items():
+            x += m * weights[r] * runs[a]
+            y += m * sum(k * touching(a, row[b]) for b, k in successors.get(r, ()) if b in row)
+    for (s, t), k in pairs.items():
+        below, above = g.table[s], g.table[t]
+        z += k * sum(weights[r] * touching(below[r], above[r])
+                     for r in below.keys() & above.keys())
     touching.cache_clear()  # the memo goes before the per-z list is held
     slabs = slab_counts(g)
     solid = sum(slabs)

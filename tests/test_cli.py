@@ -61,7 +61,7 @@ def test_voxel_verify_slices(capsys):
     assert run(["voxel-verify", "--model", "slices", "--n", "2"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "V=0.5556" in out
-    for model in ("menger", "slices"):  # within the default oracle cap (CI runs n = 10)
+    for model in ("menger", "slices"):  # within the default oracle cap (CI runs n = 12)
         assert run(["voxel-verify", "--model", model, "--n", "7"]) == 0
         assert f"PASS model={model} n=7" in capsys.readouterr().out
 
@@ -99,21 +99,20 @@ def test_voxel_verify_mismatch_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(voxel, "measure", measure)
 
     # plant a slab fault in the oracle grid: clear cell (0, 0) of plate z = 4
-    # only, by giving position 0 an id of its own and z = 4 its own copy of
-    # the plate (each a copy of its old id's row and column, so every other
-    # row keeps its line), whose line in the class of y = 0 is a new line
-    # without cell 0
+    # only.  Positions 0 and 4 get ids 2 and 3 of their own, each a copy of
+    # the plate id 0 as a slab and as a class, so every other row keeps its
+    # line; slab 3 (z = 4) stores class 2 (y = 0) as line 1, the plate
+    # without cell 0, inserted before the empty line
     build = voxel.build_grid
 
     def build_grid(kind, n):
         g = build(kind, n)
-        ids = len(g.table)
-        source = [*range(ids), g.index[0], g.index[4]]  # the old id of each id
-        table = [[g.table[a][b] for b in source] for a in source]
-        table[ids + 1][ids] = len(g.lines)
-        line = g.lines[voxel.slab_rows(g)[4][0]] & ~1
-        return g._replace(lines=(*g.lines, line), table=tuple(map(tuple, table)),
-                          index=(ids, *g.index[1:4], ids + 1, *g.index[5:]))
+        assert (g.resolution, g.table) == (9, ({0: 0, 1: 0}, {}))
+        full, empty = g.lines
+        plate = {0: 0, 1: 0, 2: 0, 3: 0}
+        return g._replace(lines=(full, full & ~1, empty),
+                          table=(plate, {}, plate, {**plate, 2: 1}),
+                          index=(2, 1, 0, 1, 3, 1, 0, 1, 0))
 
     monkeypatch.setattr(voxel, "build_grid", build_grid)
     assert run(["voxel-verify", "--model", "slices", "--n", "2"]) == 2
@@ -225,18 +224,19 @@ def test_usage_error_bad_model(capsys):
 
 
 def test_oracle_cap_upward_rejected(capsys):
-    assert run(["voxel-verify", "--model", "menger", "--n", "7",
-                "--oracle-cap", str(metrics.ORACLE_CAP + 1)]) == 1
-    assert "lower" in capsys.readouterr().err
+    # the oracle cap is the closed forms' cap, 12
+    assert run(["voxel-verify", "--model", "menger", "--n", "7", "--oracle-cap", "13"]) == 1
+    assert capsys.readouterr().err == ("error: --oracle-cap must be in [0, 12] "
+                                       "(it may only lower the default)\n")
 
 
 def test_oracle_cap_negative_rejected(capsys):
     # one message for either end of the range, from both commands that take it
-    message = (f"error: --oracle-cap must be in [0, {metrics.ORACLE_CAP}] "
+    message = (f"error: --oracle-cap must be in [0, {metrics.CLOSED_FORM_CAP}] "
                "(it may only lower the default)\n")
     for argv in [["voxel-verify", "--model", "menger", "--n", "0"],
                  ["mesh", "--model", "menger", "--n", "0", "--out", "x.stl"]]:
-        for cap in ("-1", str(metrics.ORACLE_CAP + 1)):
+        for cap in ("-1", str(metrics.CLOSED_FORM_CAP + 1)):
             assert run([*argv, "--oracle-cap", cap]) == 1
             assert capsys.readouterr().err == message
 
@@ -265,22 +265,28 @@ def test_mesh_cap_refuses_n6_before_building(monkeypatch, capsys):
 
 
 def test_caps_have_one_home_in_metrics(capsys):
-    # the grid refuses what the CLI refuses, with the message the CLI prints
-    assert run(["voxel-verify", "--model", "menger", "--n", str(metrics.ORACLE_CAP + 1)]) == 1
+    # the grid refuses what the CLI refuses, with the message the CLI prints:
+    # the oracle accepts every n the closed forms accept, under one cap
+    cap = metrics.CLOSED_FORM_CAP
+    assert run(["voxel-verify", "--model", "menger", "--n", str(cap + 1)]) == 1
     err = capsys.readouterr().err
+    assert err == f"error: iteration order {cap + 1} outside [0, {cap}]\n"
     for kind in metrics.ModelKind:
         with pytest.raises(metrics.IterationOutOfRangeError) as refused:
-            voxel.build_grid(kind, metrics.ORACLE_CAP + 1)
+            voxel.build_grid(kind, cap + 1)
         assert err == f"error: {refused.value}\n"
     parser = build_parser()
     for argv in [["voxel-verify", "--model", "menger", "--n", "1"],
                  ["mesh", "--model", "menger", "--n", "1", "--out", "x.stl"]]:
-        assert parser.parse_args(argv).oracle_cap == metrics.ORACLE_CAP
+        assert parser.parse_args(argv).oracle_cap == cap
     assert run(["mesh", "--model", "menger", "--n", str(metrics.MESH_CAP + 1),
                 "--out", "x.stl"]) == 1
     assert f"capped at n = {metrics.MESH_CAP}," in capsys.readouterr().err
-    assert not hasattr(voxel, "DEFAULT_ORACLE_CAP")
-    assert not hasattr(mesh, "MESH_CAP")
+    # two caps, both in metrics: the oracle has none of its own
+    assert {name for name in vars(metrics) if name.endswith("_CAP")} == {"CLOSED_FORM_CAP",
+                                                                         "MESH_CAP"}
+    assert not [name for module in (voxel, mesh) for name in vars(module)
+                if name.endswith("_CAP")]
 
 
 def _fail_midway(*args):

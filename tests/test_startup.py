@@ -56,7 +56,7 @@ def _run_fresh(argv):
     pytest.param(["voxel-verify", "--model", "slices", "--n", "6"], 0, id="voxel-verify-slices-6"),
     pytest.param(["--help"], 0, id="help"),
     pytest.param(["row", "--n", "13"], 1, id="usage-error"),
-    pytest.param(["voxel-verify", "--model", "menger", "--n", "11"], 1,
+    pytest.param(["voxel-verify", "--model", "menger", "--n", "13"], 1,
                  id="voxel-verify-above-cap"),
     pytest.param(["voxel-verify", "--model", "menger", "--n", "3", "--oracle-cap", "2"], 1,
                  id="voxel-verify-above-oracle-cap"),

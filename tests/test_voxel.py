@@ -5,11 +5,10 @@ import random
 import sys
 import time
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from spongeheat import metrics, voxel
@@ -66,10 +65,15 @@ def stride(res):
     return 8 * ((res + 8) // 8)
 
 
-@lru_cache(maxsize=4)
+_last_rows = [None, None]
+
+
 def _slab_rows(g):
-    # once per grid: ``cell`` reads one bit at a time
-    return voxel.slab_rows(g)
+    # once per grid in a row (a grid holds dicts, so it cannot key a cache):
+    # ``cell`` reads one bit at a time
+    if _last_rows[0] is not g:
+        _last_rows[:] = g, voxel.slab_rows(g)
+    return _last_rows[1]
 
 
 def slab_lines(g, z):
@@ -94,7 +98,7 @@ def decode_slab(g, z):
 
 
 def table_bytes(g):
-    """Memory held by the grid's line table: lines, table and index."""
+    """Memory held by the grid's line table: lines, slab maps and index."""
     return sum(map(sys.getsizeof, (*g.lines, *g.table, g.lines, g.table, g.index)))
 
 
@@ -217,14 +221,16 @@ def test_distinct_slab_build_matches_per_slab_build(n):
     # its lines one digit at a time
     g = build_grid(MENGER, n)
     res = g.resolution
-    # each distinct y-row once: the 2^n digit-one unions and the empty line
-    # last, every one of them used (the empty line from n = 1 on), in a
-    # 2^n x 2^n table keyed by the digit-one masks of z and y
+    # each distinct y-row once: the 2^n digit-one unions, every one of them
+    # stored, and the empty line last, never stored; one slab per digit-one
+    # mask of z, storing only the classes (masks of y) disjoint from it: 3^n
+    # entries, where a dense table would hold 4^n
     assert len(set(g.lines)) == len(g.lines) == 2**n + 1
     assert g.lines[-1] == 0
-    assert {i for row in g.table for i in row} | {2**n} == set(range(len(g.lines)))
-    assert len(g.table) == len(set(g.table)) == 2**n
-    assert {len(row) for row in g.table} == {2**n}
+    assert {i for row in g.table for i in row.values()} == set(range(2**n))
+    assert len(g.table) == 2**n
+    assert all(not s & r for s, row in enumerate(g.table) for r in row)
+    assert sum(map(len, g.table)) == 3**n
     assert set(g.index) == set(range(2**n))
     solids = 0
     for z in range(res):
@@ -235,8 +241,8 @@ def test_distinct_slab_build_matches_per_slab_build(n):
 
     g = build_grid(SLICES, n)
     assert g.index == tuple(z % 2 for z in range(g.resolution))
-    assert g.table == ((0, 0), (1, 1))
-    assert len(g.lines) == 2
+    assert g.table == ({0: 0, 1: 0}, {})
+    assert len(g.lines) == 2 and g.lines[-1] == 0
     res, full = g.resolution, 2**g.resolution - 1
     assert [slab_lines(g, z) for z in range(res)] == [[full * (1 - z % 2)] * res
                                                       for z in range(res)]
@@ -245,15 +251,17 @@ def test_distinct_slab_build_matches_per_slab_build(n):
 @pytest.mark.parametrize("n", range(7))
 def test_one_axis_map(n):
     # the digit rule treats y and z alike, so one map gives the slab of z
-    # and the row class of y over a square table: the sponge's is symmetric
-    # in slab and class, and a slice slab holds one line in every class
+    # and the row class of y, and the classes a slab stores are slab ids
+    # too: the sponge's table is symmetric in slab and class, and a slice
+    # slab stores one line in every class or none
     sponge, slices = build_grid(MENGER, n), build_grid(SLICES, n)
     for g in (sponge, slices):
         assert len(g.index) == g.resolution
-        assert {len(row) for row in g.table} == {len(g.table)}
-    ids = range(len(sponge.table))
-    assert all(sponge.table[s][r] == sponge.table[r][s] for s in ids for r in ids)
-    assert all(len(set(row)) == 1 for row in slices.table)
+        assert all(set(row) <= set(range(len(g.table))) for row in g.table)
+    assert all(sponge.table[r][s] == i for s, row in enumerate(sponge.table)
+               for r, i in row.items())
+    assert all(set(row) in ({0, 1}, set()) and len(set(row.values())) <= 1
+               for row in slices.table)
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -287,10 +295,10 @@ def test_guard_bits_are_zero(kind, n):
 
 def test_grid_build_memory_n6():
     # the build allocates the line table (for the sponge, 65 int lines of
-    # 124 bytes, a 64 x 64 table of line ids and the index, 50 KB in all;
-    # 6 KB for the slices) plus O(res) scratch, under 8 KB; a line id per
-    # slab and y took 0.39 MB, and joining the slabs as bitsets would add
-    # 4.3 MB
+    # 124 bytes, 64 slab maps holding 3^6 line ids and the index, 46 KB in
+    # all, where a 64 x 64 table took 50 KB; 6 KB for the slices) plus
+    # O(res) scratch, under 8 KB; a line id per slab and y took 0.39 MB, and
+    # joining the slabs as bitsets would add 4.3 MB
     for kind in (MENGER, SLICES):
         g, peak = traced_peak(build_grid, kind, 6)
         assert peak < table_bytes(g) + 32 * 2**10, (kind, peak - table_bytes(g))
@@ -298,21 +306,24 @@ def test_grid_build_memory_n6():
 
 def test_face_counts_memory_n6():
     # the count holds no slab bitset and no column of line ids per y: only
-    # the line ints, the id pairs and the line-pair memo (about 80 KB for
-    # the sponge; 0.56 MB with a column per y); joining each distinct slab
-    # as an int took 1 MB, and 4.6 MB for all
+    # the line ints, the id pairs, the class successors and the memo of 384
+    # stored line pairs (about 44 KB for the sponge, 80 KB over a dense
+    # table; 0.56 MB with a column per y); joining each distinct slab as an
+    # int took 1 MB, and 4.6 MB for all
     _, peak = traced_peak(measure, build_grid(MENGER, 6))
-    assert peak < 2**18, peak / 2**10
+    assert peak < 2**17, peak / 2**10
 
 
 def test_face_counts_memory_n9():
     # the count reads the grid's line ints as they are and counts each axis
-    # once: the memo of about 5600 line pairs, the id pairs and
-    # the per-line run counts take about 1.07 MB for the sponge.  Counting
-    # + and - apart, with an outside line and slab, took 1.33 MB, and a
-    # second copy of the 513 lines as ints, decoded from bytes, 2.7 MB
+    # once, over the stored entries only: the memo of 4608 line pairs, the
+    # id pairs, the class successors and the per-line run counts take about
+    # 0.75 MB for the sponge, where the dense table's empty entries took
+    # 1.07 MB.  Counting + and - apart, with an outside line and slab, took
+    # 1.33 MB, and a second copy of the 513 lines as ints, decoded from
+    # bytes, 2.7 MB
     _, peak = traced_peak(measure, build_grid(MENGER, 9))
-    assert peak < 1.2e6, peak / 1e6
+    assert peak < 1.0e6, peak / 1e6
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -320,7 +331,9 @@ def test_slab_rows(kind):
     # row y of slab z, and one tuple shared by every z of a distinct slab
     g = build_grid(kind, 3)
     rows = voxel.slab_rows(g)
-    assert rows == [tuple(g.table[g.index[z]][g.index[y]] for y in range(27)) for z in range(27)]
+    empty = len(g.lines) - 1  # what a class the slab does not store reads
+    assert rows == [tuple(g.table[g.index[z]].get(g.index[y], empty) for y in range(27))
+                    for z in range(27)]
     assert len({id(row) for row in rows}) == len(set(g.index))
 
 
@@ -338,8 +351,8 @@ def test_grid_build_deterministic():
 
 
 def test_oracle_cap():
-    # the build checks n against the oracle cap with the closed forms' check
-    cap = metrics.ORACLE_CAP
+    # the build accepts every n the closed forms accept, with their check
+    cap = metrics.CLOSED_FORM_CAP
     for kind in (MENGER, SLICES):
         for n in (-1, cap + 1):
             with pytest.raises(IterationOutOfRangeError, match=rf"^iteration order {n} "
@@ -394,7 +407,7 @@ def test_face_count_matches_pair_count_reference(kind, n):
     assert count_exposed_faces(g) == pair_count_faces(g)
 
 
-@pytest.mark.parametrize("n", range(metrics.ORACLE_CAP + 1))
+@pytest.mark.parametrize("n", range(metrics.CLOSED_FORM_CAP + 1))
 def test_face_counts_per_direction_closed_forms(n):
     # the sponge is symmetric under the cube's rotations; slices expose
     # their plate faces on +-z and their rims on +-x and +-y
@@ -457,8 +470,8 @@ def test_face_counts_exact_for_one_row_per_slab(kind):
     # count must not assume distinct ids differ
     g = build_grid(kind, 3)
     res = g.resolution
-    lines = tuple(line for z in range(res) for line in slab_lines(g, z))
-    table = tuple(tuple(range(z * res, (z + 1) * res)) for z in range(res))
+    lines = (*(line for z in range(res) for line in slab_lines(g, z)), 0)
+    table = tuple({y: z * res + y for y in range(res)} for z in range(res))
     spread = g._replace(lines=lines, table=table, index=tuple(range(res)))
     assert [slab_lines(spread, z) for z in range(res)] == [slab_lines(g, z) for z in range(res)]
     assert measure(spread) == measure(g)
@@ -467,29 +480,56 @@ def test_face_counts_exact_for_one_row_per_slab(kind):
 
 @st.composite
 def line_table_grids(draw):
-    """A hand-built line table of any resolution: a pool of random, empty
-    or full lines, a square table of random line ids, and an index drawing
-    its ids in any order for z and y, so equal rows and slabs recur both
-    adjacent and apart.  The pool may also hold a second copy of one of its
-    lines, and the table a second copy of one id (its row and its column),
-    so equal lines, slabs and classes need not share an id; ids may be
-    unused.  Only ``resolution``, ``lines``, ``table`` and ``index`` matter
-    to the face count."""
+    """A hand-built sparse line table of any resolution: a pool of random,
+    empty or full lines ending in the empty line, one map per slab from a
+    random subset of the ids to random lines, and an index drawing its ids
+    in any order for z and y, so equal rows and slabs recur both adjacent
+    and apart.  A slab may store a class as an empty line or leave it out,
+    and store a class that the next slab lacks.  The pool may also hold a
+    second copy of one of its lines, and the table a second copy of one id
+    (its slab and its class in every slab), so equal lines, slabs and
+    classes need not share an id; ids may be unused.  Only ``resolution``,
+    ``lines``, ``table`` and ``index`` matter to the face count."""
     res = draw(st.integers(1, 12))
     line = st.one_of(st.just(0), st.just(2**res - 1), st.integers(0, 2**res - 1))
-    pool = draw(st.lists(line, min_size=1, max_size=res + 1))
-    if draw(st.booleans()):
+    pool = draw(st.lists(line, max_size=res + 1))
+    if pool and draw(st.booleans()):
         pool.append(draw(st.sampled_from(pool)))
+    pool.append(0)
     size = draw(st.integers(1, 4))
-    row = st.lists(st.sampled_from(range(len(pool))), min_size=size, max_size=size)
+    row = st.dictionaries(st.integers(0, size - 1), st.integers(0, len(pool) - 1))
     table = draw(st.lists(row, min_size=size, max_size=size))
     if draw(st.booleans()):
-        twin = draw(st.sampled_from(range(size)))
-        table = [[*ids, ids[twin]] for ids in table]
-        table.append(table[twin])
-    index = draw(st.lists(st.sampled_from(range(len(table))), min_size=res, max_size=res))
-    return VoxelGrid(resolution=res, lines=tuple(pool), table=tuple(map(tuple, table)),
-                     index=tuple(index))
+        twin = draw(st.integers(0, size - 1))
+        for ids in table:
+            if twin in ids:
+                ids[size] = ids[twin]
+        table.append(dict(table[twin]))
+    index = draw(st.lists(st.integers(0, len(table) - 1), min_size=res, max_size=res))
+    return VoxelGrid(resolution=res, lines=tuple(pool), table=tuple(table), index=tuple(index))
+
+
+def test_line_table_grids_draw_the_sparse_layout():
+    # the strategy reaches each feature of the sparse layout that the count
+    # must not trip on
+    def stored_empty(g):
+        return any(g.lines[i] == 0 for row in g.table for i in row.values())
+
+    def equal_lines(g):
+        stored = {i for row in g.table for i in row.values()}
+        return len({g.lines[i] for i in stored}) < len(stored)
+
+    def missing_class(g):
+        return any(r not in g.table[s] for s in set(g.index) for r in set(g.index))
+
+    def dropped_next(g):
+        return any(g.table[s].keys() - g.table[t].keys() for s, t in zip(g.index, g.index[1:]))
+
+    for feature in (stored_empty, equal_lines, missing_class, dropped_next):
+        found = find(line_table_grids(), feature,
+                     settings=settings(database=None, derandomize=True,
+                                       phases=[Phase.generate]))
+        assert feature(found)
 
 
 @settings(max_examples=150, deadline=None)
@@ -531,7 +571,7 @@ def test_oracle_equivalence_small(kind, n):
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
-@pytest.mark.parametrize("n", range(metrics.ORACLE_CAP + 1))
+@pytest.mark.parametrize("n", range(metrics.CLOSED_FORM_CAP + 1))
 def test_slab_counts(kind, n):
     # per-z solid counts: each equals its closed form, and together they are
     # the solid count V * 27^n
@@ -564,6 +604,7 @@ def test_grid_shape_and_edge():
     # packed as 2 bytes a line: 9 cells and 7 zero guard bits, little-endian
     assert g.stride == 16
     assert bytes(g.packed) == b"\xff\x01\x6d\x01\xc7\x01\x45\x01\x00\x00"
-    # slab s, row class r: the empty line 4 if s & r, else line s | r
-    assert g.table == ((0, 1, 2, 3), (1, 4, 3, 4), (2, 3, 4, 4), (3, 4, 4, 4))
+    # slab s stores row class r as line s | r only when not s & r: the
+    # empty line 4 is never stored
+    assert g.table == ({0: 0, 1: 1, 2: 2, 3: 3}, {0: 1, 2: 3}, {0: 2, 1: 3}, {0: 3})
     assert g.index == (0, 1, 0, 2, 3, 2, 0, 1, 0)
