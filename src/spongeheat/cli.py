@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check closed-form volume/surface against the voxel oracle")
     p.add_argument("--model", choices=sorted(_MODELS), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--oracle-cap", type=int, default=metrics.CLOSED_FORM_CAP)
 
     p = sub.add_parser("crossover",
                        help="locate where the sponge efficiency curve overtakes the slice curve")
@@ -70,16 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("stl", "obj"), default="stl")
     p.add_argument("--out", required=True)
-    p.add_argument("--oracle-cap", type=int, default=metrics.CLOSED_FORM_CAP)
 
     return parser
-
-
-def _check_cap(cap: int) -> int:
-    if not 0 <= cap <= metrics.CLOSED_FORM_CAP:
-        raise _UsageError(f"--oracle-cap must be in [0, {metrics.CLOSED_FORM_CAP}] "
-                          "(it may only lower the default)")
-    return cap
 
 
 def _check_out(path: str) -> None:
@@ -112,7 +103,9 @@ def _write_file(path: str, write) -> int:
 def _emit(fmt: str, **sections) -> None:
     """Write table rows (``rows=``) or a crossover report (``crossover=``,
     JSON only) to stdout's byte stream in ``fmt``, flushed before anything
-    else is printed."""
+    else is printed.  An interpreter started with stdout closed has none."""
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
     sink = sys.stdout.buffer
     if fmt == "json":
         analysis.emit_json(sink, **sections)
@@ -132,7 +125,7 @@ def _cmd_row(args) -> int:
 
 
 def _cmd_voxel_verify(args) -> int:
-    metrics.check_iteration(args.n, cap=_check_cap(args.oracle_cap))
+    metrics.check_iteration(args.n)
     from . import voxel
 
     kind = _MODELS[args.model]
@@ -199,10 +192,9 @@ def _cmd_series(args) -> int:
 def _cmd_mesh(args) -> int:
     _check_out(args.out)
     kind = _MODELS[args.model]
-    cap = _check_cap(args.oracle_cap)
     if args.n > metrics.MESH_CAP:
         raise _UsageError(f"mesh export is capped at n = {metrics.MESH_CAP}, got {args.n}")
-    metrics.check_iteration(args.n, cap=cap)
+    metrics.check_iteration(args.n)
     # imported only after the refusals above, so a refused export loads no numpy
     from . import mesh, voxel
 

@@ -22,9 +22,9 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-#: The two iteration-order caps below are the single named constants all
-#: range checks use.  They live in this numpy-free module so that the CLI can
-#: check arguments without importing ``voxel`` or ``mesh``.
+#: Every range check on n compares against one of the two caps below, and no
+#: option moves them.  They live in this numpy-free module so that the CLI
+#: can check arguments without importing ``voxel`` or ``mesh``.
 #:
 #: Hard cap on the iteration order for closed-form evaluation, and for the
 #: voxel oracle that checks them.  The values stay exact at any n; the cap
@@ -48,14 +48,15 @@ class ModelKind(enum.Enum):
     MENGER_SPONGE = "menger"
 
 
-def check_iteration(n: int, cap: int = CLOSED_FORM_CAP) -> int:
-    """Validate an iteration order; returns it as a plain int."""
+def check_iteration(n: int) -> int:
+    """Validate an iteration order, in [0, CLOSED_FORM_CAP] for the closed
+    forms and the voxel oracle alike; returns it as a plain int."""
     try:
         n = operator.index(n)
     except TypeError:
         raise IterationOutOfRangeError(f"iteration order must be an integer, got {n!r}") from None
-    if not 0 <= n <= cap:
-        raise IterationOutOfRangeError(f"iteration order {n} outside [0, {cap}]")
+    if not 0 <= n <= CLOSED_FORM_CAP:
+        raise IterationOutOfRangeError(f"iteration order {n} outside [0, {CLOSED_FORM_CAP}]")
     return n
 
 

@@ -29,11 +29,11 @@ face, so :func:`measure` counts each axis once, per stored table entry: the
 runs of each line along x, and along y and z the solid cells (summed from
 :func:`slab_counts`, so the volume and the per-slab report of a failed
 verification read the same count) minus the touching pairs a & b of
-adjacent rows or slabs (a cell next to the outside touches nothing).  The
-mesh writers list each row's exposed faces by the rule itself: line &
-~(line >> 1) for +x, line & ~(line << 1) for -x (the zeros shifted in past
-each end are the coolant beyond the row), and a & ~b towards the adjacent
-line b in y or z.
+adjacent rows or slabs (a cell next to the outside touches nothing).  One
+exposure rule, a & ~b, gives each row's faces towards the adjacent line b
+in y or z, and in x towards the line shifted by one cell, line >> 1 for +x
+and line << 1 for -x (the zeros shifted in past each end are the coolant
+beyond the row): :func:`measure` counts the x runs by their +x faces.
 Bytes appear only in ``VoxelGrid.packed``, whose fixed-width rows end in
 zero guard bits, and in the mesh writers' unpacking of exposure masks.
 """
@@ -111,10 +111,16 @@ def build_grid(kind: ModelKind, n: int) -> VoxelGrid:
             lines = [a | b << step for a, b in zip(outer, lines)] + outer
             masks = masks + [m | 1 << k for m in masks] + masks
         # slab s stores row class r unless a digit is 1 in both y and z, as
-        # the line of the union of their masks
+        # the line of the union of their masks: r walks the submasks of s's
+        # complement c in ascending order, 3^n steps in all
         ids = list(range(len(lines)))  # one int object per id, shared by the table
-        table = tuple({r: ids[s | r] for r in ids if not s & r} for s in ids)
-        index = tuple(masks)
+        table = []
+        for s in ids:
+            c, r, row = ids[-1] ^ s, 0, {0: ids[s]}
+            while r := (r - c) & c:
+                row[ids[r]] = ids[s | r]
+            table.append(row)
+        table, index = tuple(table), tuple(masks)
     else:
         # plates on the even z, one full line; the gaps store none
         lines = [(1 << res) - 1]
@@ -143,17 +149,17 @@ def slab_rows(g: VoxelGrid) -> list[tuple[int, ...]]:
     return list(map(rows.__getitem__, g.index))
 
 
+def _across(a: int, b: int) -> int:
+    """The bitset of line ``a``'s cells exposed towards the adjacent line
+    ``b``: the row next to it in y, the same row in the next slab in z (0
+    outside the lattice), or ``a`` shifted by one cell in x."""
+    return a & ~b
+
+
 def _along(line: int) -> tuple[int, int]:
     """The bitsets of ``line``'s cells exposed in +x and -x: the zeros
     shifted in past either end stand for the coolant beyond the row."""
-    return line & ~(line >> 1), line & ~(line << 1)
-
-
-def _across(a: int, b: int) -> int:
-    """The bitset of line ``a``'s cells exposed towards the adjacent line
-    ``b``: the row next to it in y, or the same row in the next slab in z
-    (0 when the neighbour lies outside the lattice)."""
-    return a & ~b
+    return _across(line, line >> 1), _across(line, line << 1)
 
 
 def measure(g: VoxelGrid) -> tuple[list[int], list[int]]:
@@ -167,7 +173,7 @@ def measure(g: VoxelGrid) -> tuple[list[int], list[int]]:
     z and y share it.  A class a slab does not store is the empty line and
     touches nothing.  Exact for any line table, even one that stores empty
     lines, or equal lines, classes or slabs under different ids."""
-    runs = [_along(line)[0].bit_count() for line in g.lines]
+    runs = [_across(line, line >> 1).bit_count() for line in g.lines]  # the +x faces
     weights = Counter(g.index)
     pairs = Counter(zip(g.index, g.index[1:]))
     successors = {}  # each class's distinct successors in y, with their counts

@@ -61,7 +61,7 @@ def test_voxel_verify_slices(capsys):
     assert run(["voxel-verify", "--model", "slices", "--n", "2"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "V=0.5556" in out
-    for model in ("menger", "slices"):  # within the default oracle cap (CI runs n = 12)
+    for model in ("menger", "slices"):  # CI runs n = 12, the closed forms' cap
         assert run(["voxel-verify", "--model", model, "--n", "7"]) == 0
         assert f"PASS model={model} n=7" in capsys.readouterr().out
 
@@ -223,27 +223,15 @@ def test_usage_error_bad_model(capsys):
     assert run(["voxel-verify", "--model", "cube", "--n", "1"]) == 1
 
 
-def test_oracle_cap_upward_rejected(capsys):
-    # the oracle cap is the closed forms' cap, 12
-    assert run(["voxel-verify", "--model", "menger", "--n", "7", "--oracle-cap", "13"]) == 1
-    assert capsys.readouterr().err == ("error: --oracle-cap must be in [0, 12] "
-                                       "(it may only lower the default)\n")
-
-
-def test_oracle_cap_negative_rejected(capsys):
-    # one message for either end of the range, from both commands that take it
-    message = (f"error: --oracle-cap must be in [0, {metrics.CLOSED_FORM_CAP}] "
-               "(it may only lower the default)\n")
-    for argv in [["voxel-verify", "--model", "menger", "--n", "0"],
-                 ["mesh", "--model", "menger", "--n", "0", "--out", "x.stl"]]:
-        for cap in ("-1", str(metrics.CLOSED_FORM_CAP + 1)):
+def test_oracle_cap_is_unrecognized(capsys):
+    # no option moves a cap: --oracle-cap is gone from both commands that
+    # took it, at any value, below n or not, so it is a usage error
+    for argv in [["voxel-verify", "--model", "menger", "--n", "3"],
+                 ["mesh", "--model", "menger", "--n", "3", "--out", "x.stl"]]:
+        for cap in ("-1", "2", "12", "13"):
             assert run([*argv, "--oracle-cap", cap]) == 1
-            assert capsys.readouterr().err == message
-
-
-def test_oracle_cap_lowered(capsys):
-    assert run(["voxel-verify", "--model", "menger", "--n", "3",
-                "--oracle-cap", "2"]) == 1
+            assert capsys.readouterr() == ("", f"error: unrecognized arguments: "
+                                               f"--oracle-cap {cap}\n")
 
 
 def test_iteration_out_of_range(capsys):
@@ -278,7 +266,7 @@ def test_caps_have_one_home_in_metrics(capsys):
     parser = build_parser()
     for argv in [["voxel-verify", "--model", "menger", "--n", "1"],
                  ["mesh", "--model", "menger", "--n", "1", "--out", "x.stl"]]:
-        assert parser.parse_args(argv).oracle_cap == cap
+        assert "oracle_cap" not in vars(parser.parse_args(argv))  # no cap is settable
     assert run(["mesh", "--model", "menger", "--n", str(metrics.MESH_CAP + 1),
                 "--out", "x.stl"]) == 1
     assert f"capped at n = {metrics.MESH_CAP}," in capsys.readouterr().err
@@ -338,6 +326,14 @@ def test_io_failure_exits_3(tmp_path, capsys, monkeypatch):
             assert run([*argv, "--out", out]) == 3, (argv, out)
             assert "--out" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing"]
+
+
+def test_closed_stdout_is_an_io_error(capsys, monkeypatch):
+    # an interpreter started with fd 1 closed has sys.stdout None
+    with monkeypatch.context() as patch:
+        patch.setattr("sys.stdout", None)
+        assert run(["table", "--max-n", "3"]) == 3
+    assert capsys.readouterr() == ("", "i/o error: stdout is closed\n")
 
 
 def test_help_exits_0(capsys):

@@ -51,7 +51,8 @@ CORPUS = {
     "mesh --model slices --n 3 --format obj --out mesh.obj": "d3b4239d6b7186209283df9ac617ac4ab66293946aae3a43346cbe3fe1405160",
     "mesh --model slices --n 4 --format stl --out mesh.stl": "d2af59457a9c0f445a1249485f8d2bfde089b0d18c507a7cb24e4083355fcb50",
     "row --n 13": "95b8b6cc531788dd714bd3e0090a3c712f8ad0efc93091812f6755339fe386be",
-    "voxel-verify --model menger --n 3 --oracle-cap 2": "83a54864bd22d641e4bd4a16779d98a69c6a4a03e9610aca24cc9494fef844bd",
+    # a removed option: argparse refuses it as an unrecognized argument
+    "voxel-verify --model menger --n 3 --oracle-cap 2": "048855ba35017f853351d5793abb383a4261f83f2551f978c39c0f2747ccf726",
     "frobnicate": "a807ad85e9c797f585e3f2ecc9e2f28218c4e264cba3f8e7fb67af2e70c3f914",
 }
 

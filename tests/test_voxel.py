@@ -5,6 +5,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -248,6 +249,22 @@ def test_distinct_slab_build_matches_per_slab_build(n):
                                                       for z in range(res)]
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_sponge_table_matches_pair_filter(n):
+    # reference: every (slab, class) pair tested, 4^n tests for the 3^n
+    # entries that the build's walk over the submasks reaches directly
+    g = build_grid(MENGER, n)
+    ids = range(2**n)
+    assert g.table == tuple({r: s | r for r in ids if not s & r} for s in ids)
+
+
+def test_sponge_table_shares_its_ids():
+    # one int object per id, as key and as value: ints above 256 are not
+    # cached, and a fresh key per entry added 13 MB to the n = 12 build
+    g = build_grid(MENGER, 9)
+    assert len({id(i) for row in g.table for entry in row.items() for i in entry}) == 2**9
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_one_axis_map(n):
     # the digit rule treats y and z alike, so one map gives the slab of z
@@ -407,15 +424,29 @@ def test_face_count_matches_pair_count_reference(kind, n):
     assert count_exposed_faces(g) == pair_count_faces(g)
 
 
+def _counts(kind, n):
+    g = build_grid(kind, n)
+    return voxel.slab_counts(g), *measure(g)
+
+
+@pytest.fixture(scope="module")
+def counted():
+    """``counted(kind, n)`` is ``(slab_counts(g), *measure(g))`` for the grid
+    of (kind, n), built and counted once for the whole module: the n = 12
+    sponge takes seconds.  The grid itself is not kept (its lines alone take
+    290 MB at n = 12), only the counts, whose per-z lists share their ints."""
+    return lru_cache(maxsize=None)(_counts)
+
+
 @pytest.mark.parametrize("n", range(metrics.CLOSED_FORM_CAP + 1))
-def test_face_counts_per_direction_closed_forms(n):
+def test_face_counts_per_direction_closed_forms(n, counted):
     # the sponge is symmetric under the cube's rotations; slices expose
     # their plate faces on +-z and their rims on +-x and +-y
     assert (2 * 20**n + 4 * 8**n) % 6 == 0
-    sponge = measure(build_grid(MENGER, n))[1]
+    sponge = counted(MENGER, n)[2]
     assert sponge == [(2 * 20**n + 4 * 8**n) // 6] * 6
     rho = metrics.slice_count(n)
-    slices = measure(build_grid(SLICES, n))[1]
+    slices = counted(SLICES, n)[2]
     assert slices == [rho * 3**n] * 4 + [rho * 9**n] * 2
     # the expected counts voxel-verify reports on a mismatch
     assert tuple(sponge) == metrics.model_face_counts(MENGER, n)
@@ -572,16 +603,16 @@ def test_oracle_equivalence_small(kind, n):
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
 @pytest.mark.parametrize("n", range(metrics.CLOSED_FORM_CAP + 1))
-def test_slab_counts(kind, n):
+def test_slab_counts(kind, n, counted):
     # per-z solid counts: each equals its closed form, and together they are
     # the solid count V * 27^n
-    g = build_grid(kind, n)
-    counts = voxel.slab_counts(g)
-    assert len(counts) == g.resolution
+    counts, slabs, _ = counted(kind, n)
+    assert len(counts) == 3**n
     assert sum(counts) == metrics.model_volume(kind, n) * 27**n
-    assert counts == [metrics.model_slab_count(kind, n, z) for z in range(g.resolution)]
-    assert measure(g)[0] == counts
+    assert counts == [metrics.model_slab_count(kind, n, z) for z in range(3**n)]
+    assert slabs == counts
     if n <= 3:
+        g = build_grid(kind, n)
         assert counts == [int(decode_slab(g, z).sum()) for z in range(g.resolution)]
 
 
