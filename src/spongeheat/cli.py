@@ -12,10 +12,12 @@ import argparse
 import os
 import sys
 
-# Only the closed forms are imported here.  voxel and mesh are imported by the
-# two commands that use them, after their checks, so closed-form and refused
-# commands neither compile nor import them (and only mesh loads numpy).
-from . import analysis, metrics
+# Only the closed forms are imported here.  Each command imports the rest of
+# what it uses: analysis by the five that format results, never by mesh, and
+# voxel and mesh by the two that use them, after their checks, so closed-form
+# and refused commands neither compile nor import them (and only mesh loads
+# numpy).
+from . import metrics
 
 
 class _UsageError(Exception):
@@ -103,9 +105,9 @@ def _write_file(path: str, write) -> int:
 def _emit(fmt: str, **sections) -> None:
     """Write table rows (``rows=``) or a crossover report (``crossover=``,
     JSON only) to stdout's byte stream in ``fmt``, flushed before anything
-    else is printed.  An interpreter started with stdout closed has none."""
-    if sys.stdout is None:
-        raise OSError("stdout is closed")
+    else is printed."""
+    from . import analysis
+
     sink = sys.stdout.buffer
     if fmt == "json":
         analysis.emit_json(sink, **sections)
@@ -115,18 +117,22 @@ def _emit(fmt: str, **sections) -> None:
 
 
 def _cmd_table(args) -> int:
+    from . import analysis
+
     _emit(args.format, rows=analysis.full_table(args.max_n))
     return 0
 
 
 def _cmd_row(args) -> int:
+    from . import analysis
+
     _emit(args.format, rows=[analysis.table_row(args.n)])
     return 0
 
 
 def _cmd_voxel_verify(args) -> int:
     metrics.check_iteration(args.n)
-    from . import voxel
+    from . import analysis, voxel
 
     kind = _MODELS[args.model]
     grid = voxel.build_grid(kind, args.n)
@@ -160,6 +166,8 @@ def _cmd_voxel_verify(args) -> int:
 
 
 def _cmd_crossover(args) -> int:
+    from . import analysis
+
     sponge = analysis.efficiency_series(metrics.ModelKind.MENGER_SPONGE, args.max_n)
     slabs = analysis.efficiency_series(metrics.ModelKind.SLICES, args.max_n)
     try:
@@ -180,6 +188,8 @@ def _cmd_crossover(args) -> int:
 
 def _cmd_series(args) -> int:
     _check_out(args.out)
+    from . import analysis
+
     series = [
         analysis.efficiency_series(metrics.ModelKind.MENGER_SPONGE, args.max_n),
         analysis.efficiency_series(metrics.ModelKind.SLICES, args.max_n),
@@ -220,6 +230,10 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # an interpreter started with fd 1 closed has no sys.stdout, and a
+        # bare print to None writes nothing: refuse before any work is done
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
         return _COMMANDS[args.command](args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,21 +14,25 @@ rows at y +- 1 and of the same row in the slabs z +- 1.  :func:`_faces`
 reads line ids through ``voxel.slab_rows``, works out each distinct
 key's faces once, by the exposure rule of :mod:`spongeheat.voxel`, keeps
 them as int16 (x, direction) rows (1,599 keys and 0.6 MB for the n = 5
-sponge), joins a slab's rows and hands the faces out chunk by chunk.
+sponge), joins a slab's rows and hands the faces out chunk by chunk, with
+each chunk's (y, direction) rows worked out as it is handed out.
 Every triangle is then assembled from small lookup tables indexed by
 (x, direction) and (y, direction): STL record pairs and y corners, or OBJ
 corner keys.  No per-face integer lattice is built, and every STL chunk
 goes through one record buffer of ``2 * _CHUNK`` records.  OBJ keeps
 vertex ids for the two z-planes of the current slab only, 2 * (3^n + 1)^2
 int32, and its face pass renumbers the corners in the same order as its
-vertex pass.  So export memory is the row faces, one slab's face list and
-one chunk, not the mesh or a lattice table: the n = 5 sponge STL traces
-under 3 MiB, and its command peaks at about 31 MB resident, the OBJ at
-about 35 MB, a few MB above the interpreter and numpy.
+vertex pass.  So export memory is the row faces, one slab's int16 face
+list and one chunk, with no temporary as long as a slab, and not the mesh
+or a lattice table: the n = 5 sponge STL traces at about 1.6 MiB, and its
+command peaks at about 30.6 MB resident, the OBJ at about 32.2 MB, 1.5
+and 3 MB above the interpreter and numpy.
 """
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -84,7 +88,7 @@ class MeshBuffer(NamedTuple):
 
 
 #: Most faces the writers assemble at once; it sizes the STL record buffer.
-_CHUNK = 4096
+_CHUNK = 2048
 
 
 def _row_faces(keys: list, lines: tuple, stride: int) -> list:
@@ -115,7 +119,8 @@ def _faces(g: VoxelGrid):
 
     Each y-row's faces depend only on its row key (see :func:`_row_faces`),
     so they are worked out once per distinct key and kept as int16; a slab
-    joins its rows' lists.
+    joins its rows' lists, and each chunk's ``yd`` is worked out from its
+    own slice and the rows' lengths, so no temporary spans the slab.
     """
     res = g.resolution
     outside = (len(g.lines) - 1,) * res  # the grid's empty line beyond the lattice, in each y
@@ -130,9 +135,14 @@ def _faces(g: VoxelGrid):
             cache.update(zip(new, _row_faces(new, g.lines, g.stride)))
         rows = list(map(cache.__getitem__, keys))
         xd = np.concatenate(rows)
-        yd = np.repeat(y6, list(map(len, rows))) + xd - xd // 6 * 6  # xd % 6, only faster
+        ends = list(accumulate(map(len, rows)))  # one past each y-row's last face
         for start in range(0, len(xd), _CHUNK):
-            yield z, xd[start:start + _CHUNK], yd[start:start + _CHUNK]
+            chunk = xd[start:start + _CHUNK]
+            stop = start + len(chunk)
+            # the rows the chunk overlaps, and how many of its faces each holds
+            first, last = bisect_right(ends, start), bisect_left(ends, stop) + 1
+            y6s = np.repeat(y6[first:last], np.diff([start, *ends[first:last - 1], stop]))
+            yield z, chunk, y6s + chunk - chunk // 6 * 6  # chunk % 6, only faster
 
 
 def _corner_table(res: int, axis: int, corners: np.ndarray = _TRIANGLES) -> np.ndarray:
@@ -292,7 +302,8 @@ def write_obj(m: MeshBuffer, sink) -> int:
     Two passes over the chunks, each numbering the corners afresh in the
     same order: the first writes the vertices, the second the faces.
     Memory is one int32 id per corner of two z-planes, 2 * (3^n + 1)^2 of
-    them, plus the row faces, one slab's face list and one chunk.
+    them, plus the row faces, one slab's int16 face list and one chunk; the
+    face pass formats the ``6 * _CHUNK`` vertex ids of one chunk at a time.
     """
     side = m.grid.resolution + 1
     labels = np.array([f"{float(c):.9g}" for c in _lattice_coords(m.grid.resolution)],

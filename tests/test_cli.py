@@ -343,12 +343,23 @@ def test_io_failure_exits_3(tmp_path, capsys, monkeypatch):
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing"]
 
 
-def test_closed_stdout_is_an_io_error(capsys, monkeypatch):
-    # an interpreter started with fd 1 closed has sys.stdout None
+@pytest.mark.parametrize("argv", [
+    pytest.param(["table", "--max-n", "3"], id="table"),
+    pytest.param(["voxel-verify", "--model", "menger", "--n", "2"], id="voxel-verify"),
+    pytest.param(["crossover"], id="crossover-text"),
+    pytest.param(["series", "--out", "{tmp}/series.csv"], id="series"),
+    pytest.param(["mesh", "--model", "menger", "--n", "1", "--out", "{tmp}/m1.stl"], id="mesh"),
+])
+def test_closed_stdout_is_an_io_error(argv, tmp_path, capsys, monkeypatch):
+    # an interpreter started with fd 1 closed has sys.stdout None, where a
+    # bare print writes nothing: every command refuses before any work, so
+    # no report is lost and no file is written
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     with monkeypatch.context() as patch:
         patch.setattr("sys.stdout", None)
-        assert run(["table", "--max-n", "3"]) == 3
+        assert run(argv) == 3
     assert capsys.readouterr() == ("", "i/o error: stdout is closed\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_help_exits_0(capsys):

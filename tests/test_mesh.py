@@ -78,14 +78,15 @@ class _Sha256Sink:
 def test_stl_n5_sponge_hash():
     # 13.1 M triangles, hashed as they stream; chunk sizes vary within and
     # between slabs, so a stale byte left in the reused record buffer would
-    # change the hash.  Memory is one slab's face mask and one fixed chunk
-    # of records, whatever the size of the mesh or of its largest slab
+    # change the hash.  Memory is the row faces, one slab's int16 face list
+    # and one fixed chunk of records, whatever the size of the mesh: no
+    # temporary spans a slab
     m = mesh_from_grid(build_grid(MENGER, 5))
     sink = _Sha256Sink()
     _, peak = traced_peak(write_stl_binary, m, sink)
     assert sink.digest.hexdigest() == (
         "ccaa469583aefe2db7a6baca993552d7e1d3924b2593a60fb977a07e596ed203")
-    assert peak < 3 * 2**20
+    assert peak < 2.25 * 2**20
 
 
 def test_stl_layout():
@@ -136,10 +137,10 @@ def _digests(kind, n):
 @pytest.mark.parametrize("n", range(4))
 def test_chunk_size_does_not_change_bytes(kind, n, monkeypatch):
     # chunks of 1 and 7 faces split y-rows and vertex runs at every offset,
-    # 1000 splits slabs mid-row; STL bytes and OBJ vertex numbering must
-    # match the default chunk exactly
+    # 1000 splits slabs mid-row, 4096 was the default before; STL bytes and
+    # OBJ vertex numbering must match the default chunk exactly
     expected = _digests(kind, n)
-    for chunk in (1, 7, 1000):
+    for chunk in (1, 7, 1000, 4096):
         monkeypatch.setattr(mesh, "_CHUNK", chunk)
         assert _digests(kind, n) == expected, chunk
 
@@ -199,13 +200,14 @@ def test_faces_per_direction_match_face_counts(kind, n):
 
 def test_obj_streams_in_bounded_memory():
     # one int32 id per corner of two z-planes, 2 * 82^2 of them, plus the
-    # row faces, one slab's face list and one chunk; a table of every
-    # lattice corner would add 4 * 82^3 bytes (2.1 MiB)
+    # row faces, one slab's int16 face list and one chunk of keys and
+    # formatted lines; a table of every lattice corner would add 4 * 82^3
+    # bytes (2.1 MiB)
     m = mesh_from_grid(build_grid(MENGER, 4))
     sink = _ByteCounter()
     nbytes, peak = traced_peak(write_obj, m, sink)
     assert nbytes == sink.nbytes > 20_000_000
-    assert peak < 2.5 * 2**20
+    assert peak < 1.5 * 2**20
 
 
 def _obj_records(payload: bytes):

@@ -2,7 +2,7 @@
 ``mesh`` imports numpy; only ``--format json`` imports json; no command
 imports dataclasses, and none but ``mesh`` (through numpy) imports inspect.
 Only a ``voxel-verify`` or ``mesh`` that passed its checks loads
-``spongeheat.voxel``.
+``spongeheat.voxel``, and ``mesh`` never loads ``spongeheat.analysis``.
 
 Each case runs ``cli.run(argv)`` in a fresh interpreter, because this test
 process has already imported numpy through the other test modules.
@@ -78,6 +78,9 @@ def test_closed_form_and_refused_commands_never_import_numpy(argv, expected_code
     assert ("json" in loaded) == ("json" in argv)
     # the oracle is imported only once a voxel-verify has passed its checks
     assert ("spongeheat.voxel" in loaded) == (argv[0] == "voxel-verify" and code == 0)
+    # every command that ran formats its results through analysis
+    if code == 0:
+        assert ("spongeheat.analysis" in loaded) == (argv[0] != "--help")
 
 
 def test_mesh_imports_numpy(tmp_path):
@@ -85,6 +88,7 @@ def test_mesh_imports_numpy(tmp_path):
                                "--out", f"{tmp_path}/m1.stl"])
     assert code == 0
     assert {"numpy", "spongeheat.voxel", "spongeheat.mesh"} <= loaded
+    assert "spongeheat.analysis" not in loaded
     # numpy brings inspect with it; the package itself adds neither
     # dataclasses nor json
     assert not loaded & {"dataclasses", "json"}
