@@ -50,6 +50,13 @@ CORPUS = {
     "mesh --model slices --n 3 --format stl --out mesh.stl": "2dce89c42af26a8cc920429da5f42a78a9cd2a8b2c9871d921390665cd2e959f",
     "mesh --model slices --n 3 --format obj --out mesh.obj": "d3b4239d6b7186209283df9ac617ac4ab66293946aae3a43346cbe3fe1405160",
     "mesh --model slices --n 4 --format stl --out mesh.stl": "d2af59457a9c0f445a1249485f8d2bfde089b0d18c507a7cb24e4083355fcb50",
+    # n = 12: S_s >= 10^5 prints at 0 decimals, efficiencies reach 10^-7
+    "table --max-n 12 --format text": "8d59da7c821cea55ba1a1c785fba88d7dd405daef55a435088b603a78255cbe2",
+    "table --max-n 12 --format csv": "c49997ee1a0a563fe56d24cbd669829043b5b1818c5804dc06cbbf69aee1a9bc",
+    "table --max-n 12 --format json": "18e385271bccc0625124be0c5cae99c55854a052cdcc3e30c2f8f9e93566a10f",
+    "crossover --max-n 12 --format text": "e8811790ee93c09d814fe03574a9e4a0e3c5c48ba3596eb5ce60dd9a5257d3f1",
+    "crossover --max-n 12 --format json": "70d60fef70ec9edf34e378ab3cf6bc4f74b08c1b25455277300f2eb935529248",
+    "series --max-n 12 --out series.csv": "136ca57174a3e3bd9e1293ed73cfbc2ce88a6e6457feaa9f0af136a59c2056bf",
     "row --n 13": "95b8b6cc531788dd714bd3e0090a3c712f8ad0efc93091812f6755339fe386be",
     # a removed option: argparse refuses it as an unrecognized argument
     "voxel-verify --model menger --n 3 --oracle-cap 2": "048855ba35017f853351d5793abb383a4261f83f2551f978c39c0f2747ccf726",
