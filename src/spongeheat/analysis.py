@@ -5,8 +5,10 @@ Formatting conventions follow the published reference table: plain columns
 carry 4 decimal places (3 once the value reaches 100, i.e. 6 significant
 digits), efficiency values below 1 use the ``mantissa(-p)`` shorthand for
 ``mantissa * 10^-p``, and rounding is half-away-from-zero applied to the
-exact rational.  Machine-readable emitters render decimals at 10 significant
-digits next to the exact ``p/q`` form.
+exact rational.  Machine-readable emitters follow one cell rule: an int
+column (``n``, ``rho``) is written as is, and every rational as a fixed-point
+decimal at 10 significant digits (CSV), or as that decimal next to the exact
+``p/q`` form (JSON).
 """
 from __future__ import annotations
 
@@ -17,17 +19,6 @@ from typing import BinaryIO, NamedTuple, Sequence
 
 from . import metrics
 from .metrics import ModelKind, check_iteration
-
-TABLE_COLUMNS = (
-    "n", "rho", "L", "V_M", "V_s", "S_M", "S_s", "V_tot",
-    "E_M", "E_s", "R_E", "R_S", "R_n",
-)
-
-#: Columns rendered with the scientific shorthand when below 1.
-EFFICIENCY_COLUMNS = ("E_M", "E_s")
-
-SERIES_COLUMNS = ("model", "n", "S", "E")
-
 
 class EfficiencyRow(NamedTuple):
     """One full row of the reference table (13 columns, exact rationals)."""
@@ -45,6 +36,12 @@ class EfficiencyRow(NamedTuple):
     R_E: Fraction
     R_S: Fraction
     R_n: Fraction
+
+
+TABLE_COLUMNS = EfficiencyRow._fields
+
+#: Columns rendered with the scientific shorthand when below 1.
+EFFICIENCY_COLUMNS = ("E_M", "E_s")
 
 
 def table_row(n: int) -> EfficiencyRow:
@@ -119,12 +116,6 @@ def _format_shorthand(value: Fraction) -> str:
     return f"{sign}{digits[0]}.{digits[1:]}({e})"
 
 
-def _format_efficiency(value: Fraction) -> str:
-    if abs(value) >= 1:
-        return format_fixed(value)
-    return _format_shorthand(value)
-
-
 def format_paper_precision(row: EfficiencyRow) -> dict[str, str]:
     """Render one row with the reference table's printed conventions.
 
@@ -137,25 +128,23 @@ def format_paper_precision(row: EfficiencyRow) -> dict[str, str]:
     }
     for col in TABLE_COLUMNS[3:]:
         value = getattr(row, col)
-        if col in EFFICIENCY_COLUMNS:
-            out[col] = _format_efficiency(value)
+        if col in EFFICIENCY_COLUMNS and abs(value) < 1:
+            out[col] = _format_shorthand(value)
         else:
             out[col] = format_fixed(value)
     return out
 
 
-def decimal_string(value: Fraction, sig: int = 10) -> str:
-    """Decimal rendering of a rational at ``sig`` significant digits
-    (half-away-from-zero), fixed-point notation for any sane magnitude."""
+def decimal_string(value: Fraction) -> str:
+    """Decimal rendering of a rational at 10 significant digits
+    (half-away-from-zero), in fixed-point notation at every magnitude."""
     if value == 0:
-        return "0." + "0" * (sig - 1)
+        return "0.000000000"
     sign = "-" if value < 0 else ""
-    q, e = _significant(abs(value), sig)
+    q, e = _significant(abs(value), 10)
     digits = str(q)
-    if not -10 <= e <= 15:
-        return f"{sign}{digits[0]}.{digits[1:]}e{e:+d}"
-    if e >= sig - 1:
-        return sign + digits + "0" * (e + 1 - sig)
+    if e >= 9:
+        return sign + digits + "0" * (e - 9)
     if e >= 0:
         return sign + digits[: e + 1] + "." + digits[e + 1 :]
     return sign + "0." + "0" * (-e - 1) + digits
@@ -275,10 +264,6 @@ def _bracket(ts: list[float], t: float) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # emitters
 
-ROWS_CSV_HEADER = ",".join(TABLE_COLUMNS)
-SERIES_CSV_HEADER = ",".join(SERIES_COLUMNS)
-
-
 def emit_text(rows: Sequence[EfficiencyRow], sink: BinaryIO) -> int:
     """Write table rows as the reference table prints them (see
     :func:`format_paper_precision`): a header line, then one line per row,
@@ -299,43 +284,35 @@ def emit_csv(data, sink: BinaryIO) -> int:
     items = list(data)
     if not items:
         raise ValueError("nothing to emit")
-    lines = _CSV_LINES[type(items[0])](items)
-    return _write_text(sink, "\n".join(lines) + "\n")
+    build = _rows_csv_lines if isinstance(items[0], EfficiencyRow) else _series_csv_lines
+    return _write_text(sink, "\n".join(build(items)) + "\n")
 
 
 def _rows_csv_lines(rows: Sequence[EfficiencyRow]) -> list[str]:
-    lines = [ROWS_CSV_HEADER]
+    lines = [",".join(TABLE_COLUMNS)]
     for row in rows:
-        cells = [str(row.n), str(row.rho)]
-        cells += [decimal_string(getattr(row, col)) for col in TABLE_COLUMNS[2:]]
-        lines.append(",".join(cells))
+        lines.append(",".join(
+            str(value) if isinstance(value, int) else decimal_string(value) for value in row))
     return lines
 
 
 def _series_csv_lines(series: Sequence[EfficiencySeries]) -> list[str]:
-    lines = [SERIES_CSV_HEADER]
+    lines = ["model,n,S,E"]
     for one in series:
         for n, (s, e) in enumerate(one.points):
             lines.append(f"{one.model.value},{n},{decimal_string(s)},{decimal_string(e)}")
     return lines
 
 
-_CSV_LINES = {EfficiencyRow: _rows_csv_lines, EfficiencySeries: _series_csv_lines}
-
-
 def emit_json(sink: BinaryIO, **sections) -> int:
     """Write a single JSON document with table rows (``rows=``) and/or a
     crossover report (``crossover=``; None when the curves do not cross,
-    written as null).  Rationals carry both a 10-significant-digit decimal
-    and the exact p/q string; key order is stable.  Returns the byte
-    count."""
-    unknown = sections.keys() - _JSON_SECTIONS.keys()
-    if unknown:
-        raise TypeError(f"unknown JSON sections: {sorted(unknown)}")
+    written as null), one key per section in the order given (KeyError for
+    an unknown one).  Rationals carry a 10-significant-digit decimal and the
+    exact p/q string; row keys follow TABLE_COLUMNS.  Returns the byte count."""
     import json  # only JSON output pays for this import
 
-    doc = {key: encode(sections[key]) for key, encode in _JSON_SECTIONS.items()
-           if key in sections}
+    doc = {key: _JSON_SECTIONS[key](value) for key, value in sections.items()}
     return _write_text(sink, json.dumps(doc, indent=2) + "\n")
 
 
@@ -346,13 +323,8 @@ def _json_value(value: Fraction) -> dict[str, str]:
 
 
 def _rows_json(rows: Sequence[EfficiencyRow]) -> list[dict]:
-    encoded = []
-    for row in rows:
-        item: dict = {"n": row.n, "rho": row.rho}
-        for col in TABLE_COLUMNS[2:]:
-            item[col] = _json_value(getattr(row, col))
-        encoded.append(item)
-    return encoded
+    return [{col: value if isinstance(value, int) else _json_value(value)
+             for col, value in zip(TABLE_COLUMNS, row)} for row in rows]
 
 
 def _crossover_json(report: CrossoverReport | None) -> dict | None:

@@ -102,8 +102,10 @@ def test_shorthand_mantissa_carry():
 
 def test_efficiency_format_threshold():
     # >= 1 prints plain, < 1 uses the shorthand
-    assert analysis._format_efficiency(Fraction(13, 3)) == "4.3333"
-    assert analysis._format_efficiency(Fraction(35, 72)) == "4.8611(-1)"
+    assert table_row(0).E_M == Fraction(13, 3)
+    assert format_paper_precision(table_row(0))["E_M"] == "4.3333"
+    assert table_row(1).E_M == Fraction(35, 72)
+    assert format_paper_precision(table_row(1))["E_M"] == "4.8611(-1)"
 
 
 def test_fixed_decimals_drop_at_100():
@@ -160,17 +162,24 @@ def test_decimal_string():
     # a 10-digit mantissa that rounds up to 10^10 carries into the exponent
     assert decimal_string(Fraction(99999999995, 10**11)) == "1.000000000"
     assert decimal_string(Fraction(-99999999995)) == "-100000000000"
+    # fixed point at every magnitude, never an exponent
+    assert decimal_string(Fraction(1, 10**12)) == "0.000000000001000000000"
+    assert decimal_string(Fraction(10**17) + Fraction(1, 3)) == "100000000000000000"
 
 
-#: (num, den) with 10^-9 <= num / den <= 10^9 (no padding zeros): any ratio,
-#: and halves at the 10th or 5th significant digit, and carries to 10^11
-_RATIOS = st.one_of(
-    st.tuples(st.integers(1, 10**9), st.integers(1, 10**9)),
-    st.tuples(st.one_of(st.integers(10**9, 10**10 - 1).map(lambda m: 10 * m + 5),
-                        st.integers(10**4, 10**5 - 1).map(lambda m: 10 * m + 5),
-                        st.integers(1, 10**5).map(lambda t: 10**11 - t)),
-              st.integers(2, 14).map(lambda k: 10**k)),
-)
+#: (num, den) with 10^-12 <= num / den <= 10^16: any ratio from 10^-9 to
+#: 10^9, and halves at the 10th or 5th significant digit, and carries to a
+#: power of ten, each scaled by 10^-3..10^7
+_RATIOS = st.tuples(
+    st.one_of(
+        st.tuples(st.integers(1, 10**9), st.integers(1, 10**9)),
+        st.tuples(st.one_of(st.integers(10**9, 10**10 - 1).map(lambda m: 10 * m + 5),
+                            st.integers(10**4, 10**5 - 1).map(lambda m: 10 * m + 5),
+                            st.integers(1, 10**5).map(lambda t: 10**11 - t)),
+                  st.integers(2, 14).map(lambda k: 10**k)),
+    ),
+    st.integers(-3, 7),
+).map(lambda r: (r[0][0] * 10 ** max(r[1], 0), r[0][1] * 10 ** max(-r[1], 0)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -186,7 +195,10 @@ def test_significant_digits_match_decimal_module(ratio, sign):
 
     got = decimal_string(Fraction(sign * num, den))
     assert Decimal(got) == want(10)
-    assert len(got.lstrip("-").replace(".", "").lstrip("0")) == 10
+    # fixed point: 10 significant digits, then zeros up to the units digit
+    body = got.lstrip("-").replace(".", "").lstrip("0")
+    assert "e" not in got and len(body) == max(10, want(10).adjusted() + 1)
+    assert not body[10:].strip("0")
     if num < den:
         mantissa, exponent = analysis._format_shorthand(Fraction(sign * num, den))[:-1].split("(")
         assert Decimal(mantissa).scaleb(int(exponent)) == want(5)
@@ -370,13 +382,15 @@ def test_emit_json_null_crossover():
 
 
 def test_emit_json_section_order_and_unknown_section():
-    a, b = io.BytesIO(), io.BytesIO()
-    emit_json(a, crossover=None, rows=full_table(1))
-    emit_json(b, rows=full_table(1), crossover=None)
-    assert a.getvalue() == b.getvalue()
-    assert list(json.loads(a.getvalue())) == ["rows", "crossover"]
-    with pytest.raises(TypeError, match="series"):
-        emit_json(io.BytesIO(), series=[])
+    sections = {"rows": full_table(1), "crossover": None}
+    for order in (["crossover", "rows"], ["rows", "crossover"]):
+        sink = io.BytesIO()
+        emit_json(sink, **{key: sections[key] for key in order})
+        assert list(json.loads(sink.getvalue())) == order
+    sink = io.BytesIO()
+    with pytest.raises(KeyError, match="series"):
+        emit_json(sink, series=[])
+    assert sink.getvalue() == b""
 
 
 def test_emit_json_stable_key_order():
