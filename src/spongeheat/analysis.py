@@ -190,7 +190,7 @@ class CrossoverReport(NamedTuple):
     s_star: float
     menger_bracket: tuple[int, int]
     slices_bracket: tuple[int, int]
-    method: str = "log-linear"
+    method = "log-linear"
 
 
 def _interp_log_linear(ts: list[float], es: list[float], t: float) -> float:

@@ -1,15 +1,17 @@
 """Command-line interface.
 
 Subcommands: table, row, voxel-verify, crossover, series, mesh.
-Exit codes: 0 success, 1 usage error, 2 voxel-verify mismatch, 3 I/O failure.
+Exit codes: 0 success, 1 usage error, 2 voxel-verify mismatch, 3 I/O failure,
+128 + signum when SIGTERM (143) or SIGHUP (129) ends the command.
 Identical argv produces byte-identical output.  Commands that write a file
 write it beside the target under a temporary name and rename it into place,
-so a failure never leaves a truncated file behind.
+so a failure or one of those signals never leaves a truncated file behind.
 """
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 
 # Only the closed forms are imported here.  Each command imports the rest of
@@ -245,12 +247,32 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
 
 
+class _Terminated(BaseException):
+    """Raised by the SIGTERM and SIGHUP handler of :func:`main`; carries the
+    signal number."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated(signum)
+
+
 def main() -> None:
     # numpy, which only ``mesh`` loads, starts an OpenBLAS worker pool on
     # import; nothing here calls BLAS, so skip the pool unless the user has
-    # asked for one.  ``run`` leaves the environment alone for library callers
+    # asked for one.  ``run`` leaves the environment and the signal handlers
+    # alone for library callers
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    sys.exit(run())
+    # the default action of these signals ends the process without
+    # unwinding; as an exception they let _write_file remove its temporary
+    for signum in (signal.SIGTERM, signal.SIGHUP):
+        signal.signal(signum, _terminate)
+    try:
+        code = run()
+    except _Terminated as exc:
+        (signum,) = exc.args
+        print(f"interrupted: {signal.Signals(signum).name}", file=sys.stderr)
+        code = 128 + signum
+    sys.exit(code)
 
 
 if __name__ == "__main__":

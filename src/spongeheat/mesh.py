@@ -21,12 +21,12 @@ Every triangle is then assembled from small lookup tables indexed by
 corner keys.  No per-face integer lattice is built, and every STL chunk
 goes through one record buffer of ``2 * _CHUNK`` records.  OBJ keeps
 vertex ids for the two z-planes of the current slab only, 2 * (3^n + 1)^2
-int32, and its face pass renumbers the corners in the same order as its
-vertex pass.  So export memory is the row faces, one slab's int16 face
-list and one chunk, with no temporary as long as a slab, and not the mesh
-or a lattice table: the n = 5 sponge STL traces at about 1.6 MiB, and its
-command peaks at about 30.6 MB resident, the OBJ at about 32.2 MB, 1.5
-and 3 MB above the interpreter and numpy.
+int32, set by one scatter-min per chunk in the vertex pass and again, in
+the same order, in the face pass.  So export memory is the row faces, one
+slab's int16 face list and one chunk, with no temporary as long as a slab,
+and not the mesh or a lattice table: the n = 5 sponge STL traces at about
+1.6 MiB, and its command peaks at about 30.6 MB resident, the OBJ at about
+32.2 MB, 1.5 and 3 MB above the interpreter and numpy.
 """
 from __future__ import annotations
 
@@ -234,24 +234,6 @@ def write_stl_binary(m: MeshBuffer, sink) -> int:
     return 84 + 50 * written
 
 
-def _first_appearances(keys: np.ndarray, bound: int) -> np.ndarray:
-    """The distinct values of ``keys``, ints in [0, bound), in order of
-    first appearance."""
-    # one sort of (key, position) pairs, each packed into one int (int32
-    # where it fits: it sorts about twice as fast): the first pair of each
-    # run of equal keys holds that key's first position
-    shift = max(len(keys) - 1, 1).bit_length()
-    dtype = np.int32 if bound << shift <= 2**31 else np.int64
-    pairs = np.sort(keys.astype(dtype) << shift | np.arange(len(keys), dtype=dtype))
-    runs = pairs >> shift
-    first = np.empty(len(pairs), dtype=bool)
-    first[:1] = True
-    np.not_equal(runs[1:], runs[:-1], out=first[1:])
-    positions = pairs[first] & ((1 << shift) - 1)
-    positions.sort()
-    return np.take(keys, positions)
-
-
 def _numbered(g: VoxelGrid):
     """Number the lattice corners of the mesh 1-based in order of first
     appearance (triangle-major), and yield, per chunk of :func:`_faces`,
@@ -260,11 +242,14 @@ def _numbered(g: VoxelGrid):
     z-plane z + dz for dz in {0, 1}; ``fresh`` the keys the chunk numbers,
     in order; ``ids`` the id of each key, valid until the next chunk.
 
-    Only slab z's two planes hold ids: a corner on plane z can only be
-    numbered by slab z - 1 or z, so plane z + 1's ids move down when the
+    A chunk numbers its unnumbered keys, ``new``, with one scatter-min: each
+    slot takes the least provisional id, -len(new)..-1 by position, of its
+    key (``np.minimum.at`` defines which repeat wins, ``ids[new] =`` does
+    not), and the keys whose own slot it is take the next ids in order; no
+    sort.  Only slab z's two planes hold ids: a corner on plane z can only
+    be numbered by slab z - 1 or z, so plane z + 1's ids move down when the
     next slab is z + 1 and are dropped when it lies further on.  The
-    numbering is a pure function of the grid, so every pass over it
-    repeats the same ids.
+    numbering is a pure function of the grid, so every pass repeats it.
     """
     res = g.resolution
     side = res + 1
@@ -288,7 +273,10 @@ def _numbered(g: VoxelGrid):
             last = z
         # np.take: several times faster than fancy indexing at these sizes
         keys = np.take(xz_keys, xd, axis=0) + np.take(y_keys, yd, axis=0)
-        fresh = _first_appearances(keys[np.take(ids, keys) == 0], 2 * plane)
+        new = keys[np.take(ids, keys) == 0]
+        first = np.arange(-len(new), 0, dtype=np.int32)
+        np.minimum.at(ids, new, first)
+        fresh = new[np.take(ids, new) == first]
         ids[fresh] = np.arange(count + 1, count + 1 + len(fresh))
         count += len(fresh)
         yield z, keys, fresh, ids
@@ -299,8 +287,8 @@ def write_obj(m: MeshBuffer, sink) -> int:
     by bit-identical coordinates), numbered 1-based in order of first
     appearance; LF endings.  Returns the byte count.
 
-    Two passes over the chunks, each numbering the corners afresh in the
-    same order: the first writes the vertices, the second the faces.
+    Two passes number the corners by one scatter-min per chunk, in the same
+    order: the first writes the vertices, the second the faces.
     Memory is one int32 id per corner of two z-planes, 2 * (3^n + 1)^2 of
     them, plus the row faces, one slab's int16 face list and one chunk; the
     face pass formats the ``6 * _CHUNK`` vertex ids of one chunk at a time.

@@ -2,7 +2,12 @@
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -319,6 +324,32 @@ def test_write_replaces_existing_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["sponge.stl"]
 
 
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
+def test_signal_mid_export_leaves_no_file(signum, tmp_path):
+    # the default action of either signal ends the process without
+    # unwinding, which left the n = 5 sponge OBJ's temporary behind
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "spongeheat.cli", "mesh", "--model", "menger", "--n", "5",
+            "--format", "obj", "--out", str(tmp_path / "m.obj")]
+    child = subprocess.Popen(argv, env={**os.environ, "PYTHONPATH": path},
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not any(tmp_path.iterdir()):
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        assert [p.name for p in tmp_path.iterdir()] == [f".m.obj.{child.pid}.tmp"]
+        child.send_signal(signum)
+        out, err = child.communicate(timeout=60)
+    finally:
+        child.kill()  # nothing to do once it has exited
+        child.wait(timeout=60)
+    assert child.returncode == 128 + signum
+    assert (out, err) == ("", f"interrupted: {signum.name}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_io_failure_exits_3(tmp_path, capsys, monkeypatch):
     # a bad --out is refused before any grid is built or the writer runs,
     # so nothing is written (the n = 5 sponge STL alone is 655 MB)
@@ -369,8 +400,14 @@ def test_help_exits_0(capsys):
 
 def _main_code(monkeypatch, argv) -> int:
     monkeypatch.setattr("sys.argv", ["spongeheat", *argv])
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main()
+    # main installs SIGTERM and SIGHUP handlers: give this process its own back
+    handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGHUP)}
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+    finally:
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
     return exit_info.value.code
 
 

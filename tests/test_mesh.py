@@ -252,6 +252,26 @@ def test_obj_indices_valid_and_lf_only():
         assert all(1 <= i <= len(vs) for i in ids)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+@pytest.mark.parametrize("n", range(3))
+def test_obj_vertices_numbered_by_first_mention(n, kind, chunk, monkeypatch):
+    # the OBJ contract, stated directly: read in order, the f lines mention
+    # new vertex ids as 1, 2, 3, ..., every v line is used, and no two v
+    # lines are equal
+    if chunk is not None:
+        monkeypatch.setattr(mesh, "_CHUNK", chunk)
+    sink = io.BytesIO()
+    write_obj(mesh_from_grid(build_grid(kind, n)), sink)
+    vs, fs = _obj_records(sink.getvalue())
+    seen = {}
+    for line in fs:
+        for token in line.split()[1:]:
+            seen.setdefault(int(token), len(seen) + 1)
+    assert list(seen) == list(seen.values()) == list(range(1, len(vs) + 1))
+    assert len(set(vs)) == len(vs)
+
+
 def test_obj_round_trips_float32_exactly():
     g = build_grid(MENGER, 1)
     m = mesh_from_grid(g)
