@@ -2,10 +2,12 @@
 
 Subcommands: table, row, voxel-verify, crossover, series, mesh.
 Exit codes: 0 success, 1 usage error, 2 voxel-verify mismatch, 3 I/O failure,
-128 + signum when SIGTERM (143) or SIGHUP (129) ends the command.
+128 + signum when SIGTERM (143), SIGHUP (129) or SIGINT (130) ends the command.
 Identical argv produces byte-identical output.  Commands that write a file
 write it beside the target under a temporary name and rename it into place,
 so a failure or one of those signals never leaves a truncated file behind.
+An existing --out must be a regular file, or a symlink to one, which then
+stays a link and gets the new bytes.
 """
 from __future__ import annotations
 
@@ -33,13 +35,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_MODELS = {
-    "menger": metrics.ModelKind.MENGER_SPONGE,
-    "slices": metrics.ModelKind.SLICES,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
+    models = sorted(kind.value for kind in metrics.ModelKind)
     parser = _Parser(prog="spongeheat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -54,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("voxel-verify",
                        help="check closed-form volume/surface against the voxel oracle")
-    p.add_argument("--model", choices=sorted(_MODELS), required=True)
+    p.add_argument("--model", choices=models, required=True)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("crossover",
@@ -69,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mesh",
                        help="export a voxelized geometry as a triangle mesh")
-    p.add_argument("--model", choices=sorted(_MODELS), required=True)
+    p.add_argument("--model", choices=models, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("stl", "obj"), default="stl")
     p.add_argument("--out", required=True)
@@ -78,26 +75,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(path: str) -> None:
-    """Refuse an ``--out`` that names a directory or lies in a directory that
-    does not exist; commands call this before doing any other work."""
+    """Refuse an ``--out`` that names a directory or an existing file that
+    is not a regular one (a FIFO or a device, which the rename would
+    replace), or that lies, or links, into a directory that does not exist;
+    commands call this before doing any other work."""
     head, tail = os.path.split(path)
     if not tail or os.path.isdir(path):
         raise IsADirectoryError(f"--out must name a file, not a directory: {path!r}")
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"--out must name a regular file: {path!r}")
     if head and not os.path.isdir(head):
         raise FileNotFoundError(f"--out directory does not exist: {head!r}")
+    if not os.path.isdir(os.path.dirname(os.path.realpath(path))):
+        raise FileNotFoundError(f"--out links into a directory that does not exist: {path!r}")
 
 
 def _write_file(path: str, write) -> int:
     """Call ``write(sink)`` on a fresh temporary file in the directory of
     ``path`` (checked by :func:`_check_out`), then rename it to ``path``; on
-    any failure, remove it."""
-    head, tail = os.path.split(path)
+    any failure, remove it.  A symlink is resolved first, so the link stays
+    and the file it names is replaced."""
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
     temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     sink = open(temporary, "xb")
     try:
         with sink:
             nbytes = write(sink)
-        os.replace(temporary, path)
+        os.replace(temporary, target)
     except BaseException:
         os.remove(temporary)
         raise
@@ -136,7 +141,7 @@ def _cmd_voxel_verify(args) -> int:
     metrics.check_iteration(args.n)
     from . import analysis, voxel
 
-    kind = _MODELS[args.model]
+    kind = metrics.ModelKind(args.model)
     grid = voxel.build_grid(kind, args.n)
     closed_v = metrics.model_volume(kind, args.n)
     closed_s = metrics.model_surface(kind, args.n)
@@ -203,7 +208,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_mesh(args) -> int:
     _check_out(args.out)
-    kind = _MODELS[args.model]
+    kind = metrics.ModelKind(args.model)
     if args.n > metrics.MESH_CAP:
         raise _UsageError(f"mesh export is capped at n = {metrics.MESH_CAP}, got {args.n}")
     metrics.check_iteration(args.n)
@@ -248,8 +253,8 @@ def run(argv=None) -> int:
 
 
 class _Terminated(BaseException):
-    """Raised by the SIGTERM and SIGHUP handler of :func:`main`; carries the
-    signal number."""
+    """Raised by the SIGTERM, SIGHUP and SIGINT handler of :func:`main`;
+    carries the signal number."""
 
 
 def _terminate(signum, frame):
@@ -262,9 +267,10 @@ def main() -> None:
     # asked for one.  ``run`` leaves the environment and the signal handlers
     # alone for library callers
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    # the default action of these signals ends the process without
-    # unwinding; as an exception they let _write_file remove its temporary
-    for signum in (signal.SIGTERM, signal.SIGHUP):
+    # the default action of SIGTERM and SIGHUP ends the process without
+    # unwinding, and SIGINT's KeyboardInterrupt prints a traceback; as one
+    # exception they let _write_file remove its temporary and end in one line
+    for signum in (signal.SIGTERM, signal.SIGHUP, signal.SIGINT):
         signal.signal(signum, _terminate)
     try:
         code = run()

@@ -9,13 +9,14 @@ coincident corners are bit-identical.
 
 The writers generate and write the mesh in chunks of at most ``_CHUNK``
 consecutive faces.  This is the only module that imports numpy.  A y-row's
-exposed faces depend only on its row key: its own line and those of the
-rows at y +- 1 and of the same row in the slabs z +- 1.  :func:`_faces`
-reads line ids through ``voxel.slab_rows``, works out each distinct
-key's faces once, by the exposure rule of :mod:`spongeheat.voxel`, keeps
-them as int16 (x, direction) rows (1,599 keys and 0.6 MB for the n = 5
-sponge), joins a slab's rows and hands the faces out chunk by chunk, with
-each chunk's (y, direction) rows worked out as it is handed out.
+exposed faces depend only on its row key: the row itself, the rows at
+y +- 1 and the same row in the slabs z +- 1, each an int bitset as
+``voxel.slab_rows`` hands it out, and 0 beyond the lattice.  :func:`_faces`
+works out each distinct key's faces once, by the exposure rule of
+:mod:`spongeheat.voxel`, keeps them as int16 (x, direction) rows (1,599
+keys and 0.6 MB for the n = 5 sponge), joins a slab's rows and hands the
+faces out chunk by chunk, with each chunk's (y, direction) rows worked out
+as it is handed out.
 Every triangle is then assembled from small lookup tables indexed by
 (x, direction) and (y, direction): STL record pairs and y corners, or OBJ
 corner keys.  No per-face integer lattice is built, and every STL chunk
@@ -91,16 +92,15 @@ class MeshBuffer(NamedTuple):
 _CHUNK = 2048
 
 
-def _row_faces(keys: list, lines: tuple, stride: int) -> list:
+def _row_faces(keys: list, stride: int) -> list:
     """The exposed faces of each row key, as ascending int16 rows x * 6 + d
-    of the (x, direction) tables.  A key holds the line ids of the row,
-    of the rows at y + 1 and y - 1, and of the same row in slabs z + 1 and
-    z - 1, indexing ``lines``; exposure is the rule of
-    :mod:`spongeheat.voxel`.  Each mask is unpacked from ``stride`` bits."""
+    of the (x, direction) tables.  A key holds the row, the rows at y + 1
+    and y - 1, and the same row in slabs z + 1 and z - 1, as ints (0
+    beyond the lattice); exposure is the rule of :mod:`spongeheat.voxel`.
+    Each mask is unpacked from ``stride`` bits."""
     width = stride // 8
     masks = []
-    for key in keys:
-        cur, *nearby = map(lines.__getitem__, key)
+    for cur, *nearby in keys:
         masks += _along(cur)
         masks += (_across(cur, b) for b in nearby)
     raw = b"".join(mask.to_bytes(width, byteorder="little") for mask in masks)
@@ -118,21 +118,23 @@ def _faces(g: VoxelGrid):
     y * 6 + d of the (x, direction) and (y, direction) tables.
 
     Each y-row's faces depend only on its row key (see :func:`_row_faces`),
-    so they are worked out once per distinct key and kept as int16; a slab
-    joins its rows' lists, and each chunk's ``yd`` is worked out from its
-    own slice and the rows' lengths, so no temporary spans the slab.
+    built from the rows of ``voxel.slab_rows`` with 0 for the row beyond
+    the lattice in y and z, so they are worked out once per distinct key
+    and kept as int16; a slab joins its rows' lists, and each chunk's
+    ``yd`` is worked out from its own slice and the rows' lengths, so no
+    temporary spans the slab.
     """
     res = g.resolution
-    outside = (len(g.lines) - 1,) * res  # the grid's empty line beyond the lattice, in each y
+    outside = (0,) * res  # no cell beyond the lattice, in any y
     slabs = [outside, *slab_rows(g), outside]
     cache = {}
     y6 = np.arange(0, 6 * res, 6, dtype=np.int16)
     for z in range(res):
         below, cur, above = slabs[z:z + 3]
-        keys = list(zip(cur, cur[1:] + outside[:1], outside[:1] + cur[:-1], above, below))
+        keys = list(zip(cur, cur[1:] + (0,), (0,) + cur[:-1], above, below))
         new = [key for key in dict.fromkeys(keys) if key not in cache]
         if new:
-            cache.update(zip(new, _row_faces(new, g.lines, g.stride)))
+            cache.update(zip(new, _row_faces(new, g.stride)))
         rows = list(map(cache.__getitem__, keys))
         xd = np.concatenate(rows)
         ends = list(accumulate(map(len, rows)))  # one past each y-row's last face

@@ -29,7 +29,7 @@ from typing import NamedTuple
 #: Hard cap on the iteration order for closed-form evaluation, and for the
 #: voxel oracle that checks them.  The values stay exact at any n; the cap
 #: bounds rational bit growth, and the oracle's sponge at n = 12 (531441^3
-#: cells) holds 4097 int lines of 71 KB, 290 MB, and a table of 3^12 ids.
+#: cells) holds 4096 int lines of 71 KB, 290 MB, and a table of 3^12 ids.
 CLOSED_FORM_CAP = 12
 
 #: Largest iteration order the ``mesh`` command exports: the n = 5 sponge

@@ -8,18 +8,19 @@ central anti-regression property of the package.
 
 Occupancy is stored as a sparse line table of plain Python ints (this
 module imports no numpy).  A y-row is an int bitset, cell x at bit x, with
-no bit set at or above 3^n.  ``VoxelGrid.lines`` holds each distinct row
-once, the empty line last.  Both models treat y and z alike, so one axis
-map serves both: ``index`` maps a position to an id, the slab for z and the
-row class for y.  Each slab maps the row classes it stores to line ids, and
-a class it lacks reads the empty line.  A sponge cell is solid iff no
-base-3 digit position is 1 in two or more of x, y and z, so a row depends
-on y and z only through their digit-one masks (the set of digits equal to
-1).  The sponge's slabs and classes are those masks: slab s stores class r
-only when s & r == 0, as line s | r, so its table holds 3^n entries over
-2^n + 1 lines.  A slice row depends only on z % 2: the even slab stores a
-full line in both classes and the odd slab none.  Grids are never mutated
-afterwards, and all measurements are read-only.
+no bit set at or above 3^n.  ``VoxelGrid.lines`` holds each distinct
+stored row once.  Both models treat y and z alike, so one axis map serves
+both: ``index`` maps a position to an id, the slab for z and the row class
+for y.  Each slab maps the row classes it stores to line ids, and a class
+it lacks is the empty row, which no line stands for.  Line ids stay inside
+this module: :func:`slab_rows` hands out the rows themselves.  A sponge
+cell is solid iff no base-3 digit position is 1 in two or more of x, y and
+z, so a row depends on y and z only through their digit-one masks (the set
+of digits equal to 1).  The sponge's slabs and classes are those masks:
+slab s stores class r only when s & r == 0, as line s | r, so its table
+holds 3^n entries over 2^n lines.  A slice row depends only on z % 2: the
+even slab stores a full line in both classes and the odd slab none.  Grids
+are never mutated afterwards, and all measurements are read-only.
 
 One entry per job: :func:`build_grid` builds (any n the closed forms
 accept), :func:`measure` counts and :func:`slab_rows` reads.  A face is
@@ -50,20 +51,24 @@ from .metrics import ModelKind, check_iteration
 class VoxelGrid(NamedTuple):
     """Immutable occupancy grid of one model at order n, as a sparse line table.
 
-    ``lines`` holds each distinct y-row once as an int: cell x of the row
-    is bit x, and no bit is set at or above ``resolution``.  ``lines[-1]``
-    is the empty line.  ``table`` holds one map per slab from row class to
-    line id, and ``index`` maps each position to an id: the slab of z and
-    the row class of y.  So row y of slab z is line
-    ``table[index[z]][index[y]]``, and a class missing from the slab's map
-    is the empty line, ``len(lines) - 1``.  Only this module reads ``table``
-    and ``index``; other modules read rows by :func:`slab_rows`.
+    ``lines`` holds each distinct stored y-row once as an int: cell x of
+    the row is bit x, and no bit is set at or above ``resolution``.
+    ``table`` holds one map per slab from row class to line id, and
+    ``index`` maps each position to an id: the slab of z and the row class
+    of y.  So row y of slab z is line ``table[index[z]][index[y]]``, and a
+    class missing from the slab's map is the empty row, 0.  Only this
+    module reads ``table`` and ``index``; other modules read rows by
+    :func:`slab_rows`.
     """
 
-    resolution: int
-    lines: tuple[int, ...]  # distinct y-rows, the empty line last
+    lines: tuple[int, ...]  # distinct stored y-rows
     table: tuple[dict[int, int], ...]  # per slab: row class -> line id, if stored
     index: tuple[int, ...]  # one id per position: the slab of z, the class of y
+
+    @property
+    def resolution(self) -> int:
+        """Cells along each axis, 3^n: one ``index`` entry per position."""
+        return len(self.index)
 
     @property
     def solid_count(self) -> int:
@@ -126,7 +131,7 @@ def build_grid(kind: ModelKind, n: int) -> VoxelGrid:
         lines = [(1 << res) - 1]
         table = ({0: 0, 1: 0}, {})
         index = tuple(z % 2 for z in range(res))
-    return VoxelGrid(resolution=res, lines=(*lines, 0), table=table, index=index)
+    return VoxelGrid(lines=tuple(lines), table=table, index=index)
 
 
 def slab_counts(g: VoxelGrid) -> list[int]:
@@ -140,12 +145,14 @@ def slab_counts(g: VoxelGrid) -> list[int]:
 
 
 def slab_rows(g: VoxelGrid) -> list[tuple[int, ...]]:
-    """Each z-slab's line ids in y order: row y of slab z is line
-    ``g.lines[slab_rows(g)[z][y]]``, the empty line for a class the slab
-    does not store.  Each distinct slab's tuple is built once and shared by
-    every z that holds it."""
-    empty = len(g.lines) - 1
-    rows = {s: tuple(g.table[s].get(r, empty) for r in g.index) for s in set(g.index)}
+    """Each z-slab's y-rows in y order, as ints with cell x at bit x: row y
+    of slab z is ``slab_rows(g)[z][y]``, 0 for a class the slab does not
+    store.  Each distinct slab's tuple is built once and shared by every z
+    that holds it."""
+    rows = {}
+    for s in set(g.index):
+        stored = g.table[s]
+        rows[s] = tuple(g.lines[stored[r]] if r in stored else 0 for r in g.index)
     return list(map(rows.__getitem__, g.index))
 
 
@@ -170,7 +177,7 @@ def measure(g: VoxelGrid) -> tuple[list[int], list[int]]:
     solid cells minus the touching pairs, once per slab and stored class
     with its distinct stored successors in y, and once per distinct pair of
     consecutive slabs and class both store in z, each weighted by how many
-    z and y share it.  A class a slab does not store is the empty line and
+    z and y share it.  A class a slab does not store is the empty row and
     touches nothing.  Exact for any line table, even one that stores empty
     lines, or equal lines, classes or slabs under different ids."""
     runs = [_across(line, line >> 1).bit_count() for line in g.lines]  # the +x faces

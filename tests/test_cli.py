@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -107,15 +108,15 @@ def test_voxel_verify_mismatch_exits_2(capsys, monkeypatch):
     # only.  Positions 0 and 4 get ids 2 and 3 of their own, each a copy of
     # the plate id 0 as a slab and as a class, so every other row keeps its
     # line; slab 3 (z = 4) stores class 2 (y = 0) as line 1, the plate
-    # without cell 0, inserted before the empty line
+    # without cell 0
     build = voxel.build_grid
 
     def build_grid(kind, n):
         g = build(kind, n)
         assert (g.resolution, g.table) == (9, ({0: 0, 1: 0}, {}))
-        full, empty = g.lines
+        (full,) = g.lines
         plate = {0: 0, 1: 0, 2: 0, 3: 0}
-        return g._replace(lines=(full, full & ~1, empty),
+        return g._replace(lines=(full, full & ~1),
                           table=(plate, {}, plate, {**plate, 2: 1}),
                           index=(2, 1, 0, 1, 3, 1, 0, 1, 0))
 
@@ -324,10 +325,12 @@ def test_write_replaces_existing_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["sponge.stl"]
 
 
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP, signal.SIGINT],
+                         ids=["SIGTERM", "SIGHUP", "SIGINT"])
 def test_signal_mid_export_leaves_no_file(signum, tmp_path):
-    # the default action of either signal ends the process without
-    # unwinding, which left the n = 5 sponge OBJ's temporary behind
+    # the default action of SIGTERM and SIGHUP ends the process without
+    # unwinding, which left the n = 5 sponge OBJ's temporary behind, and
+    # SIGINT's KeyboardInterrupt printed a traceback
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "spongeheat.cli", "mesh", "--model", "menger", "--n", "5",
@@ -348,6 +351,44 @@ def test_signal_mid_export_leaves_no_file(signum, tmp_path):
     assert child.returncode == 128 + signum
     assert (out, err) == ("", f"interrupted: {signum.name}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+_WRITERS = [
+    pytest.param(["series"], analysis, "emit_csv", id="series"),
+    pytest.param(["mesh", "--model", "menger", "--n", "1"], mesh, "write_stl_binary", id="mesh"),
+]
+
+
+@pytest.mark.parametrize("argv,module,name", _WRITERS)
+def test_out_refuses_a_special_file(argv, module, name, tmp_path, capsys, monkeypatch):
+    # the rename into place would swap a FIFO or a device for a regular
+    # file: an existing --out that is not a regular file is refused before
+    # any work, and stays what it was
+    def refuse(*args, **kwargs):
+        raise AssertionError("no writer may run")
+
+    monkeypatch.setattr(module, name, refuse)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    assert run([*argv, "--out", str(fifo)]) == 3
+    assert capsys.readouterr() == ("", f"i/o error: --out must name a regular file: "
+                                       f"{str(fifo)!r}\n")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+@pytest.mark.parametrize("argv,module,name", _WRITERS)
+def test_out_writes_through_a_symlink(argv, module, name, tmp_path, capsys):
+    # the link stays a link, and the file it names gets the new bytes
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    assert run([*argv, "--out", str(link)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {link} (")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert run([*argv, "--out", str(tmp_path / "plain")]) == 0
+    assert target.read_bytes() == (tmp_path / "plain").read_bytes() != b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "plain", "target"]
 
 
 def test_io_failure_exits_3(tmp_path, capsys, monkeypatch):
@@ -371,6 +412,11 @@ def test_io_failure_exits_3(tmp_path, capsys, monkeypatch):
         for out in ["existing", str(tmp_path / "existing"), "existing/", "fresh/", "", "."]:
             assert run([*argv, "--out", out]) == 3, (argv, out)
             assert "--out" in capsys.readouterr().err
+        # a symlink is written through, so its target's directory must exist
+        (tmp_path / "link").symlink_to(missing / "out.csv")
+        assert run([*argv, "--out", "link"]) == 3
+        assert "--out links into a directory" in capsys.readouterr().err
+        (tmp_path / "link").unlink()
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing"]
 
 
@@ -400,8 +446,10 @@ def test_help_exits_0(capsys):
 
 def _main_code(monkeypatch, argv) -> int:
     monkeypatch.setattr("sys.argv", ["spongeheat", *argv])
-    # main installs SIGTERM and SIGHUP handlers: give this process its own back
-    handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGHUP)}
+    # main installs SIGTERM, SIGHUP and SIGINT handlers: give this process
+    # its own back
+    handlers = {signum: signal.getsignal(signum)
+                for signum in (signal.SIGTERM, signal.SIGHUP, signal.SIGINT)}
     try:
         with pytest.raises(SystemExit) as exit_info:
             cli.main()

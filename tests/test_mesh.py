@@ -20,7 +20,7 @@ SLICES = ModelKind.SLICES
 
 def _empty_mesh():
     # a single coolant voxel: nothing solid, so no exposed face
-    grid = VoxelGrid(resolution=1, lines=(0,), table=({},), index=(0,))
+    grid = VoxelGrid(lines=(), table=({},), index=(0,))
     return mesh_from_grid(grid)
 
 

@@ -78,9 +78,17 @@ def _slab_rows(g):
 
 
 def slab_lines(g, z):
-    """The one decoder of the line table: slab z as its y-rows, in y order,
-    each an int with cell x at bit x, read through ``voxel.slab_rows``."""
-    return [g.lines[i] for i in _slab_rows(g)[z]]
+    """Slab z as its y-rows, in y order, each an int with cell x at bit x,
+    as ``voxel.slab_rows`` hands them out."""
+    return list(_slab_rows(g)[z])
+
+
+def reference_rows(g):
+    """Independent decode of the line table, one (z, y) at a time: line
+    ``table[index[z]][index[y]]``, or 0 when slab ``index[z]`` does not
+    store class ``index[y]``."""
+    return [tuple(g.lines[g.table[s][r]] if r in g.table[s] else 0 for r in g.index)
+            for s in g.index]
 
 
 def cell(g, x, y, z):
@@ -223,11 +231,12 @@ def test_distinct_slab_build_matches_per_slab_build(n):
     g = build_grid(MENGER, n)
     res = g.resolution
     # each distinct y-row once: the 2^n digit-one unions, every one of them
-    # stored, and the empty line last, never stored; one slab per digit-one
-    # mask of z, storing only the classes (masks of y) disjoint from it: 3^n
-    # entries, where a dense table would hold 4^n
-    assert len(set(g.lines)) == len(g.lines) == 2**n + 1
-    assert g.lines[-1] == 0
+    # stored and none empty (x = 0 is solid in each), so no empty line is
+    # kept for the classes a slab lacks; one slab per digit-one mask of z,
+    # storing only the classes (masks of y) disjoint from it: 3^n entries,
+    # where a dense table would hold 4^n
+    assert len(set(g.lines)) == len(g.lines) == 2**n
+    assert all(g.lines)
     assert {i for row in g.table for i in row.values()} == set(range(2**n))
     assert len(g.table) == 2**n
     assert all(not s & r for s, row in enumerate(g.table) for r in row)
@@ -243,8 +252,8 @@ def test_distinct_slab_build_matches_per_slab_build(n):
     g = build_grid(SLICES, n)
     assert g.index == tuple(z % 2 for z in range(g.resolution))
     assert g.table == ({0: 0, 1: 0}, {})
-    assert len(g.lines) == 2 and g.lines[-1] == 0
     res, full = g.resolution, 2**g.resolution - 1
+    assert g.lines == (full,)
     assert [slab_lines(g, z) for z in range(res)] == [[full * (1 - z % 2)] * res
                                                       for z in range(res)]
 
@@ -273,7 +282,7 @@ def test_one_axis_map(n):
     # slab stores one line in every class or none
     sponge, slices = build_grid(MENGER, n), build_grid(SLICES, n)
     for g in (sponge, slices):
-        assert len(g.index) == g.resolution
+        assert g.resolution == 3**n
         assert all(set(row) <= set(range(len(g.table))) for row in g.table)
     assert all(sponge.table[r][s] == i for s, row in enumerate(sponge.table)
                for r, i in row.items())
@@ -311,7 +320,7 @@ def test_guard_bits_are_zero(kind, n):
 
 
 def test_grid_build_memory_n6():
-    # the build allocates the line table (for the sponge, 65 int lines of
+    # the build allocates the line table (for the sponge, 64 int lines of
     # 124 bytes, 64 slab maps holding 3^6 line ids and the index, 46 KB in
     # all, where a 64 x 64 table took 50 KB; 6 KB for the slices) plus
     # O(res) scratch, under 8 KB; a line id per slab and y took 0.39 MB, and
@@ -345,12 +354,14 @@ def test_face_counts_memory_n9():
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
 def test_slab_rows(kind):
-    # row y of slab z, and one tuple shared by every z of a distinct slab
+    # row y of slab z as an int, 0 for a class the slab does not store, and
+    # one tuple shared by every z of a distinct slab
     g = build_grid(kind, 3)
     rows = voxel.slab_rows(g)
-    empty = len(g.lines) - 1  # what a class the slab does not store reads
-    assert rows == [tuple(g.table[g.index[z]].get(g.index[y], empty) for y in range(27))
-                    for z in range(27)]
+    assert rows == reference_rows(g)
+    assert all(type(line) is int for row in rows for line in row)
+    if kind is SLICES:
+        assert rows[1] == (0,) * 27  # the gap stores no class
     assert len({id(row) for row in rows}) == len(set(g.index))
 
 
@@ -360,6 +371,8 @@ def test_public_api():
               if not name.startswith("_") and getattr(obj, "__module__", None) == voxel.__name__}
     assert public == {"VoxelGrid", "build_grid", "measure", "slab_counts", "slab_rows",
                       "count_exposed_faces"}
+    # what a grid stores: the resolution is len(index), not a field
+    assert VoxelGrid._fields == ("lines", "table", "index")
 
 
 def test_grid_build_deterministic():
@@ -501,7 +514,7 @@ def test_face_counts_exact_for_one_row_per_slab(kind):
     # count must not assume distinct ids differ
     g = build_grid(kind, 3)
     res = g.resolution
-    lines = (*(line for z in range(res) for line in slab_lines(g, z)), 0)
+    lines = tuple(line for z in range(res) for line in slab_lines(g, z))
     table = tuple({y: z * res + y for y in range(res)} for z in range(res))
     spread = g._replace(lines=lines, table=table, index=tuple(range(res)))
     assert [slab_lines(spread, z) for z in range(res)] == [slab_lines(g, z) for z in range(res)]
@@ -512,15 +525,15 @@ def test_face_counts_exact_for_one_row_per_slab(kind):
 @st.composite
 def line_table_grids(draw):
     """A hand-built sparse line table of any resolution: a pool of random,
-    empty or full lines ending in the empty line, one map per slab from a
+    empty or full lines ending in an empty line, one map per slab from a
     random subset of the ids to random lines, and an index drawing its ids
     in any order for z and y, so equal rows and slabs recur both adjacent
     and apart.  A slab may store a class as an empty line or leave it out,
     and store a class that the next slab lacks.  The pool may also hold a
     second copy of one of its lines, and the table a second copy of one id
     (its slab and its class in every slab), so equal lines, slabs and
-    classes need not share an id; ids may be unused.  Only ``resolution``,
-    ``lines``, ``table`` and ``index`` matter to the face count."""
+    classes need not share an id; lines and ids may be unused.  The
+    resolution is the length of the index."""
     res = draw(st.integers(1, 12))
     line = st.one_of(st.just(0), st.just(2**res - 1), st.integers(0, 2**res - 1))
     pool = draw(st.lists(line, max_size=res + 1))
@@ -537,7 +550,7 @@ def line_table_grids(draw):
                 ids[size] = ids[twin]
         table.append(dict(table[twin]))
     index = draw(st.lists(st.integers(0, len(table) - 1), min_size=res, max_size=res))
-    return VoxelGrid(resolution=res, lines=tuple(pool), table=tuple(table), index=tuple(index))
+    return VoxelGrid(lines=tuple(pool), table=tuple(table), index=tuple(index))
 
 
 def test_line_table_grids_draw_the_sparse_layout():
@@ -556,7 +569,10 @@ def test_line_table_grids_draw_the_sparse_layout():
     def dropped_next(g):
         return any(g.table[s].keys() - g.table[t].keys() for s, t in zip(g.index, g.index[1:]))
 
-    for feature in (stored_empty, equal_lines, missing_class, dropped_next):
+    def unused_line(g):
+        return len({i for row in g.table for i in row.values()}) < len(g.lines)
+
+    for feature in (stored_empty, equal_lines, missing_class, dropped_next, unused_line):
         found = find(line_table_grids(), feature,
                      settings=settings(database=None, derandomize=True,
                                        phases=[Phase.generate]))
@@ -566,6 +582,9 @@ def test_line_table_grids_draw_the_sparse_layout():
 @settings(max_examples=150, deadline=None)
 @given(line_table_grids())
 def test_face_counts_random_pooled_grids(g):
+    # the rows handed out, 0 for every class a slab lacks, against the
+    # reference decode, whatever the pool's empty, equal or unused lines
+    assert voxel.slab_rows(g) == reference_rows(g)
     assert count_exposed_faces(g) == pair_count_faces(g)
     reference = _summed_masks(g)
     # every run of solid cells along an axis ends in one + and one - face
@@ -630,12 +649,14 @@ def test_grid_shape_and_edge():
     g = build_grid(MENGER, 2)
     assert g.resolution == 9
     assert g.voxel_edge == Fraction(1, 9)
-    # 5 lines: the digit-one unions 0, 1, 2, 3 and the empty line
-    assert g.lines == (0b111111111, 0b101101101, 0b111000111, 0b101000101, 0)
+    # 4 lines: the digit-one unions 0, 1, 2, 3, and no empty line
+    assert g.lines == (0b111111111, 0b101101101, 0b111000111, 0b101000101)
     # packed as 2 bytes a line: 9 cells and 7 zero guard bits, little-endian
     assert g.stride == 16
-    assert bytes(g.packed) == b"\xff\x01\x6d\x01\xc7\x01\x45\x01\x00\x00"
-    # slab s stores row class r as line s | r only when not s & r: the
-    # empty line 4 is never stored
+    assert bytes(g.packed) == b"\xff\x01\x6d\x01\xc7\x01\x45\x01"
+    # slab s stores row class r as line s | r only when not s & r; a class
+    # it lacks reads as the empty row, 0 (slab mask 3 at z = 4, class 3 at
+    # y = 4)
+    assert voxel.slab_rows(g)[4][4] == 0
     assert g.table == ({0: 0, 1: 1, 2: 2, 3: 3}, {0: 1, 2: 3}, {0: 2, 1: 3}, {0: 3})
     assert g.index == (0, 1, 0, 2, 3, 2, 0, 1, 0)
