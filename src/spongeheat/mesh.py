@@ -14,18 +14,19 @@ y +- 1 and the same row in the slabs z +- 1, each an int bitset as
 ``voxel.slab_rows`` hands it out, and 0 beyond the lattice.  :func:`_faces`
 works out each distinct key's faces once, by the exposure rule of
 :mod:`spongeheat.voxel`, keeps them as int16 (x, direction) rows (1,599
-keys and 0.6 MB for the n = 5 sponge), joins a slab's rows and hands the
-faces out chunk by chunk, with each chunk's (y, direction) rows worked out
-as it is handed out.
+keys and 0.6 MB for the n = 5 sponge), and visits every slab once, in
+order: it joins the slab's rows and hands the faces out chunk by chunk,
+with each chunk's (y, direction) rows worked out as it is handed out.
 Every triangle is then assembled from small lookup tables indexed by
 (x, direction) and (y, direction): STL record pairs and y corners, or OBJ
-corner keys.  No per-face integer lattice is built, and every STL chunk
-goes through one record buffer of ``2 * _CHUNK`` records.  OBJ keeps
-vertex ids for the two z-planes of the current slab only, 2 * (3^n + 1)^2
-int32, set by one scatter-min per chunk in the vertex pass and again, in
-the same order, in the face pass.  So export memory is the row faces, one
-slab's int16 face list and one chunk, with no temporary as long as a slab,
-and not the mesh or a lattice table: the n = 5 sponge STL traces at about
+corner keys.  No per-face integer lattice is built, and each STL chunk is
+a new array of at most ``2 * _CHUNK`` records, which the sink may keep.
+OBJ keeps vertex ids for the two z-planes of the current slab only,
+2 * (3^n + 1)^2 int32, shifted down one plane per slab and set by one
+scatter-min per chunk in the vertex pass and again, in the same order, in
+the face pass.  So export memory is the row faces, one slab's int16 face
+list and one chunk, with no temporary as long as a slab, and not the
+mesh or a lattice table: the n = 5 sponge STL traces at about
 1.6 MiB, and its command peaks at about 30.6 MB resident, the OBJ at about
 32.2 MB, 1.5 and 3 MB above the interpreter and numpy.
 """
@@ -70,9 +71,9 @@ class MeshBuffer(NamedTuple):
 
     ``triangle_count`` is known up front (twice the exposed-face count), so
     writers can emit their headers before the first triangle exists.
-    ``triangles`` and ``normals`` build the full (T, 3, 3) float32 vertex
-    coordinates in [0, 1] and (T, 3) float32 unit normals at once; the
-    writers never use them.
+    ``triangles`` and ``normals`` join the STL chunks into the full
+    (T, 3, 3) float32 vertex coordinates in [0, 1] and (T, 3) float32 unit
+    normals; the writers never use them.
     """
 
     grid: VoxelGrid
@@ -80,15 +81,15 @@ class MeshBuffer(NamedTuple):
 
     @property
     def triangles(self) -> np.ndarray:
-        # copy each chunk out: the records are a view of one reused buffer
-        return np.concatenate([rec["verts"].copy() for rec in _stl_records(self.grid)])
+        return np.concatenate([rec["verts"] for rec in _stl_records(self.grid)])
 
     @property
     def normals(self) -> np.ndarray:
-        return np.concatenate([rec["normal"].copy() for rec in _stl_records(self.grid)])
+        return np.concatenate([rec["normal"] for rec in _stl_records(self.grid)])
 
 
-#: Most faces the writers assemble at once; it sizes the STL record buffer.
+#: Most faces the writers assemble at once: an STL chunk holds at most
+#: ``2 * _CHUNK`` records (205 KB).
 _CHUNK = 2048
 
 
@@ -113,9 +114,11 @@ def _row_faces(keys: list, stride: int) -> list:
 
 
 def _faces(g: VoxelGrid):
-    """Yield ``(z, xd, yd)`` for runs of at most ``_CHUNK`` consecutive
-    exposed faces in emission order, each face as its rows x * 6 + d and
-    y * 6 + d of the (x, direction) and (y, direction) tables.
+    """Yield ``(z, chunks)`` once per z-slab, in order and empty slabs
+    included, where ``chunks`` yields ``(xd, yd)`` for runs of at most
+    ``_CHUNK`` consecutive exposed faces of the slab in emission order, each
+    face as its rows x * 6 + d and y * 6 + d of the (x, direction) and
+    (y, direction) tables.
 
     Each y-row's faces depend only on its row key (see :func:`_row_faces`),
     built from the rows of ``voxel.slab_rows`` with 0 for the row beyond
@@ -135,16 +138,20 @@ def _faces(g: VoxelGrid):
         new = [key for key in dict.fromkeys(keys) if key not in cache]
         if new:
             cache.update(zip(new, _row_faces(new, g.stride)))
-        rows = list(map(cache.__getitem__, keys))
-        xd = np.concatenate(rows)
-        ends = list(accumulate(map(len, rows)))  # one past each y-row's last face
-        for start in range(0, len(xd), _CHUNK):
-            chunk = xd[start:start + _CHUNK]
-            stop = start + len(chunk)
-            # the rows the chunk overlaps, and how many of its faces each holds
-            first, last = bisect_right(ends, start), bisect_left(ends, stop) + 1
-            y6s = np.repeat(y6[first:last], np.diff([start, *ends[first:last - 1], stop]))
-            yield z, chunk, y6s + chunk - chunk // 6 * 6  # chunk % 6, only faster
+        yield z, _chunks(list(map(cache.__getitem__, keys)), y6)
+
+
+def _chunks(rows: list, y6: np.ndarray):
+    # the faces of one slab's y-rows, joined, in runs of at most _CHUNK
+    xd = np.concatenate(rows)
+    ends = list(accumulate(map(len, rows)))  # one past each y-row's last face
+    for start in range(0, len(xd), _CHUNK):
+        chunk = xd[start:start + _CHUNK]
+        stop = start + len(chunk)
+        # the rows the chunk overlaps, and how many of its faces each holds
+        first, last = bisect_right(ends, start), bisect_left(ends, stop) + 1
+        y6s = np.repeat(y6[first:last], np.diff([start, *ends[first:last - 1], stop]))
+        yield chunk, y6s + chunk - chunk // 6 * 6  # chunk % 6, only faster
 
 
 def _corner_table(res: int, axis: int, corners: np.ndarray = _TRIANGLES) -> np.ndarray:
@@ -174,19 +181,16 @@ assert _STL_RECORD.itemsize == 50
 # the two records of one face as one opaque item: np.take copies these
 # several times faster than the structured records themselves
 _STL_PAIR = np.dtype((np.void, 2 * _STL_RECORD.itemsize))
-_Y_CORNERS = np.dtype((np.void, 6 * 4))  # one face's six float32 y corners
 
 
 def _stl_records(g: VoxelGrid):
-    """Yield, per chunk of :func:`_faces`, its triangles as STL records,
-    two per exposed face.
+    """Yield, per chunk of :func:`_faces`, its triangles as a new array of
+    STL records, two per exposed face.
 
     A record pair is copied from a per-(x, direction) template holding the
-    normal, the x and z corners (refreshed when z changes) and a zero
-    attribute; the y corners are then gathered from a per-(y, direction)
-    table into a buffer of ``_CHUNK`` items and written in one step.  Each
-    chunk's records are a view of one buffer of ``2 * _CHUNK`` records,
-    valid until the next chunk is requested.
+    normal, the x and z corners (set once per slab) and a zero attribute;
+    the y corners are then gathered from a per-(y, direction) table and
+    written in one step.
     """
     res = g.resolution
     coords = _lattice_coords(res)
@@ -194,34 +198,23 @@ def _stl_records(g: VoxelGrid):
     by_x = template.reshape(res, 6, 2)
     by_x["normal"] = _NORMALS[:, None]
     template["verts"][..., 0] = coords[_corner_table(res, 0)]
-    # the six y corners of each (y, direction) row as one opaque item (made
-    # contiguous first: at res = 1 the gather comes back transposed)
-    y_corners = np.ascontiguousarray(coords[_corner_table(res, 1)])
-    y_corners = y_corners.reshape(res * 6, 6).view(_Y_CORNERS)[:, 0]
+    y_corners = coords[_corner_table(res, 1)]
     pairs = template.view(_STL_PAIR)[:, 0]
-    buffer = np.empty(2 * _CHUNK, dtype=_STL_RECORD)
-    y_buffer = np.empty(_CHUNK, dtype=_Y_CORNERS)
-    last = None
-    for z, xd, yd in _faces(g):
-        if z != last:
-            by_x["verts"][..., 2] = coords[z + _TRIANGLES[..., 2]]
-            last = z
-        records = buffer[: 2 * len(xd)]
-        np.take(pairs, xd, axis=0, out=records.view(_STL_PAIR))
-        ys = y_buffer[: len(yd)]
-        np.take(y_corners, yd, axis=0, out=ys)
-        records.reshape(-1, 2)["verts"][..., 1] = ys.view(np.float32).reshape(-1, 2, 3)
-        yield records
+    for z, chunks in _faces(g):
+        by_x["verts"][..., 2] = coords[z + _TRIANGLES[..., 2]]
+        for xd, yd in chunks:
+            records = np.take(pairs, xd, axis=0).view(_STL_RECORD)
+            records.reshape(-1, 2)["verts"][..., 1] = np.take(y_corners, yd, axis=0)
+            yield records
 
 
 def write_stl_binary(m: MeshBuffer, sink) -> int:
     """Little-endian binary STL; returns the byte count (84 + 50 per triangle).
 
     The header carries ``m.triangle_count``; records follow one chunk at a
-    time, each chunk written from the same reused buffer, so ``sink.write``
-    must consume its argument before returning (as files and ``BytesIO``
-    do).  Raises ValueError if the streamed triangles do not match that
-    count, since the header would then be wrong.
+    time, each a new array that the sink may keep.  Raises ValueError if
+    the streamed triangles do not match that count, since the header would
+    then be wrong.
     """
     header = b"spongeheat axis-aligned voxel surface".ljust(80, b"\0")
     sink.write(header + struct.pack("<I", m.triangle_count))
@@ -249,9 +242,9 @@ def _numbered(g: VoxelGrid):
     key (``np.minimum.at`` defines which repeat wins, ``ids[new] =`` does
     not), and the keys whose own slot it is take the next ids in order; no
     sort.  Only slab z's two planes hold ids: a corner on plane z can only
-    be numbered by slab z - 1 or z, so plane z + 1's ids move down when the
-    next slab is z + 1 and are dropped when it lies further on.  The
-    numbering is a pure function of the grid, so every pass repeats it.
+    be numbered by slab z - 1 or z, so each slab, empty or not, moves the
+    ids of its lower plane down from the upper one and clears the upper.
+    The numbering is a pure function of the grid, so every pass repeats it.
     """
     res = g.resolution
     side = res + 1
@@ -264,24 +257,19 @@ def _numbered(g: VoxelGrid):
     y_keys = (_corner_table(res, 1, _CORNERS) * side).astype(np.int32)
     ids = np.zeros(2 * plane, dtype=np.int32)  # 0: not numbered yet
     count = 0
-    last = None
-    for z, xd, yd in _faces(g):
-        if z != last:
-            if last == z - 1:
-                ids[:plane] = ids[plane:]
-                ids[plane:] = 0
-            else:
-                ids[:] = 0
-            last = z
-        # np.take: several times faster than fancy indexing at these sizes
-        keys = np.take(xz_keys, xd, axis=0) + np.take(y_keys, yd, axis=0)
-        new = keys[np.take(ids, keys) == 0]
-        first = np.arange(-len(new), 0, dtype=np.int32)
-        np.minimum.at(ids, new, first)
-        fresh = new[np.take(ids, new) == first]
-        ids[fresh] = np.arange(count + 1, count + 1 + len(fresh))
-        count += len(fresh)
-        yield z, keys, fresh, ids
+    for z, chunks in _faces(g):
+        ids[:plane] = ids[plane:]
+        ids[plane:] = 0
+        for xd, yd in chunks:
+            # np.take: several times faster than fancy indexing at these sizes
+            keys = np.take(xz_keys, xd, axis=0) + np.take(y_keys, yd, axis=0)
+            new = keys[np.take(ids, keys) == 0]
+            first = np.arange(-len(new), 0, dtype=np.int32)
+            np.minimum.at(ids, new, first)
+            fresh = new[np.take(ids, new) == first]
+            ids[fresh] = np.arange(count + 1, count + 1 + len(fresh))
+            count += len(fresh)
+            yield z, keys, fresh, ids
 
 
 def write_obj(m: MeshBuffer, sink) -> int:

@@ -50,6 +50,8 @@ CORPUS = {
     "mesh --model slices --n 3 --format stl --out mesh.stl": "2dce89c42af26a8cc920429da5f42a78a9cd2a8b2c9871d921390665cd2e959f",
     "mesh --model slices --n 3 --format obj --out mesh.obj": "d3b4239d6b7186209283df9ac617ac4ab66293946aae3a43346cbe3fe1405160",
     "mesh --model slices --n 4 --format stl --out mesh.stl": "d2af59457a9c0f445a1249485f8d2bfde089b0d18c507a7cb24e4083355fcb50",
+    # 45.3 MB: the largest tier-1 OBJ in which empty slabs meet the two-plane id window
+    "mesh --model slices --n 4 --format obj --out mesh.obj": "b801e7b91b70c993dd26b2a57f5b73724eb51254aad473e0df4e375c0f9b8c50",
     # n = 12: S_s >= 10^5 prints at 0 decimals, efficiencies reach 10^-7
     "table --max-n 12 --format text": "8d59da7c821cea55ba1a1c785fba88d7dd405daef55a435088b603a78255cbe2",
     "table --max-n 12 --format csv": "c49997ee1a0a563fe56d24cbd669829043b5b1818c5804dc06cbbf69aee1a9bc",

@@ -77,10 +77,10 @@ class _Sha256Sink:
 
 def test_stl_n5_sponge_hash():
     # 13.1 M triangles, hashed as they stream; chunk sizes vary within and
-    # between slabs, so a stale byte left in the reused record buffer would
+    # between slabs, so a record carried over from an earlier chunk would
     # change the hash.  Memory is the row faces, one slab's int16 face list
-    # and one fixed chunk of records, whatever the size of the mesh: no
-    # temporary spans a slab
+    # and one chunk of at most 2 * 2048 records, whatever the size of the
+    # mesh: no temporary spans a slab
     m = mesh_from_grid(build_grid(MENGER, 5))
     sink = _Sha256Sink()
     _, peak = traced_peak(write_stl_binary, m, sink)
@@ -111,6 +111,25 @@ def test_stl_deterministic_bytes():
         write_stl_binary(mesh_from_grid(build_grid(kind, 2)), a)
         write_stl_binary(mesh_from_grid(build_grid(kind, 2)), b)
         assert a.getvalue() == b.getvalue(), kind
+
+
+class _KeepingSink:
+    # keeps every object it is handed, as a sink that queues writes would
+    def __init__(self):
+        self.parts = []
+
+    def write(self, data):
+        self.parts.append(data)
+
+
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+@pytest.mark.parametrize("n", range(4))
+def test_stl_sink_may_keep_chunks(kind, n):
+    m = mesh_from_grid(build_grid(kind, n))
+    memory, kept = io.BytesIO(), _KeepingSink()
+    write_stl_binary(m, memory)
+    write_stl_binary(m, kept)
+    assert b"".join(kept.parts) == memory.getvalue()
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
@@ -185,15 +204,25 @@ def test_stl_bytes_enclose_closed_form_volume_and_surface(kind, n):
 @pytest.mark.parametrize("n", range(5))
 def test_faces_per_direction_match_face_counts(kind, n):
     # the row-class face lists the writers emit, counted per direction,
-    # against the oracle's per-direction count
+    # against the oracle's per-direction count; every slab comes once, in
+    # order, empty ones included, since the OBJ id window shifts per slab
     g = build_grid(kind, n)
     counts = np.zeros(6, dtype=np.int64)
-    for _, xd, yd in mesh._faces(g):
-        assert xd.dtype == yd.dtype == np.int16
-        assert (xd % 6 == yd % 6).all()
-        assert ((xd // 6 < g.resolution) & (yd // 6 < g.resolution)).all()
-        counts += np.bincount(xd % 6, minlength=6)
+    zs = []
+    for z, chunks in mesh._faces(g):
+        zs.append(z)
+        for xd, yd in chunks:
+            assert xd.dtype == yd.dtype == np.int16
+            assert (xd % 6 == yd % 6).all()
+            assert ((xd // 6 < g.resolution) & (yd // 6 < g.resolution)).all()
+            counts += np.bincount(xd % 6, minlength=6)
+    assert zs == list(range(g.resolution))
     assert counts.tolist() == voxel.measure(g)[1]
+
+
+def test_faces_of_empty_grid_visit_its_slab():
+    g = _empty_mesh().grid
+    assert [(z, list(chunks)) for z, chunks in mesh._faces(g)] == [(0, [])]
 
 
 # -- OBJ --------------------------------------------------------------------------
