@@ -15,8 +15,9 @@ y +- 1 and the same row in the slabs z +- 1, each an int bitset as
 works out each distinct key's faces once, by the exposure rule of
 :mod:`spongeheat.voxel`, keeps them as int16 (x, direction) rows (1,599
 keys and 0.6 MB for the n = 5 sponge), and visits every slab once, in
-order: it joins the slab's rows and hands the faces out chunk by chunk,
-with each chunk's (y, direction) rows worked out as it is handed out.
+order: it joins the slab's rows, repeats each row's y once per face of
+the row into one int16 y index as long as the slab's face list, and
+hands both out in slices of at most ``_CHUNK`` faces.
 Every triangle is then assembled from small lookup tables indexed by
 (x, direction) and (y, direction): STL record pairs and y corners, or OBJ
 corner keys.  No per-face integer lattice is built, and each STL chunk is
@@ -25,16 +26,14 @@ OBJ keeps vertex ids for the two z-planes of the current slab only,
 2 * (3^n + 1)^2 int32, shifted down one plane per slab and set by one
 scatter-min per chunk in the vertex pass and again, in the same order, in
 the face pass.  So export memory is the row faces, one slab's int16 face
-list and one chunk, with no temporary as long as a slab, and not the
-mesh or a lattice table: the n = 5 sponge STL traces at about
-1.6 MiB, and its command peaks at about 30.6 MB resident, the OBJ at about
-32.2 MB, 1.5 and 3 MB above the interpreter and numpy.
+list with its y index and one chunk, and not the mesh or a lattice
+table: the n = 5 sponge STL traces at about 1.8 MiB, and its command
+peaks at about 30.6 MB resident, the OBJ at about 32.2 MB, 1.5 and 3 MB
+above the interpreter and numpy.
 """
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left, bisect_right
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -73,7 +72,7 @@ class MeshBuffer(NamedTuple):
     writers can emit their headers before the first triangle exists.
     ``triangles`` and ``normals`` join the STL chunks into the full
     (T, 3, 3) float32 vertex coordinates in [0, 1] and (T, 3) float32 unit
-    normals; the writers never use them.
+    normals, T = 0 included; the writers never use them.
     """
 
     grid: VoxelGrid
@@ -81,11 +80,13 @@ class MeshBuffer(NamedTuple):
 
     @property
     def triangles(self) -> np.ndarray:
-        return np.concatenate([rec["verts"] for rec in _stl_records(self.grid)])
+        return np.concatenate([np.zeros((0, 3, 3), np.float32),
+                               *(rec["verts"] for rec in _stl_records(self.grid))])
 
     @property
     def normals(self) -> np.ndarray:
-        return np.concatenate([rec["normal"] for rec in _stl_records(self.grid)])
+        return np.concatenate([np.zeros((0, 3), np.float32),
+                               *(rec["normal"] for rec in _stl_records(self.grid))])
 
 
 #: Most faces the writers assemble at once: an STL chunk holds at most
@@ -123,9 +124,9 @@ def _faces(g: VoxelGrid):
     Each y-row's faces depend only on its row key (see :func:`_row_faces`),
     built from the rows of ``voxel.slab_rows`` with 0 for the row beyond
     the lattice in y and z, so they are worked out once per distinct key
-    and kept as int16; a slab joins its rows' lists, and each chunk's
-    ``yd`` is worked out from its own slice and the rows' lengths, so no
-    temporary spans the slab.
+    and kept as int16; a slab joins its rows' lists and repeats each row's
+    y * 6 once per face of the row, so a chunk is a slice of both, and only
+    its direction part is worked out per chunk.
     """
     res = g.resolution
     outside = (0,) * res  # no cell beyond the lattice, in any y
@@ -138,20 +139,15 @@ def _faces(g: VoxelGrid):
         new = [key for key in dict.fromkeys(keys) if key not in cache]
         if new:
             cache.update(zip(new, _row_faces(new, g.stride)))
-        yield z, _chunks(list(map(cache.__getitem__, keys)), y6)
+        rows = list(map(cache.__getitem__, keys))
+        yield z, _chunks(np.concatenate(rows), np.repeat(y6, list(map(len, rows))))
 
 
-def _chunks(rows: list, y6: np.ndarray):
-    # the faces of one slab's y-rows, joined, in runs of at most _CHUNK
-    xd = np.concatenate(rows)
-    ends = list(accumulate(map(len, rows)))  # one past each y-row's last face
-    for start in range(0, len(xd), _CHUNK):
-        chunk = xd[start:start + _CHUNK]
-        stop = start + len(chunk)
-        # the rows the chunk overlaps, and how many of its faces each holds
-        first, last = bisect_right(ends, start), bisect_left(ends, stop) + 1
-        y6s = np.repeat(y6[first:last], np.diff([start, *ends[first:last - 1], stop]))
-        yield chunk, y6s + chunk - chunk // 6 * 6  # chunk % 6, only faster
+def _chunks(xd: np.ndarray, ys: np.ndarray):
+    # one slab's faces and the y * 6 of each, in runs of at most _CHUNK
+    for i in range(0, len(xd), _CHUNK):
+        chunk = xd[i:i + _CHUNK]
+        yield chunk, ys[i:i + _CHUNK] + chunk - chunk // 6 * 6  # chunk % 6, only faster
 
 
 def _corner_table(res: int, axis: int, corners: np.ndarray = _TRIANGLES) -> np.ndarray:

@@ -12,6 +12,7 @@ from spongeheat.mesh import mesh_from_grid, write_obj, write_stl_binary
 from spongeheat.metrics import ModelKind
 from spongeheat.voxel import VoxelGrid, build_grid, count_exposed_faces
 from stl_geometry import StlGeometry
+from test_voxel import exposed_bits, stride
 from traced import traced_peak
 
 MENGER = ModelKind.MENGER_SPONGE
@@ -41,6 +42,12 @@ def test_stl_byte_sizes():
 
     sink = io.BytesIO()
     assert write_stl_binary(mesh_from_grid(build_grid(MENGER, 2)), sink) == 105684
+
+
+def test_empty_mesh_arrays():
+    m = _empty_mesh()
+    for array, shape in ((m.triangles, (0, 3, 3)), (m.normals, (0, 3))):
+        assert array.dtype == np.float32 and array.shape == shape
 
 
 def test_stl_rejects_wrong_triangle_count():
@@ -79,8 +86,8 @@ def test_stl_n5_sponge_hash():
     # 13.1 M triangles, hashed as they stream; chunk sizes vary within and
     # between slabs, so a record carried over from an earlier chunk would
     # change the hash.  Memory is the row faces, one slab's int16 face list
-    # and one chunk of at most 2 * 2048 records, whatever the size of the
-    # mesh: no temporary spans a slab
+    # and y index, and one chunk of at most 2 * 2048 records, whatever the
+    # size of the mesh
     m = mesh_from_grid(build_grid(MENGER, 5))
     sink = _Sha256Sink()
     _, peak = traced_peak(write_stl_binary, m, sink)
@@ -223,6 +230,26 @@ def test_faces_per_direction_match_face_counts(kind, n):
 def test_faces_of_empty_grid_visit_its_slab():
     g = _empty_mesh().grid
     assert [(z, list(chunks)) for z, chunks in mesh._faces(g)] == [(0, [])]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2048])
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+@pytest.mark.parametrize("n", range(4))
+def test_faces_are_the_exposed_bits_in_order(n, kind, chunk, monkeypatch):
+    # each slab's faces, decoded to (y, x, direction), come in ascending
+    # order and are exactly the set bits of the slab-level reference: bit
+    # x + stride * y of direction d
+    monkeypatch.setattr(mesh, "_CHUNK", chunk)
+    g = build_grid(kind, n)
+    w = stride(g.resolution)
+    for z, chunks in mesh._faces(g):
+        faces = [(y, x, d) for xd, yd in chunks
+                 for y, x, d in zip((yd // 6).tolist(), (xd // 6).tolist(), (xd % 6).tolist())]
+        assert faces == sorted(faces)
+        expected = {(bit // w, bit % w, d)
+                    for d, mask in enumerate(exposed_bits(g, z))
+                    for bit in range(mask.bit_length()) if mask >> bit & 1}
+        assert set(faces) == expected and len(faces) == len(expected)
 
 
 # -- OBJ --------------------------------------------------------------------------
