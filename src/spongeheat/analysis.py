@@ -211,7 +211,8 @@ def find_crossover(menger: EfficiencySeries, slices: EfficiencySeries) -> Crosso
     piecewise linear in ln S, so bracketing on the union of segment
     boundaries and solving the two-line intersection is exact for the model.
     A touch without a preceding strict undercut (e.g. the shared n = 0 cube
-    point) is not a crossing.
+    point) is not a crossing; a touch after one is the crossing, computed by
+    the same interpolation.
 
     Raises NoCrossoverError when one curve dominates the whole shared range
     or the curves are identical.
@@ -238,11 +239,8 @@ def find_crossover(menger: EfficiencySeries, slices: EfficiencySeries) -> Crosso
             undercut = True
             continue
         if d > 0 and undercut:
-            d0 = diffs[i - 1]
-            if d0 < 0:
-                t_star = grid[i - 1] + (grid[i] - grid[i - 1]) * (-d0) / (d - d0)
-            else:  # exact touch at the previous breakpoint
-                t_star = grid[i - 1]
+            d0 = diffs[i - 1]  # <= 0; at a touch, 0, the step below is exactly 0.0
+            t_star = grid[i - 1] + (grid[i] - grid[i - 1]) * (-d0) / (d - d0)
             s_star = math.exp(t_star)
             return CrossoverReport(
                 s_star=s_star,

@@ -24,15 +24,11 @@ import sys
 from . import metrics
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; 2 is reserved for
     # verification mismatches here, so route usage problems to exit 1.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,25 +40,30 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the reference table for n = 0..max-n")
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    p.set_defaults(run=_cmd_table)
 
     p = sub.add_parser("row", help="print a single table row")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    p.set_defaults(run=_cmd_row)
 
     p = sub.add_parser("voxel-verify",
                        help="check closed-form volume/surface against the voxel oracle")
     p.add_argument("--model", choices=models, required=True)
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(run=_cmd_voxel_verify)
 
     p = sub.add_parser("crossover",
                        help="locate where the sponge efficiency curve overtakes the slice curve")
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(run=_cmd_crossover)
 
     p = sub.add_parser("series",
                        help="write the efficiency-vs-surface series of both models as CSV")
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_series)
 
     p = sub.add_parser("mesh",
                        help="export a voxelized geometry as a triangle mesh")
@@ -70,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("stl", "obj"), default="stl")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_mesh)
 
     return parser
 
@@ -77,8 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_out(path: str) -> None:
     """Refuse an ``--out`` that names a directory or an existing file that
     is not a regular one (a FIFO or a device, which the rename would
-    replace), or that lies, or links, into a directory that does not exist;
-    commands call this before doing any other work."""
+    replace), that lies, or links, into a directory that does not exist,
+    or whose file name passes the 255-byte limit; commands call this before
+    doing any other work."""
     head, tail = os.path.split(path)
     if not tail or os.path.isdir(path):
         raise IsADirectoryError(f"--out must name a file, not a directory: {path!r}")
@@ -86,18 +89,26 @@ def _check_out(path: str) -> None:
         raise OSError(f"--out must name a regular file: {path!r}")
     if head and not os.path.isdir(head):
         raise FileNotFoundError(f"--out directory does not exist: {head!r}")
-    if not os.path.isdir(os.path.dirname(os.path.realpath(path))):
+    target_head, target_tail = os.path.split(os.path.realpath(path))
+    if not os.path.isdir(target_head):
         raise FileNotFoundError(f"--out links into a directory that does not exist: {path!r}")
+    if len(os.fsencode(target_tail)) > 255:
+        raise OSError(f"--out file name is longer than 255 bytes: {path!r}")
 
 
 def _write_file(path: str, write) -> int:
     """Call ``write(sink)`` on a fresh temporary file in the directory of
     ``path`` (checked by :func:`_check_out`), then rename it to ``path``; on
     any failure, remove it.  A symlink is resolved first, so the link stays
-    and the file it names is replaced."""
+    and the file it names is replaced.  The temporary is ``.NAME.PID.tmp``,
+    NAME cut by whole characters until it fits the 255-byte file-name
+    limit."""
     target = os.path.realpath(path)
     head, tail = os.path.split(target)
-    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    suffix = f".{os.getpid()}.tmp"
+    while len(os.fsencode(f".{tail}{suffix}")) > 255:
+        tail = tail[:-1]
+    temporary = os.path.join(head, f".{tail}{suffix}")
     sink = open(temporary, "xb")
     try:
         with sink:
@@ -210,7 +221,7 @@ def _cmd_mesh(args) -> int:
     _check_out(args.out)
     kind = metrics.ModelKind(args.model)
     if args.n > metrics.MESH_CAP:
-        raise _UsageError(f"mesh export is capped at n = {metrics.MESH_CAP}, got {args.n}")
+        raise ValueError(f"mesh export is capped at n = {metrics.MESH_CAP}, got {args.n}")
     metrics.check_iteration(args.n)
     # imported only after the refusals above, so a refused export loads no numpy
     from . import mesh, voxel
@@ -223,16 +234,6 @@ def _cmd_mesh(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "table": _cmd_table,
-    "row": _cmd_row,
-    "voxel-verify": _cmd_voxel_verify,
-    "crossover": _cmd_crossover,
-    "series": _cmd_series,
-    "mesh": _cmd_mesh,
-}
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -241,8 +242,8 @@ def run(argv=None) -> int:
         # bare print to None writes nothing: refuse before any work is done
         if sys.stdout is None:
             raise OSError("stdout is closed")
-        return _COMMANDS[args.command](args)
-    except (_UsageError, ValueError) as exc:
+        return args.run(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

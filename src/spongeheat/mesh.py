@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .voxel import VoxelGrid, _across, _along, count_exposed_faces, slab_rows
+from .voxel import VoxelGrid, _exposed, count_exposed_faces, slab_rows
 
 #: Face directions in emission order; normals point from solid into coolant.
 _NORMALS = np.array(
@@ -98,13 +98,13 @@ def _row_faces(keys: list, stride: int) -> list:
     """The exposed faces of each row key, as ascending int16 rows x * 6 + d
     of the (x, direction) tables.  A key holds the row, the rows at y + 1
     and y - 1, and the same row in slabs z + 1 and z - 1, as ints (0
-    beyond the lattice); exposure is the rule of :mod:`spongeheat.voxel`.
-    Each mask is unpacked from ``stride`` bits."""
+    beyond the lattice), so one ``voxel._exposed(*key)`` call gives its six
+    masks in direction order, +x, -x, +y, -y, +z, -z.  Each mask is
+    unpacked from ``stride`` bits."""
     width = stride // 8
     masks = []
-    for cur, *nearby in keys:
-        masks += _along(cur)
-        masks += (_across(cur, b) for b in nearby)
+    for key in keys:
+        masks += _exposed(*key)
     raw = b"".join(mask.to_bytes(width, byteorder="little") for mask in masks)
     # bit x of direction d of each key, unpacked as (key, direction, x) and
     # read as (key, x, direction)

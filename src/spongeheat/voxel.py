@@ -34,7 +34,9 @@ adjacent rows or slabs (a cell next to the outside touches nothing).  One
 exposure rule, a & ~b, gives each row's faces towards the adjacent line b
 in y or z, and in x towards the line shifted by one cell, line >> 1 for +x
 and line << 1 for -x (the zeros shifted in past each end are the coolant
-beyond the row): :func:`measure` counts the x runs by their +x faces.
+beyond the row).  :func:`_exposed` applies it, its masks in the order +x,
+-x, then one per adjacent line given: :func:`measure` counts the x runs by
+the +x mask, and the mesh writers take a row key's six masks from one call.
 Bytes appear only in ``VoxelGrid.packed``, whose fixed-width rows end in
 zero guard bits, and in the mesh writers' unpacking of exposure masks.
 """
@@ -156,31 +158,28 @@ def slab_rows(g: VoxelGrid) -> list[tuple[int, ...]]:
     return list(map(rows.__getitem__, g.index))
 
 
-def _across(a: int, b: int) -> int:
-    """The bitset of line ``a``'s cells exposed towards the adjacent line
-    ``b``: the row next to it in y, the same row in the next slab in z (0
-    outside the lattice), or ``a`` shifted by one cell in x."""
-    return a & ~b
-
-
-def _along(line: int) -> tuple[int, int]:
-    """The bitsets of ``line``'s cells exposed in +x and -x: the zeros
-    shifted in past either end stand for the coolant beyond the row."""
-    return _across(line, line >> 1), _across(line, line << 1)
+def _exposed(row: int, *nearby: int) -> list[int]:
+    """The bitsets of ``row``'s cells exposed in +x, -x and then towards
+    each adjacent row in ``nearby`` (the row next to it in y, the same row
+    in the next slab in z, 0 outside the lattice): ``row & ~b`` for each b
+    in ``(row >> 1, row << 1, *nearby)``.  The zeros shifted in past either
+    end stand for the coolant beyond the row."""
+    return [row & ~b for b in (row >> 1, row << 1, *nearby)]
 
 
 def measure(g: VoxelGrid) -> tuple[list[int], list[int]]:
     """``(slabs, faces)``: the solid cells of each z-slab (:func:`slab_counts`)
     and the exposed faces per direction (+x, -x, +y, -y, +z, -z), one count
     per axis, since every run of solid cells ends in one + and one - face:
-    the runs of each stored (slab, class) line along x; along y and z the
+    the runs of each stored (slab, class) line along x, the bits of its +x
+    mask, the first of :func:`_exposed`'s masks; along y and z the
     solid cells minus the touching pairs, once per slab and stored class
     with its distinct stored successors in y, and once per distinct pair of
     consecutive slabs and class both store in z, each weighted by how many
     z and y share it.  A class a slab does not store is the empty row and
     touches nothing.  Exact for any line table, even one that stores empty
     lines, or equal lines, classes or slabs under different ids."""
-    runs = [_across(line, line >> 1).bit_count() for line in g.lines]  # the +x faces
+    runs = [_exposed(line)[0].bit_count() for line in g.lines]  # the +x faces
     weights = Counter(g.index)
     pairs = Counter(zip(g.index, g.index[1:]))
     successors = {}  # each class's distinct successors in y, with their counts

@@ -318,6 +318,19 @@ def test_crossover_synthetic_two_lines():
     assert report.slices_bracket == (0, 1)
 
 
+def test_crossover_exact_touch_after_undercut():
+    # the difference goes -, 0, + at the shared breakpoints S = 1, 10, 100:
+    # the touch at S = 10 is the crossing, exp(log(10)) bit for bit
+    sponge = EfficiencySeries(MENGER, ((Fraction(1), Fraction(1)), (Fraction(10), Fraction(5)),
+                                       (Fraction(100), Fraction(10))))
+    slices = EfficiencySeries(SLICES, ((Fraction(1), Fraction(2)), (Fraction(10), Fraction(5)),
+                                       (Fraction(100), Fraction(5))))
+    report = find_crossover(sponge, slices)
+    assert report.s_star == math.exp(math.log(10)) == 10.000000000000002
+    assert report.menger_bracket == (1, 2)
+    assert report.slices_bracket == (1, 2)
+
+
 # -- emitters -------------------------------------------------------------------
 
 def test_emit_csv_rows():

@@ -391,6 +391,18 @@ def test_out_writes_through_a_symlink(argv, module, name, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "plain", "target"]
 
 
+@pytest.mark.parametrize("argv,module,name", _WRITERS)
+@pytest.mark.parametrize("long", ["a" * 246 + ".csv", "é" * 127], ids=["ascii", "utf8"])
+def test_out_takes_a_long_legal_name(argv, module, name, long, tmp_path, capsys):
+    # 250 and 254 bytes: legal names, whose temporaries would break the
+    # 255-byte file-name limit without cutting
+    assert len(long.encode()) in (250, 254)
+    assert run([*argv, "--out", str(tmp_path / "short")]) == 0
+    assert run([*argv, "--out", str(tmp_path / long)]) == 0, capsys.readouterr().err
+    assert (tmp_path / long).read_bytes() == (tmp_path / "short").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([long, "short"])
+
+
 def test_io_failure_exits_3(tmp_path, capsys, monkeypatch):
     # a bad --out is refused before any grid is built or the writer runs,
     # so nothing is written (the n = 5 sponge STL alone is 655 MB)
@@ -409,7 +421,8 @@ def test_io_failure_exits_3(tmp_path, capsys, monkeypatch):
             err = capsys.readouterr().err
             assert "--out" in err and repr(out.rpartition("/")[0]) in err, err
             assert ".tmp" not in err, err
-        for out in ["existing", str(tmp_path / "existing"), "existing/", "fresh/", "", "."]:
+        for out in ["existing", str(tmp_path / "existing"), "existing/", "fresh/", "", ".",
+                    "a" * 256]:
             assert run([*argv, "--out", out]) == 3, (argv, out)
             assert "--out" in capsys.readouterr().err
         # a symlink is written through, so its target's directory must exist

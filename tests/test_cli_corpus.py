@@ -63,6 +63,11 @@ CORPUS = {
     # a removed option: argparse refuses it as an unrecognized argument
     "voxel-verify --model menger --n 3 --oracle-cap 2": "048855ba35017f853351d5793abb383a4261f83f2551f978c39c0f2747ccf726",
     "frobnicate": "a807ad85e9c797f585e3f2ecc9e2f28218c4e264cba3f8e7fb67af2e70c3f914",
+    # usage errors raised inside a subparser: a bad type, a bad choice, an
+    # extra positional
+    "row --n x": "139fb9379c7d1036fbaad36714fd04c8ab2194b9ea840506fa2ae8638c08b994",
+    "voxel-verify --model cube --n 1": "e9cd6266ff91e7a6ecc2cd4c78a560ee9a685bc5e15efdb2b251c15cca752755",
+    "table --max-n 3 extra": "48e3b273fede6fe72b26316a14bef21d8fd40fe035c68452a765b3eb9d6a2645",
 }
 
 
