@@ -98,6 +98,9 @@ def test_shorthand_mantissa_carry():
     assert analysis._format_shorthand(Fraction(999996, 10**7)) == "1.0000(-1)"
     assert analysis._format_shorthand(Fraction(-999995, 10**8)) == "-1.0000(-2)"
     assert analysis._format_shorthand(Fraction(999994, 10**8)) == "9.9999(-3)"
+    # at and just below a power of ten
+    assert analysis._format_shorthand(Fraction(1, 10)) == "1.0000(-1)"
+    assert analysis._format_shorthand(Fraction(99999, 10**6)) == "9.9999(-2)"
 
 
 def test_efficiency_format_threshold():
@@ -114,6 +117,12 @@ def test_fixed_decimals_drop_at_100():
     assert strings5["S_s"] == "246.008"
     strings2 = format_paper_precision(table_row(2))
     assert strings2["S_M"] == "13.0370"
+    # 10^e itself has exponent e: 4 decimals below 100, then 6 significant digits
+    assert [analysis.format_fixed(Fraction(10**e)) for e in range(6)] == [
+        "1.0000", "10.0000", "100.000", "1000.00", "10000.0", "100000"]
+    # the decimals are fixed by the exponent before rounding, so a value
+    # that rounds up to 100 keeps 4
+    assert analysis.format_fixed(Fraction(99999995, 10**6)) == "100.0000"
 
 
 def test_golden_table_with_documented_errata():
@@ -165,6 +174,11 @@ def test_decimal_string():
     # fixed point at every magnitude, never an exponent
     assert decimal_string(Fraction(1, 10**12)) == "0.000000000001000000000"
     assert decimal_string(Fraction(10**17) + Fraction(1, 3)) == "100000000000000000"
+    # powers of ten on both sides of the point
+    assert decimal_string(Fraction(1, 1000)) == "0.001000000000"
+    assert decimal_string(Fraction(1)) == "1.000000000"
+    assert decimal_string(Fraction(10**9)) == "1000000000"
+    assert decimal_string(Fraction(10**10)) == "10000000000"
 
 
 #: (num, den) with 10^-12 <= num / den <= 10^16: any ratio from 10^-9 to
@@ -329,6 +343,26 @@ def test_crossover_exact_touch_after_undercut():
     assert report.s_star == math.exp(math.log(10)) == 10.000000000000002
     assert report.menger_bracket == (1, 2)
     assert report.slices_bracket == (1, 2)
+
+
+def test_crossover_touch_between_undercuts_is_not_a_crossing():
+    # the difference goes -, 0, -, + at S = 1, 10, 100, 1000: the touch at
+    # S = 10 is followed by another undercut, so the crossing is the later
+    # sign change inside (100, 1000)
+    sponge = EfficiencySeries(MENGER, tuple((Fraction(s), Fraction(e)) for s, e in
+                                            ((1, 1), (10, 5), (100, 4), (1000, 9))))
+    slices = EfficiencySeries(SLICES, tuple((Fraction(s), Fraction(e)) for s, e in
+                                            ((1, 2), (10, 5), (100, 6), (1000, 6))))
+    report = find_crossover(sponge, slices)
+    assert report.s_star == 251.18864315095806
+    assert report.menger_bracket == (2, 3)
+    assert report.slices_bracket == (2, 3)
+
+
+def test_bracket_at_the_last_sample():
+    # a crossing that lands exactly on the last sample is in the last segment
+    assert analysis._bracket([0.0, 1.0, 2.0], 2.0) == (1, 2)
+    assert analysis._bracket([0.0, 1.0, 2.0], 0.0) == (0, 1)
 
 
 # -- emitters -------------------------------------------------------------------
