@@ -8,7 +8,8 @@ digits), efficiency values below 1 use the ``mantissa(-p)`` shorthand for
 exact rational.  Machine-readable emitters follow one cell rule: an int
 column (``n``, ``rho``) is written as is, and every rational as a fixed-point
 decimal at 10 significant digits (CSV), or as that decimal next to the exact
-``p/q`` form (JSON).
+``p/q`` form (JSON).  Every printed decimal goes through
+:func:`round_half_away`, and every exact value prints as ``str(Fraction)``.
 """
 from __future__ import annotations
 
@@ -81,24 +82,23 @@ def _exponent(mag: Fraction) -> int:
     return e - 1 if mag < Fraction(10) ** e else e
 
 
-def _significant(mag: Fraction, sig: int) -> tuple[int, int]:
-    """A positive rational rounded half up to ``sig`` significant digits,
-    as ``(digits, e)``: the ``sig``-digit integer ``digits`` times
-    ``10^(e - sig + 1)``."""
+def _rounded_exponent(mag: Fraction, sig: int) -> int:
+    # the exponent of mag > 0 once rounded half up to sig significant
+    # digits: one higher when the rounding carries into the next power of ten
     e = _exponent(mag)
-    digits = _half_up(mag * Fraction(10) ** (sig - 1 - e))
-    if digits == 10**sig:  # rounding carried into the next power of ten
-        return 10 ** (sig - 1), e + 1
-    return digits, e
+    return e + (_half_up(mag * Fraction(10) ** (sig - 1 - e)) == 10**sig)
 
 
 def round_half_away(value: Fraction, decimals: int) -> str:
-    """Render a rational at a fixed number of decimals, rounding halves away
-    from zero (exact integer arithmetic, no float involved)."""
+    """Render a rational rounded half away from zero to a multiple of
+    ``10^-decimals`` (exact integer arithmetic, no float involved): with
+    ``decimals`` places after the point, or for ``decimals <= 0`` as an
+    integer with no point."""
     sign = "-" if value < 0 else ""
-    digits = str(_half_up(abs(value) * 10**decimals)).rjust(decimals + 1, "0")
-    if decimals == 0:
-        return sign + digits
+    units = _half_up(abs(value) * Fraction(10) ** decimals)
+    if decimals <= 0:
+        return sign + str(units * 10**-decimals)
+    digits = str(units).rjust(decimals + 1, "0")
     return sign + digits[:-decimals] + "." + digits[-decimals:]
 
 
@@ -109,11 +109,9 @@ def format_fixed(value: Fraction) -> str:
 
 
 def _format_shorthand(value: Fraction) -> str:
-    # mantissa(-p) with 1 <= mantissa < 10, for 0 < value < 1
-    sign = "-" if value < 0 else ""
-    q, e = _significant(abs(value), 5)
-    digits = str(q)
-    return f"{sign}{digits[0]}.{digits[1:]}({e})"
+    # mantissa(-p) with 1 <= |mantissa| < 10, for 0 < |value| < 1, so e <= 0
+    e = _rounded_exponent(abs(value), 5)
+    return f"{round_half_away(value * 10**-e, 4)}({e})"
 
 
 def format_paper_precision(row: EfficiencyRow) -> dict[str, str]:
@@ -124,7 +122,7 @@ def format_paper_precision(row: EfficiencyRow) -> dict[str, str]:
     out = {
         "n": str(row.n),
         "rho": str(row.rho),
-        "L": "1" if row.L == 1 else f"1/{row.L.denominator}",
+        "L": str(row.L),
     }
     for col in TABLE_COLUMNS[3:]:
         value = getattr(row, col)
@@ -140,14 +138,7 @@ def decimal_string(value: Fraction) -> str:
     (half-away-from-zero), in fixed-point notation at every magnitude."""
     if value == 0:
         return "0.000000000"
-    sign = "-" if value < 0 else ""
-    q, e = _significant(abs(value), 10)
-    digits = str(q)
-    if e >= 9:
-        return sign + digits + "0" * (e - 9)
-    if e >= 0:
-        return sign + digits[: e + 1] + "." + digits[e + 1 :]
-    return sign + "0." + "0" * (-e - 1) + digits
+    return round_half_away(value, 9 - _rounded_exponent(abs(value), 10))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +202,9 @@ def find_crossover(menger: EfficiencySeries, slices: EfficiencySeries) -> Crosso
     piecewise linear in ln S, so bracketing on the union of segment
     boundaries and solving the two-line intersection is exact for the model.
     A touch without a preceding strict undercut (e.g. the shared n = 0 cube
-    point) is not a crossing; a touch after one is the crossing, computed by
-    the same interpolation.
+    point) is not a crossing, nor is a touch followed by another undercut; a
+    touch after an undercut and followed by an overtake is the crossing,
+    computed by the same interpolation.
 
     Raises NoCrossoverError when one curve dominates the whole shared range
     or the curves are identical.
@@ -255,7 +247,8 @@ def find_crossover(menger: EfficiencySeries, slices: EfficiencySeries) -> Crosso
 
 
 def _bracket(ts: list[float], t: float) -> tuple[int, int]:
-    i = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
+    # no lower clamp: t_star >= grid[i - 1] >= lo >= ts[0]
+    i = min(bisect_right(ts, t) - 1, len(ts) - 2)
     return (i, i + 1)
 
 
@@ -315,9 +308,7 @@ def emit_json(sink: BinaryIO, **sections) -> int:
 
 
 def _json_value(value: Fraction) -> dict[str, str]:
-    num, den = value.numerator, value.denominator
-    ratio = str(num) if den == 1 else f"{num}/{den}"
-    return {"decimal": decimal_string(value), "ratio": ratio}
+    return {"decimal": decimal_string(value), "ratio": str(value)}
 
 
 def _rows_json(rows: Sequence[EfficiencyRow]) -> list[dict]:

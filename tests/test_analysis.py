@@ -84,6 +84,11 @@ def test_round_half_away_basics():
     assert round_half_away(Fraction(1, 8), 2) == "0.13"
     assert round_half_away(Fraction(-1, 8), 2) == "-0.13"
     assert round_half_away(Fraction(5, 1), 0) == "5"
+    # decimals <= 0 round to a multiple of 10^-decimals, printed with no point
+    assert round_half_away(Fraction(12345), -2) == "12300"
+    assert round_half_away(Fraction(-15), -1) == "-20"
+    assert round_half_away(Fraction(1249, 10), -2) == "100"
+    assert round_half_away(Fraction(49), -2) == "0"
 
 
 def test_shorthand_examples():
@@ -149,16 +154,17 @@ def _quotient(num: int, den: int) -> Decimal:
 @given(
     num=st.integers(-(10**9), 10**9),
     den=st.integers(1, 10**9),
-    decimals=st.integers(0, 8),
+    decimals=st.integers(-3, 8),
 )
 def test_round_half_away_matches_decimal_module(num, den, decimals):
     want = _quotient(num, den).quantize(Decimal(1).scaleb(-decimals), ROUND_HALF_UP)
     got = round_half_away(Fraction(num, den), decimals)
     assert Decimal(got) == want
-    # fixed-point shape: optional sign, no exponent, exactly `decimals` places
+    # fixed-point shape: optional sign, no exponent, exactly `decimals`
+    # places, or no point at all when decimals <= 0
     digits = got.lstrip("-")
     assert "E" not in got and "e" not in got
-    assert len(digits.split(".")[1]) == decimals if decimals else "." not in digits
+    assert len(digits.split(".")[1]) == decimals if decimals > 0 else "." not in digits
 
 
 def test_decimal_string():
