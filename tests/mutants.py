@@ -1,0 +1,151 @@
+"""Mutants that the tests must kill, and the runner that checks it.
+
+Each mutant is one textual edit to a file under ``src/spongeheat/`` that
+changes what the program does, with the test file that must then fail.
+For each mutant the runner copies ``src/``, ``tests/``, ``README.md`` and
+``pyproject.toml`` to a fresh temporary directory (so a test that starts
+a child process from ``tests/../src`` runs the mutant too), checks that the
+old text occurs exactly once in the copied file, applies the edit and runs
+the named test file with ``pytest -x``.  A mutant survives when that run
+passes.  The runner prints one line per mutant and exits 1 if any mutant
+survives or any run ends other than in a test failure.  Run it from
+anywhere, with pytest and hypothesis installed::
+
+    python tests/mutants.py
+
+The file name does not match ``test_*.py``, so the test suite does not
+collect it.  An equivalent mutant (one that changes no output) has no place
+in the list: no test can kill it.
+"""
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/spongeheat/
+    old: str
+    new: str
+    test: str  # under tests/
+
+
+MUTANTS = (
+    # printed-precision formatting: every rendered decimal goes through
+    # round_half_away, at a number of decimals the callers choose
+    Mutant("rounding forgets its carry into the next power of ten", "analysis.py",
+           "return e + (_half_up(mag * Fraction(10) ** (sig - 1 - e)) == 10**sig)",
+           "return e", "test_analysis.py"),
+    Mutant("exponent of an exact power of ten one too low", "analysis.py",
+           "return e - 1 if mag < Fraction(10) ** e else e",
+           "return e - 1 if mag <= Fraction(10) ** e else e", "test_analysis.py"),
+    Mutant("decimals <= 0 scaled the wrong way", "analysis.py",
+           "units = _half_up(abs(value) * Fraction(10) ** decimals)",
+           "units = _half_up(abs(value) * Fraction(10) ** abs(decimals))", "test_analysis.py"),
+    Mutant("decimals <= 0 drop their trailing zeros", "analysis.py",
+           "return sign + str(units * 10**-decimals)",
+           "return sign + str(units)", "test_analysis.py"),
+    Mutant("0 decimals print a point", "analysis.py",
+           "if decimals <= 0:", "if decimals < 0:", "test_analysis.py"),
+    Mutant("fixed point loses its leading zero", "analysis.py",
+           'digits = str(units).rjust(decimals + 1, "0")',
+           'digits = str(units).rjust(decimals, "0")', "test_analysis.py"),
+    Mutant("fixed point drops trailing zeros", "analysis.py",
+           'return sign + digits[:-decimals] + "." + digits[-decimals:]',
+           'return sign + digits[:-decimals] + "." + digits[-decimals:].rstrip("0")',
+           "test_analysis.py"),
+    Mutant("shorthand mantissa not renormalised after a carry", "analysis.py",
+           "e = _rounded_exponent(abs(value), 5)", "e = _exponent(abs(value))",
+           "test_analysis.py"),
+    Mutant("shorthand mantissa at 5 decimals", "analysis.py",
+           "round_half_away(value * 10**-e, 4)", "round_half_away(value * 10**-e, 5)",
+           "test_analysis.py"),
+    Mutant("CSV decimals at 11 significant digits", "analysis.py",
+           "round_half_away(value, 9 - _rounded_exponent(abs(value), 10))",
+           "round_half_away(value, 10 - _rounded_exponent(abs(value), 10))",
+           "test_analysis.py"),
+    Mutant("CSV decimals not renormalised after a carry", "analysis.py",
+           "round_half_away(value, 9 - _rounded_exponent(abs(value), 10))",
+           "round_half_away(value, 9 - _exponent(abs(value)))", "test_analysis.py"),
+    Mutant("table L cell printed as a float", "analysis.py",
+           '"L": str(row.L),', '"L": str(float(row.L)),', "test_analysis.py"),
+    Mutant("JSON ratio loses its denominator", "analysis.py",
+           '"ratio": str(value)}', '"ratio": str(value.numerator)}', "test_analysis.py"),
+    # crossover
+    Mutant("a touch between two undercuts counts as the crossing", "analysis.py",
+           "if d > 0 and undercut:", "if d >= 0 and undercut:", "test_analysis.py"),
+    Mutant("a crossing on the last sample brackets past the series", "analysis.py",
+           "i = min(bisect_right(ts, t) - 1, len(ts) - 2)",
+           "i = min(bisect_right(ts, t) - 1, len(ts) - 1)", "test_analysis.py"),
+    # command line
+    Mutant("a failed write leaves its temporary", "cli.py",
+           "os.remove(temporary)", "pass", "test_cli.py"),
+    Mutant("the FAIL report lists every mismatching slab", "cli.py",
+           "                break\n", "", "test_cli.py"),
+    Mutant("a 256-byte --out name is let through", "cli.py",
+           "if len(os.fsencode(target_tail)) > 255:",
+           "if len(os.fsencode(target_tail)) > 256:", "test_cli.py"),
+    # meshes
+    Mutant("OBJ ids of the lower z-plane not kept from the slab below", "mesh.py",
+           "ids[:plane] = ids[plane:]", "ids[:plane] = 0", "test_mesh.py"),
+    Mutant("OBJ second triangle of a quad starts at another corner", "mesh.py",
+           "corners = np.take(np.take(ids, keys), _QUAD_TRIANGLES, axis=1)",
+           "corners = np.take(np.take(ids, keys), [0, 1, 2, 2, 3, 0], axis=1)",
+           "test_mesh.py"),
+    # 8 digits still round-trip every float32 coordinate up to n = 4, so
+    # only the pinned bytes see it (n = 5 has one that does not)
+    Mutant("OBJ coordinates at 8 significant digits", "mesh.py",
+           'f"{float(c):.9g}"', 'f"{float(c):.8g}"', "test_cli_corpus.py"),
+)
+
+
+def _copy_tree(into: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, into / name, ignore=skip)
+    for name in ("README.md", "pyproject.toml"):
+        shutil.copy2(ROOT / name, into / name)
+
+
+def run_mutant(mutant: Mutant) -> int:
+    """The exit code of the mutant's test file run against the mutant: 1
+    when a test fails (killed), 0 when every test passes (survived)."""
+    with tempfile.TemporaryDirectory(prefix="spongeheat-mutant-") as scratch:
+        tree = Path(scratch)
+        _copy_tree(tree)
+        target = tree / "src" / "spongeheat" / mutant.file
+        text = target.read_text()
+        found = text.count(mutant.old)
+        if found != 1:
+            raise ValueError(f"{mutant.name}: old text occurs {found} times in {mutant.file}")
+        target.write_text(text.replace(mutant.old, mutant.new))
+        path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                f"tests/{mutant.test}"]
+        return subprocess.run(argv, cwd=tree, env={**os.environ, "PYTHONPATH": path},
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    failed = []
+    for mutant in MUTANTS:
+        started = time.perf_counter()
+        code = run_mutant(mutant)
+        verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+        print(f"{verdict:8}  {time.perf_counter() - started:5.1f} s  {mutant.file}: "
+              f"{mutant.name} ({mutant.test})", flush=True)
+        if code != 1:
+            failed.append(mutant.name)
+    print(f"{len(MUTANTS) - len(failed)} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,7 +11,7 @@ from spongeheat import mesh, metrics, voxel
 from spongeheat.mesh import mesh_from_grid, write_obj, write_stl_binary
 from spongeheat.metrics import ModelKind
 from spongeheat.voxel import VoxelGrid, build_grid, count_exposed_faces
-from stl_geometry import StlGeometry
+from stl_geometry import RECORD, StlGeometry
 from test_voxel import exposed_bits, stride
 from traced import traced_peak
 
@@ -326,6 +326,28 @@ def test_obj_vertices_numbered_by_first_mention(n, kind, chunk, monkeypatch):
             seen.setdefault(int(token), len(seen) + 1)
     assert list(seen) == list(seen.values()) == list(range(1, len(vs) + 1))
     assert len(set(vs)) == len(vs)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+@pytest.mark.parametrize("n", range(4))
+def test_obj_decodes_to_the_stl_triangles(n, kind, chunk, monkeypatch):
+    # the v lines parsed back to a float32 table, each f line gathering
+    # three of its rows, give the STL records' vertices triangle by
+    # triangle and in order, so the OBJ carries the geometry the STL
+    # read-back checks
+    if chunk is not None:
+        monkeypatch.setattr(mesh, "_CHUNK", chunk)
+    m = mesh_from_grid(build_grid(kind, n))
+    stl, obj = io.BytesIO(), io.BytesIO()
+    write_stl_binary(m, stl)
+    write_obj(m, obj)
+    vs, fs = _obj_records(obj.getvalue())
+    table = np.array([[float(t) for t in line.split()[1:]] for line in vs]).astype(np.float32)
+    ids = np.array([[int(t) for t in line.split()[1:]] for line in fs], dtype=np.int64)
+    records = np.frombuffer(stl.getvalue(), dtype=RECORD, offset=84)
+    assert len(fs) == len(records) == m.triangle_count > 0
+    assert (table[ids - 1] == records["verts"]).all()
 
 
 def test_obj_round_trips_float32_exactly():
