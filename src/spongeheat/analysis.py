@@ -220,7 +220,7 @@ def find_crossover(menger: EfficiencySeries, slices: EfficiencySeries) -> Crosso
     if lo >= hi:
         raise ValueError("series surface ranges do not overlap")
 
-    grid = sorted({t for t in tm + ts if lo <= t <= hi} | {lo, hi})
+    grid = sorted({t for t in tm + ts if lo <= t <= hi})
     diffs = [
         _interp_log_linear(tm, em, t) - _interp_log_linear(ts, es, t) for t in grid
     ]

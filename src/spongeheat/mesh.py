@@ -174,9 +174,6 @@ def mesh_from_grid(g: VoxelGrid) -> MeshBuffer:
 
 _STL_RECORD = np.dtype([("normal", "<f4", (3,)), ("verts", "<f4", (3, 3)), ("attr", "<u2")])
 assert _STL_RECORD.itemsize == 50
-# the two records of one face as one opaque item: np.take copies these
-# several times faster than the structured records themselves
-_STL_PAIR = np.dtype((np.void, 2 * _STL_RECORD.itemsize))
 
 
 def _stl_records(g: VoxelGrid):
@@ -195,13 +192,12 @@ def _stl_records(g: VoxelGrid):
     by_x["normal"] = _NORMALS[:, None]
     template["verts"][..., 0] = coords[_corner_table(res, 0)]
     y_corners = coords[_corner_table(res, 1)]
-    pairs = template.view(_STL_PAIR)[:, 0]
     for z, chunks in _faces(g):
         by_x["verts"][..., 2] = coords[z + _TRIANGLES[..., 2]]
         for xd, yd in chunks:
-            records = np.take(pairs, xd, axis=0).view(_STL_RECORD)
-            records.reshape(-1, 2)["verts"][..., 1] = np.take(y_corners, yd, axis=0)
-            yield records
+            records = np.take(template, xd, axis=0)
+            records["verts"][..., 1] = np.take(y_corners, yd, axis=0)
+            yield records.reshape(-1)
 
 
 def write_stl_binary(m: MeshBuffer, sink) -> int:

@@ -202,7 +202,6 @@ def measure(g: VoxelGrid) -> tuple[list[int], list[int]]:
         below, above = g.table[s], g.table[t]
         z += k * sum(weights[r] * touching(below[r], above[r])
                      for r in below.keys() & above.keys())
-    touching.cache_clear()  # the memo goes before the per-z list is held
     slabs = slab_counts(g)
     solid = sum(slabs)
     return slabs, [x, x, solid - y, solid - y, solid - z, solid - z]
