@@ -13,8 +13,8 @@ exposed faces depend only on its row key: the row itself, the rows at
 y +- 1 and the same row in the slabs z +- 1, each an int bitset as
 ``voxel.slab_rows`` hands it out, and 0 beyond the lattice.  :func:`_faces`
 works out each distinct key's faces once, by the exposure rule of
-:mod:`spongeheat.voxel`, keeps them as int16 (x, direction) rows (1,599
-keys and 0.6 MB for the n = 5 sponge), and visits every slab once, in
+:mod:`spongeheat.voxel`, keeps them as int16 (x, direction) rows (1,329
+keys and 452 KB for the n = 5 sponge), and visits every slab once, in
 order: it joins the slab's rows, repeats each row's y once per face of
 the row into one int16 y index as long as the slab's face list, and
 hands both out in slices of at most ``_CHUNK`` faces.
@@ -26,10 +26,7 @@ OBJ keeps vertex ids for the two z-planes of the current slab only,
 2 * (3^n + 1)^2 int32, shifted down one plane per slab and set by one
 scatter-min per chunk in the vertex pass and again, in the same order, in
 the face pass.  So export memory is the row faces, one slab's int16 face
-list with its y index and one chunk, and not the mesh or a lattice
-table: the n = 5 sponge STL traces at about 1.8 MiB, and its command
-peaks at about 30.6 MB resident, the OBJ at about 32.2 MB, 1.5 and 3 MB
-above the interpreter and numpy.
+list with its y index and one chunk, and not the mesh or a lattice table.
 """
 from __future__ import annotations
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 CLOSED_FORM_CAP = 12
 
 #: Largest iteration order the ``mesh`` command exports: the n = 5 sponge
-#: STL is 655 MB (13.1 M triangles); n = 6 would be 12.9 GB.
+#: STL is 653 MB (13.1 M triangles); n = 6 would be 12.9 GB.
 MESH_CAP = 5
 
 

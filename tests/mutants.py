@@ -92,6 +92,21 @@ MUTANTS = (
     Mutant("a 256-byte --out name is let through", "cli.py",
            "if len(os.fsencode(target_tail)) > 255:",
            "if len(os.fsencode(target_tail)) > 256:", "test_cli.py"),
+    # voxel oracle: the count the closed forms are checked against
+    Mutant("+x exposure looks two cells ahead", "voxel.py",
+           "for b in (row >> 1, row << 1, *nearby)]",
+           "for b in (row >> 2, row << 1, *nearby)]", "test_voxel.py"),
+    Mutant("z touching pairs compare a slab with itself", "voxel.py",
+           "touching(below[r], above[r])", "touching(below[r], below[r])", "test_voxel.py"),
+    Mutant("y touching pairs lose their repeat count", "voxel.py",
+           "k * touching(a, row[b])", "touching(a, row[b])", "test_voxel.py"),
+    Mutant("slab counts lose their row-class weights", "voxel.py",
+           "weights[r] * solids[i]", "solids[i]", "test_voxel.py"),
+    # closed forms
+    Mutant("one plate too few", "metrics.py",
+           "return 3**n // 2 + 1", "return 3**n // 2", "test_metrics.py"),
+    Mutant("a sponge layer ignores its digits equal to 1", "metrics.py",
+           "8 ** (n - k)", "8 ** n", "test_metrics.py"),
     # meshes
     Mutant("OBJ ids of the lower z-plane not kept from the slab below", "mesh.py",
            "ids[:plane] = ids[plane:]", "ids[:plane] = 0", "test_mesh.py"),
@@ -100,7 +115,8 @@ MUTANTS = (
            "corners = np.take(np.take(ids, keys), [0, 1, 2, 2, 3, 0], axis=1)",
            "test_mesh.py"),
     # 8 digits still round-trip every float32 coordinate up to n = 4, so
-    # only the pinned bytes see it (n = 5 has one that does not)
+    # tier-1 sees it only in the pinned bytes; n = 5 has one that does not,
+    # which CI's decode of the n = 5 OBJ against the STL catches
     Mutant("OBJ coordinates at 8 significant digits", "mesh.py",
            'f"{float(c):.9g}"', 'f"{float(c):.8g}"', "test_cli_corpus.py"),
 )

@@ -405,7 +405,7 @@ def test_out_takes_a_long_legal_name(argv, module, name, long, tmp_path, capsys)
 
 def test_io_failure_exits_3(tmp_path, capsys, monkeypatch):
     # a bad --out is refused before any grid is built or the writer runs,
-    # so nothing is written (the n = 5 sponge STL alone is 655 MB)
+    # so nothing is written (the n = 5 sponge STL alone is 653 MB)
     def refuse(*args, **kwargs):
         raise AssertionError("no grid may be built and no writer may run")
 

@@ -594,8 +594,7 @@ def test_face_counts_random_pooled_grids(g):
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
 def test_oracle_equivalence_n7(kind):
-    # the line table reaches n = 7 (2187^3 cells) in about 0.03 s (2 vCPU,
-    # Python 3.11)
+    # the line table reaches n = 7 (2187^3 cells) within a second
     started = time.perf_counter()
     g = build_grid(kind, 7)
     slabs, faces = measure(g)
