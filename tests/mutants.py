@@ -114,6 +114,26 @@ MUTANTS = (
            "corners = np.take(np.take(ids, keys), _QUAD_TRIANGLES, axis=1)",
            "corners = np.take(np.take(ids, keys), [0, 1, 2, 2, 3, 0], axis=1)",
            "test_mesh.py"),
+    Mutant("STL normals point into the solid", "mesh.py",
+           '_NORMALS[:, None]', '-_NORMALS[:, None]', "test_mesh.py"),
+    Mutant("row key takes the slab below for the slab above", "mesh.py",
+           "cur[:-1], above, below)", "cur[:-1], below, above)", "test_mesh.py"),
+    Mutant("row key takes the row at y - 1 for the row at y + 1", "mesh.py",
+           "cur[1:] + (0,), (0,) + cur[:-1]", "(0,) + cur[:-1], cur[1:] + (0,)", "test_mesh.py"),
+    Mutant("STL y corners gathered by the x rows", "mesh.py",
+           "np.take(y_corners, yd, axis=0)", "np.take(y_corners, xd, axis=0)", "test_mesh.py"),
+    Mutant("STL z corners upside down", "mesh.py",
+           "coords[z + _TRIANGLES[..., 2]]", "coords[z + 1 - _TRIANGLES[..., 2]]",
+           "test_mesh.py"),
+    Mutant("chunk y rows lose their direction", "mesh.py",
+           "ys[i:i + _CHUNK] + chunk - chunk // 6 * 6", "ys[i:i + _CHUNK]", "test_mesh.py"),
+    Mutant("STL header announces one triangle too many", "mesh.py",
+           'struct.pack("<I", m.triangle_count)', 'struct.pack("<I", m.triangle_count + 1)',
+           "test_mesh.py"),
+    Mutant("lattice coordinates rounded through float16", "mesh.py",
+           "(np.arange(res + 1) * (1.0 / res)).astype(np.float32)",
+           "(np.arange(res + 1) * (1.0 / res)).astype(np.float16).astype(np.float32)",
+           "test_mesh.py"),
     # 8 digits still round-trip every float32 coordinate up to n = 4, so
     # tier-1 sees it only in the pinned bytes; n = 5 has one that does not,
     # which CI's decode of the n = 5 OBJ against the STL catches
