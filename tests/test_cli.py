@@ -229,30 +229,17 @@ def test_usage_error_bad_model(capsys):
     assert run(["voxel-verify", "--model", "cube", "--n", "1"]) == 1
 
 
-def _assert_oracle_cap_unrecognized(capsys, caps):
+@pytest.mark.parametrize("argv", [["voxel-verify", "--model", "menger", "--n", "3"],
+                                  ["mesh", "--model", "menger", "--n", "3", "--out", "x.stl"]],
+                         ids=["voxel-verify", "mesh"])
+@pytest.mark.parametrize("cap", [str(metrics.CLOSED_FORM_CAP), str(metrics.CLOSED_FORM_CAP + 1),
+                                 "-1", "2"])
+def test_oracle_cap_unrecognized(capsys, argv, cap):
     # no option moves a cap: --oracle-cap is gone from both commands that
-    # took it, at any value, below n or not, so it is a usage error
-    for argv in [["voxel-verify", "--model", "menger", "--n", "3"],
-                 ["mesh", "--model", "menger", "--n", "3", "--out", "x.stl"]]:
-        for cap in caps:
-            assert run([*argv, "--oracle-cap", cap]) == 1
-            assert capsys.readouterr() == ("", f"error: unrecognized arguments: "
-                                               f"--oracle-cap {cap}\n")
-
-
-def test_oracle_cap_upward_rejected(capsys):
-    # the closed forms' cap and one above it: neither is an option any more
-    _assert_oracle_cap_unrecognized(capsys, (str(metrics.CLOSED_FORM_CAP),
-                                             str(metrics.CLOSED_FORM_CAP + 1)))
-
-
-def test_oracle_cap_negative_rejected(capsys):
-    _assert_oracle_cap_unrecognized(capsys, ("-1",))
-
-
-def test_oracle_cap_lowered(capsys):
-    # a cap below n no longer refuses n = 3: the option itself is refused
-    _assert_oracle_cap_unrecognized(capsys, ("2",))
+    # took it, at any value (the closed forms' cap, one above it, a negative
+    # one, one below n), so it is a usage error
+    assert run([*argv, "--oracle-cap", cap]) == 1
+    assert capsys.readouterr() == ("", f"error: unrecognized arguments: --oracle-cap {cap}\n")
 
 
 def test_iteration_out_of_range(capsys):

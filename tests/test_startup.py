@@ -59,13 +59,13 @@ def _run_fresh(argv):
     pytest.param(["voxel-verify", "--model", "menger", "--n", "13"], 1,
                  id="voxel-verify-above-cap"),
     pytest.param(["voxel-verify", "--model", "menger", "--n", "3", "--oracle-cap", "2"], 1,
-                 id="voxel-verify-above-oracle-cap"),
+                 id="voxel-verify-unrecognized-option"),
     pytest.param(["mesh", "--model", "menger", "--n", "6", "--out", "{tmp}/m6.stl"], 1,
                  id="mesh-above-cap"),
     pytest.param(["mesh", "--model", "menger", "--n", "-1", "--out", "{tmp}/m.stl"], 1,
                  id="mesh-negative-n"),
     pytest.param(["mesh", "--model", "menger", "--n", "3", "--oracle-cap", "2",
-                  "--out", "{tmp}/m3.stl"], 1, id="mesh-above-oracle-cap"),
+                  "--out", "{tmp}/m3.stl"], 1, id="mesh-unrecognized-option"),
     pytest.param(["mesh", "--model", "menger", "--n", "1", "--out", "{tmp}/missing/m1.stl"], 3,
                  id="mesh-missing-dir"),
 ])
