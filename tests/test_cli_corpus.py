@@ -60,6 +60,8 @@ CORPUS = {
     "crossover --max-n 12 --format json": "70d60fef70ec9edf34e378ab3cf6bc4f74b08c1b25455277300f2eb935529248",
     "series --max-n 12 --out series.csv": "136ca57174a3e3bd9e1293ed73cfbc2ce88a6e6457feaa9f0af136a59c2056bf",
     "row --n 13": "95b8b6cc531788dd714bd3e0090a3c712f8ad0efc93091812f6755339fe386be",
+    # a crossover needs two points per series, and --max-n 0 gives one
+    "crossover --max-n 0": "b8e4b04b53337c8eb629371536b2409a9c61aa2b4d756d4714871ade168fe079",
     # a removed option: argparse refuses it as an unrecognized argument
     "voxel-verify --model menger --n 3 --oracle-cap 2": "048855ba35017f853351d5793abb383a4261f83f2551f978c39c0f2747ccf726",
     "frobnicate": "a807ad85e9c797f585e3f2ecc9e2f28218c4e264cba3f8e7fb67af2e70c3f914",
