@@ -13,7 +13,7 @@ from pathlib import Path
 import golden
 from spongeheat import analysis, mesh, metrics, voxel
 from spongeheat.metrics import ModelKind
-from stl_geometry import StlGeometry
+from mesh_geometry import StlGeometry
 from test_analysis import _interp  # piecewise log-linear, as the crossover tests check it
 from test_voxel import table_bytes  # the line table's memory, as the voxel tests measure it
 
@@ -164,7 +164,8 @@ def test_criterion_6_mesh_conformance():
             grid = voxel.build_grid(kind, n)
             reader = StlGeometry(grid.resolution)
             mesh.write_stl_binary(mesh.mesh_from_grid(grid), reader)
-            assert reader.records == reader.count == 2 * voxel.count_exposed_faces(grid), (kind, n)
+            reader.end()
+            assert reader.triangles == 2 * voxel.count_exposed_faces(grid), (kind, n)
             assert reader.edge_defects() == (0, 0), (kind, n)
     print("\nACCEPTANCE 6 mesh-conformance: PASS (7284-byte n=1 STL, 144 triangles; "
           "read back for both models n<=4: 2 triangles per exposed face, every directed "

@@ -10,8 +10,8 @@ import pytest
 from spongeheat import mesh, metrics, voxel
 from spongeheat.mesh import mesh_from_grid, write_obj, write_stl_binary
 from spongeheat.metrics import ModelKind
-from spongeheat.voxel import VoxelGrid, build_grid, count_exposed_faces
-from stl_geometry import RECORD, StlGeometry
+from spongeheat.voxel import VoxelGrid, build_grid
+from mesh_geometry import ObjGeometry, StlGeometry
 from test_voxel import exposed_bits, stride
 from traced import traced_peak
 
@@ -171,39 +171,36 @@ def test_chunk_size_does_not_change_bytes(kind, n, monkeypatch):
         assert _digests(kind, n) == expected, chunk
 
 
-def _read_back(kind, n):
-    """The grid of one model and its STL bytes read back by :class:`StlGeometry`."""
-    g = build_grid(kind, n)
-    m, sink = mesh_from_grid(g), StlGeometry(g.resolution)
-    write_stl_binary(m, sink)
-    assert not sink.pending and sink.records == sink.count == m.triangle_count
-    return g, sink
+_READERS = {"stl": (write_stl_binary, StlGeometry), "obj": (write_obj, ObjGeometry)}
 
 
-@pytest.mark.parametrize("kind", [MENGER, SLICES])
-@pytest.mark.parametrize("n", range(3))
-def test_triangles_are_two_per_exposed_face(kind, n):
-    g, sink = _read_back(kind, n)
-    assert sink.records == 2 * count_exposed_faces(g)
+def _read_back(m, fmt):
+    """Mesh ``m`` written as ``fmt``, read back and checked by its reader."""
+    write, reader = _READERS[fmt]
+    sink = reader(m.grid.resolution)
+    write(m, sink)
+    sink.end()
+    assert sink.triangles == m.triangle_count
+    return sink
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
-def test_menger_mesh_watertight(n):
-    assert _read_back(MENGER, n)[1].edge_defects() == (0, 0)
-
-
-@pytest.mark.parametrize("kind", [MENGER, SLICES])
-@pytest.mark.parametrize("n", range(5))
-def test_stl_bytes_enclose_closed_form_volume_and_surface(kind, n):
+# the STL cases keep the ids of n and kind alone
+@pytest.mark.parametrize("fmt,n,kind", [
+    pytest.param(fmt, n, kind, id=f"{n}-{kind}" + ("-obj" if fmt == "obj" else ""))
+    for fmt in ("stl", "obj") for n in range(5) for kind in (MENGER, SLICES)])
+def test_stl_bytes_enclose_closed_form_volume_and_surface(fmt, n, kind):
     # the divergence theorem gives the solid count V * 27^n, the triangle
     # areas twice the face count S * 9^n, and each directed edge once with
-    # its reverse a closed, consistently wound surface
-    g, sink = _read_back(kind, n)
+    # its reverse a closed, consistently wound surface; the OBJ's edge keys
+    # equal the STL's, so both carry the same vertices, triangle by triangle
+    m = mesh_from_grid(build_grid(kind, n))
+    sink = _read_back(m, fmt)
     volume = metrics.model_volume(kind, n) * 27**n
     surface = metrics.model_surface(kind, n) * 9**n
     assert volume.denominator == surface.denominator == 1
     assert sink.det == 6 * volume
-    assert sink.area == 2 * surface == sink.records
+    assert sink.area == 2 * surface == sink.triangles
+    assert fmt == "stl" or np.array_equal(sink.edges, _read_back(m, "stl").edges)
     assert sink.edge_defects() == (0, 0)
 
 
@@ -266,28 +263,17 @@ def test_obj_streams_in_bounded_memory():
     assert peak < 1.5 * 2**20
 
 
-def _obj_records(payload: bytes):
-    lines = payload.decode("utf-8").splitlines()
-    vs = [line for line in lines if line.startswith("v ")]
-    fs = [line for line in lines if line.startswith("f ")]
-    return vs, fs
-
-
 def test_obj_cube():
-    sink = io.BytesIO()
-    write_obj(mesh_from_grid(build_grid(MENGER, 0)), sink)
-    vs, fs = _obj_records(sink.getvalue())
-    assert len(vs) == 8 and len(fs) == 12
-    assert len(set(vs)) == 8  # dedup by bit-identical coordinates
+    # one v line per lattice corner: the reader refuses two equal ones
+    obj = _read_back(mesh_from_grid(build_grid(MENGER, 0)), "obj")
+    assert (obj.vertices, obj.triangles) == (8, 12)
 
 
 def test_obj_two_slabs():
     # two disconnected 3x3x1-voxel slabs; one quad per voxel face (no
     # merging), so 60 faces -> 120 triangles over 2 * 32 lattice vertices
-    sink = io.BytesIO()
-    write_obj(mesh_from_grid(build_grid(SLICES, 1)), sink)
-    vs, fs = _obj_records(sink.getvalue())
-    assert len(vs) == 64 and len(fs) == 120
+    obj = _read_back(mesh_from_grid(build_grid(SLICES, 1)), "obj")
+    assert (obj.vertices, obj.triangles) == (64, 120)
 
 
 def test_obj_empty():
@@ -296,67 +282,16 @@ def test_obj_empty():
     assert sink.getvalue() == b""
 
 
-def test_obj_indices_valid_and_lf_only():
-    sink = io.BytesIO()
-    write_obj(mesh_from_grid(build_grid(MENGER, 1)), sink)
-    payload = sink.getvalue()
-    assert b"\r" not in payload
-    vs, fs = _obj_records(payload)
-    for line in fs:
-        ids = [int(tok) for tok in line.split()[1:]]
-        assert len(ids) == 3
-        assert all(1 <= i <= len(vs) for i in ids)
-
-
-@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
-@pytest.mark.parametrize("kind", [MENGER, SLICES])
-@pytest.mark.parametrize("n", range(3))
-def test_obj_vertices_numbered_by_first_mention(n, kind, chunk, monkeypatch):
-    # the OBJ contract, stated directly: read in order, the f lines mention
-    # new vertex ids as 1, 2, 3, ..., every v line is used, and no two v
-    # lines are equal
-    if chunk is not None:
-        monkeypatch.setattr(mesh, "_CHUNK", chunk)
-    sink = io.BytesIO()
-    write_obj(mesh_from_grid(build_grid(kind, n)), sink)
-    vs, fs = _obj_records(sink.getvalue())
-    seen = {}
-    for line in fs:
-        for token in line.split()[1:]:
-            seen.setdefault(int(token), len(seen) + 1)
-    assert list(seen) == list(seen.values()) == list(range(1, len(vs) + 1))
-    assert len(set(vs)) == len(vs)
-
-
 @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
 @pytest.mark.parametrize("n", range(4))
 def test_obj_decodes_to_the_stl_triangles(n, kind, chunk, monkeypatch):
-    # the v lines parsed back to a float32 table, each f line gathering
-    # three of its rows, give the STL records' vertices triangle by
-    # triangle and in order, so the OBJ carries the geometry the STL
-    # read-back checks
+    # chunks of 1 and 7 faces split vertex runs at every offset; read back,
+    # the OBJ passes its reader's checks (LF only, every v line before the
+    # first f line, ids first mentioned as 1, 2, 3, ..., every vertex used
+    # and no two equal) and its edge keys, every vertex of every triangle
+    # in order, equal the STL's
     if chunk is not None:
         monkeypatch.setattr(mesh, "_CHUNK", chunk)
     m = mesh_from_grid(build_grid(kind, n))
-    stl, obj = io.BytesIO(), io.BytesIO()
-    write_stl_binary(m, stl)
-    write_obj(m, obj)
-    vs, fs = _obj_records(obj.getvalue())
-    table = np.array([[float(t) for t in line.split()[1:]] for line in vs]).astype(np.float32)
-    ids = np.array([[int(t) for t in line.split()[1:]] for line in fs], dtype=np.int64)
-    records = np.frombuffer(stl.getvalue(), dtype=RECORD, offset=84)
-    assert len(fs) == len(records) == m.triangle_count > 0
-    assert (table[ids - 1] == records["verts"]).all()
-
-
-def test_obj_round_trips_float32_exactly():
-    g = build_grid(MENGER, 1)
-    m = mesh_from_grid(g)
-    sink = io.BytesIO()
-    write_obj(m, sink)
-    vs, _ = _obj_records(sink.getvalue())
-    allowed = {np.float32(i / g.resolution).tobytes() for i in range(g.resolution + 1)}
-    for line in vs:
-        for token in line.split()[1:]:
-            assert np.float32(float(token)).tobytes() in allowed
+    assert np.array_equal(_read_back(m, "obj").edges, _read_back(m, "stl").edges)
