@@ -10,7 +10,7 @@ import pytest
 from spongeheat import mesh, metrics, voxel
 from spongeheat.mesh import mesh_from_grid, write_obj, write_stl_binary
 from spongeheat.metrics import ModelKind
-from spongeheat.voxel import VoxelGrid, build_grid
+from spongeheat.voxel import VoxelGrid, build_grid, count_exposed_faces
 from mesh_geometry import ObjGeometry, StlGeometry
 from test_voxel import exposed_bits, stride
 from traced import traced_peak
@@ -184,6 +184,18 @@ def _read_back(m, fmt):
     return sink
 
 
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+@pytest.mark.parametrize("n", range(3))
+def test_triangles_are_two_per_exposed_face(kind, n):
+    g = build_grid(kind, n)
+    assert _read_back(mesh_from_grid(g), "stl").triangles == 2 * count_exposed_faces(g)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_menger_mesh_watertight(n):
+    assert _read_back(mesh_from_grid(build_grid(MENGER, n)), "stl").edge_defects() == (0, 0)
+
+
 # the STL cases keep the ids of n and kind alone
 @pytest.mark.parametrize("fmt,n,kind", [
     pytest.param(fmt, n, kind, id=f"{n}-{kind}" + ("-obj" if fmt == "obj" else ""))
@@ -282,6 +294,45 @@ def test_obj_empty():
     assert sink.getvalue() == b""
 
 
+def _obj_records(payload: bytes):
+    lines = payload.decode("utf-8").splitlines()
+    vs = [line for line in lines if line.startswith("v ")]
+    fs = [line for line in lines if line.startswith("f ")]
+    return vs, fs
+
+
+def test_obj_indices_valid_and_lf_only():
+    sink = io.BytesIO()
+    write_obj(mesh_from_grid(build_grid(MENGER, 1)), sink)
+    payload = sink.getvalue()
+    assert b"\r" not in payload
+    vs, fs = _obj_records(payload)
+    for line in fs:
+        ids = [int(tok) for tok in line.split()[1:]]
+        assert len(ids) == 3
+        assert all(1 <= i <= len(vs) for i in ids)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
+@pytest.mark.parametrize("kind", [MENGER, SLICES])
+@pytest.mark.parametrize("n", range(3))
+def test_obj_vertices_numbered_by_first_mention(n, kind, chunk, monkeypatch):
+    # the OBJ contract, stated directly: read in order, the f lines mention
+    # new vertex ids as 1, 2, 3, ..., every v line is used, and no two v
+    # lines are equal
+    if chunk is not None:
+        monkeypatch.setattr(mesh, "_CHUNK", chunk)
+    sink = io.BytesIO()
+    write_obj(mesh_from_grid(build_grid(kind, n)), sink)
+    vs, fs = _obj_records(sink.getvalue())
+    seen = {}
+    for line in fs:
+        for token in line.split()[1:]:
+            seen.setdefault(int(token), len(seen) + 1)
+    assert list(seen) == list(seen.values()) == list(range(1, len(vs) + 1))
+    assert len(set(vs)) == len(vs)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
 @pytest.mark.parametrize("n", range(4))
@@ -295,3 +346,15 @@ def test_obj_decodes_to_the_stl_triangles(n, kind, chunk, monkeypatch):
         monkeypatch.setattr(mesh, "_CHUNK", chunk)
     m = mesh_from_grid(build_grid(kind, n))
     assert np.array_equal(_read_back(m, "obj").edges, _read_back(m, "stl").edges)
+
+
+def test_obj_round_trips_float32_exactly():
+    g = build_grid(MENGER, 1)
+    m = mesh_from_grid(g)
+    sink = io.BytesIO()
+    write_obj(m, sink)
+    vs, _ = _obj_records(sink.getvalue())
+    allowed = {np.float32(i / g.resolution).tobytes() for i in range(g.resolution + 1)}
+    for line in vs:
+        for token in line.split()[1:]:
+            assert np.float32(float(token)).tobytes() in allowed
