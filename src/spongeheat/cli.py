@@ -12,6 +12,7 @@ stays a link and gets the new bytes.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import signal
 import sys
@@ -275,10 +276,22 @@ def main() -> None:
         signal.signal(signum, _terminate)
     try:
         code = run()
+        # a print into a pipe whose reader has gone fails here, not at exit
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except _Terminated as exc:
         (signum,) = exc.args
         print(f"interrupted: {signal.Signals(signum).name}", file=sys.stderr)
         code = 128 + signum
+    except OSError as exc:
+        # the unwritten bytes stay buffered, and the flush at exit would fail
+        # on them again: send them to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code != 3:  # run has not reported this failure itself
+            print(f"i/o error: {exc}", file=sys.stderr)
+            code = 3
+    # exit without collecting: the OS reclaims what the command leaves alive
+    gc.freeze()
     sys.exit(code)
 
 

@@ -11,6 +11,8 @@ import numpy as np
 
 #: One binary STL triangle: normal, three vertices, attribute word (50 bytes).
 RECORD = np.dtype([("normal", "<f4", (3,)), ("verts", "<f4", (3, 3)), ("attr", "<u2")])
+#: Sorted edge keys per reverse lookup in :meth:`MeshGeometry.edge_defects` (8 MiB).
+_BLOCK = 2**20
 
 
 class MeshGeometry:
@@ -70,16 +72,22 @@ class MeshGeometry:
     def edge_defects(self) -> tuple[int, int]:
         """(directed edges a -> b that occur more than once, directed edges
         a -> b with no b -> a), both 0 for a closed, consistently wound
-        surface.  Sorts ``edges`` in place."""
+        surface.  Sorts ``edges`` in place, then looks the reverses up one
+        block of sorted keys at a time, so the lookup's arrays are as long
+        as a block, not as the edge list."""
         edges = self.edges.reshape(-1)
         if not len(edges):
             return 0, 0
         edges.sort()
         repeats = int(np.count_nonzero(edges[1:] == edges[:-1]))
         cube = self.side**3
-        reverse = edges % cube * cube + edges // cube
-        at = np.minimum(np.searchsorted(edges, reverse), len(edges) - 1)
-        return repeats, int(np.count_nonzero(edges[at] != reverse))
+        unmatched = 0
+        for start in range(0, len(edges), _BLOCK):
+            keys = edges[start:start + _BLOCK]
+            reverse = keys % cube * cube + keys // cube
+            at = np.minimum(np.searchsorted(edges, reverse), len(edges) - 1)
+            unmatched += int(np.count_nonzero(edges[at] != reverse))
+        return repeats, unmatched
 
 
 class StlGeometry(MeshGeometry):

@@ -92,6 +92,8 @@ MUTANTS = (
     Mutant("a 256-byte --out name is let through", "cli.py",
            "if len(os.fsencode(target_tail)) > 255:",
            "if len(os.fsencode(target_tail)) > 256:", "test_cli.py"),
+    Mutant("main exits with the collector unfrozen", "cli.py",
+           "    gc.freeze()\n", "", "test_cli.py"),
     # voxel oracle: the count the closed forms are checked against
     Mutant("+x exposure looks two cells ahead", "voxel.py",
            "for b in (row >> 1, row << 1, *nearby)]",

@@ -1,5 +1,6 @@
 """CLI tests: all subcommands, formats, exit codes, determinism."""
 
+import gc
 import json
 import os
 import signal
@@ -312,18 +313,23 @@ def test_write_replaces_existing_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["sponge.stl"]
 
 
+def _child_env() -> dict:
+    # the environment of a child that runs this checkout's src/
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP, signal.SIGINT],
                          ids=["SIGTERM", "SIGHUP", "SIGINT"])
 def test_signal_mid_export_leaves_no_file(signum, tmp_path):
     # the default action of SIGTERM and SIGHUP ends the process without
     # unwinding, which left the n = 5 sponge OBJ's temporary behind, and
     # SIGINT's KeyboardInterrupt printed a traceback
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "spongeheat.cli", "mesh", "--model", "menger", "--n", "5",
             "--format", "obj", "--out", str(tmp_path / "m.obj")]
-    child = subprocess.Popen(argv, env={**os.environ, "PYTHONPATH": path},
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    child = subprocess.Popen(argv, env=_child_env(), stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
     try:
         deadline = time.monotonic() + 60
         while not any(tmp_path.iterdir()):
@@ -439,6 +445,34 @@ def test_closed_stdout_is_an_io_error(argv, tmp_path, capsys, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["table", "--max-n", "3"], id="table"),
+    pytest.param(["row", "--n", "3", "--format", "json"], id="row-json"),
+    pytest.param(["voxel-verify", "--model", "menger", "--n", "2"], id="voxel-verify"),
+    pytest.param(["crossover"], id="crossover-text"),
+    pytest.param(["crossover", "--format", "json"], id="crossover-json"),
+    pytest.param(["series", "--out", "{tmp}/series.csv"], id="series"),
+    pytest.param(["mesh", "--model", "menger", "--n", "1", "--out", "{tmp}/m1.stl"], id="mesh"),
+    pytest.param(["--help"], id="help"),
+])
+def test_closed_pipe_is_an_io_error(argv, tmp_path):
+    # a block-buffered print into a pipe whose reader has gone fails only
+    # when stdout is flushed, which used to be at exit (exit 120 and an
+    # "Exception ignored" report); PYTHONUNBUFFERED would hide that
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run([sys.executable, "-m", "spongeheat.cli",
+                                *(arg.format(tmp=tmp_path) for arg in argv)],
+                               env=env, stdout=write, stderr=subprocess.PIPE, text=True,
+                               timeout=60)
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (3, "i/o error: [Errno 32] Broken pipe\n")
+
+
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert "table" in capsys.readouterr().out
@@ -456,6 +490,7 @@ def _main_code(monkeypatch, argv) -> int:
     finally:
         for signum, handler in handlers.items():
             signal.signal(signum, handler)
+        gc.unfreeze()  # and main freezes the collector: thaw this process's heap
     return exit_info.value.code
 
 
@@ -479,9 +514,24 @@ def test_main_keeps_the_users_blas_threads(monkeypatch, capsys):
     assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
 
 
+def test_main_freezes_the_collector(monkeypatch, capsys):
+    # so that the interpreter's final collections skip every object left alive
+    frozen = []
+    exit = sys.exit
+
+    def counted_exit(code):
+        frozen.append(gc.get_freeze_count())
+        exit(code)
+
+    monkeypatch.setattr("sys.exit", counted_exit)
+    assert _main_code(monkeypatch, ["row", "--n", "1"]) == 0
+    assert len(frozen) == 1 and frozen[0] > 0
+    assert gc.get_freeze_count() == 0
+
+
 def test_run_leaves_environment_untouched(monkeypatch, tmp_path, capsys):
     _unset_blas_threads(monkeypatch)
-    before = dict(os.environ)
+    before = dict(os.environ), gc.get_freeze_count(), gc.isenabled()
     assert run(["row", "--n", "1"]) == 0
     assert run(["mesh", "--model", "menger", "--n", "1", "--out", str(tmp_path / "m.stl")]) == 0
-    assert dict(os.environ) == before
+    assert (dict(os.environ), gc.get_freeze_count(), gc.isenabled()) == before

@@ -14,7 +14,9 @@ intended output change.
 
 import hashlib
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,12 +72,14 @@ CORPUS = {
     "row --n x": "139fb9379c7d1036fbaad36714fd04c8ab2194b9ea840506fa2ae8638c08b994",
     "voxel-verify --model cube --n 1": "e9cd6266ff91e7a6ecc2cd4c78a560ee9a685bc5e15efdb2b251c15cca752755",
     "table --max-n 3 extra": "48e3b273fede6fe72b26316a14bef21d8fd40fe035c68452a765b3eb9d6a2645",
+    # the oracle's report for a command that passes
+    "voxel-verify --model menger --n 3": "3a2dbb1669e001a2c83c3a0ffead2e2ce239f6c2c56e04048e4b5572cede08de",
 }
 
 
-def _digest(argv, capture) -> str:
-    code = run(argv)
-    out, err = capture()
+def _digest(argv, code, out, err) -> str:
+    """The sha256 of a finished command: its exit code, stdout and stderr
+    bytes, and the file its ``--out`` names, if any."""
     written = b""
     if "--out" in argv:
         with open(argv[argv.index("--out") + 1], "rb") as fh:
@@ -90,12 +94,30 @@ def _digest(argv, capture) -> str:
 @pytest.mark.parametrize("cmd", CORPUS)
 def test_cli_output_pinned(cmd, tmp_path, monkeypatch, capsysbinary):
     monkeypatch.chdir(tmp_path)
+    code = run(cmd.split())
+    captured = capsysbinary.readouterr()
+    assert _digest(cmd.split(), code, captured.out, captured.err) == CORPUS[cmd]
 
-    def capture():
-        captured = capsysbinary.readouterr()
-        return captured.out, captured.err
 
-    assert _digest(cmd.split(), capture) == CORPUS[cmd]
+@pytest.mark.parametrize("cmd", [
+    "table --max-n 6 --format text",
+    "row --n 3 --format json",
+    "voxel-verify --model menger --n 3",
+    "crossover --format json",
+    "series --max-n 6 --out series.csv",
+    "mesh --model menger --n 2 --format obj --out mesh.obj",
+    "frobnicate",
+])
+def test_cli_output_pinned_through_main(cmd, tmp_path, monkeypatch):
+    # the entry point in a fresh interpreter: what main adds around run (its
+    # flush of stdout, the frozen collector, sys.exit) changes no byte
+    monkeypatch.chdir(tmp_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-m", "spongeheat.cli", *cmd.split()], env=env,
+                           capture_output=True, timeout=60)
+    assert _digest(cmd.split(), child.returncode, child.stdout, child.stderr) == CORPUS[cmd]
 
 
 if __name__ == "__main__":
@@ -109,6 +131,6 @@ if __name__ == "__main__":
             out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
             err = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                digest = _digest(cmd.split(), lambda: (out.buffer.getvalue(),
-                                                       err.getvalue().encode()))
+                code = run(cmd.split())
+            digest = _digest(cmd.split(), code, out.buffer.getvalue(), err.getvalue().encode())
             print(f"    {cmd!r}: {digest!r},", file=sys.__stdout__)

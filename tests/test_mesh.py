@@ -11,6 +11,7 @@ from spongeheat import mesh, metrics, voxel
 from spongeheat.mesh import mesh_from_grid, write_obj, write_stl_binary
 from spongeheat.metrics import ModelKind
 from spongeheat.voxel import VoxelGrid, build_grid, count_exposed_faces
+import mesh_geometry
 from mesh_geometry import ObjGeometry, StlGeometry
 from test_voxel import exposed_bits, stride
 from traced import traced_peak
@@ -194,6 +195,22 @@ def test_triangles_are_two_per_exposed_face(kind, n):
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_menger_mesh_watertight(n):
     assert _read_back(mesh_from_grid(build_grid(MENGER, n)), "stl").edge_defects() == (0, 0)
+
+
+@pytest.mark.parametrize("block", [1, 7, 2**20])
+def test_edge_defects_found_in_any_block(block, monkeypatch):
+    # the reverses are looked up one block of sorted keys at a time: a
+    # missing or a repeated triangle counts the same, whichever blocks its
+    # edges and their reverses fall in
+    monkeypatch.setattr(mesh_geometry, "_BLOCK", block)
+    sink = _read_back(mesh_from_grid(build_grid(MENGER, 1)), "stl")
+    edges = sink.edges.copy()
+    assert sink.edge_defects() == (0, 0)
+    for t in (0, 71, len(edges) - 1):
+        sink._edges = [np.delete(edges, t, axis=0)]
+        assert sink.edge_defects() == (0, 3), t
+        sink._edges = [np.concatenate([edges, edges[t:t + 1]])]
+        assert sink.edge_defects() == (3, 0), t
 
 
 # the STL cases keep the ids of n and kind alone
