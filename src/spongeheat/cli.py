@@ -290,7 +290,8 @@ def main() -> None:
         if code != 3:  # run has not reported this failure itself
             print(f"i/o error: {exc}", file=sys.stderr)
             code = 3
-    # exit without collecting: the OS reclaims what the command leaves alive
+    # the final collections at exit then skip every object the command
+    # leaves alive, which the OS reclaims anyway
     gc.freeze()
     sys.exit(code)
 

@@ -313,8 +313,8 @@ def test_write_replaces_existing_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["sponge.stl"]
 
 
-def _child_env() -> dict:
-    # the environment of a child that runs this checkout's src/
+def child_env() -> dict:
+    """The environment for a child that runs this checkout's ``src/``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")]))}
@@ -328,7 +328,7 @@ def test_signal_mid_export_leaves_no_file(signum, tmp_path):
     # SIGINT's KeyboardInterrupt printed a traceback
     argv = [sys.executable, "-m", "spongeheat.cli", "mesh", "--model", "menger", "--n", "5",
             "--format", "obj", "--out", str(tmp_path / "m.obj")]
-    child = subprocess.Popen(argv, env=_child_env(), stdout=subprocess.PIPE,
+    child = subprocess.Popen(argv, env=child_env(), stdout=subprocess.PIPE,
                              stderr=subprocess.PIPE, text=True)
     try:
         deadline = time.monotonic() + 60
@@ -459,7 +459,7 @@ def test_closed_pipe_is_an_io_error(argv, tmp_path):
     # a block-buffered print into a pipe whose reader has gone fails only
     # when stdout is flushed, which used to be at exit (exit 120 and an
     # "Exception ignored" report); PYTHONUNBUFFERED would hide that
-    env = _child_env()
+    env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     read, write = os.pipe()
     os.close(read)

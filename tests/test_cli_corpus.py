@@ -16,11 +16,11 @@ import hashlib
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from spongeheat.cli import run
+from test_cli import child_env
 
 #: command line -> sha256 over (exit code, stdout, stderr, written file)
 CORPUS = {
@@ -112,11 +112,8 @@ def test_cli_output_pinned_through_main(cmd, tmp_path, monkeypatch):
     # the entry point in a fresh interpreter: what main adds around run (its
     # flush of stdout, the frozen collector, sys.exit) changes no byte
     monkeypatch.chdir(tmp_path)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run([sys.executable, "-m", "spongeheat.cli", *cmd.split()], env=env,
-                           capture_output=True, timeout=60)
+    child = subprocess.run([sys.executable, "-m", "spongeheat.cli", *cmd.split()],
+                           env=child_env(), capture_output=True, timeout=60)
     assert _digest(cmd.split(), child.returncode, child.stdout, child.stderr) == CORPUS[cmd]
 
 
