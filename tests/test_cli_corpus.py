@@ -64,6 +64,12 @@ CORPUS = {
     "row --n 13": "95b8b6cc531788dd714bd3e0090a3c712f8ad0efc93091812f6755339fe386be",
     # a crossover needs two points per series, and --max-n 0 gives one
     "crossover --max-n 0": "b8e4b04b53337c8eb629371536b2409a9c61aa2b4d756d4714871ade168fe079",
+    # two points per series and no crossing: the text line and the JSON null
+    "crossover --max-n 1": "7a78fc29576a6db4236d4c98b214c84409c6721943a89e52ff3ebd6fa69ab03f",
+    "crossover --max-n 1 --format json": "ffc48988c69d409e3db7df10a5da56eb05ef916bf8ccdaa4e8f3d034f7620f2d",
+    # one point per series or one row: the smallest CSV documents
+    "series --max-n 0 --out series.csv": "21ce7d9110cd25d8013aede1bfd94dba3eb82cc7f9626d814a549ada87ba4c8e",
+    "table --max-n 0 --format csv": "5ba610f6b72e40e8bfe61f7bcc4c02cc8e5661fbdcdd0ea381a301a71d1ac46c",
     # a removed option: argparse refuses it as an unrecognized argument
     "voxel-verify --model menger --n 3 --oracle-cap 2": "048855ba35017f853351d5793abb383a4261f83f2551f978c39c0f2747ccf726",
     "frobnicate": "a807ad85e9c797f585e3f2ecc9e2f28218c4e264cba3f8e7fb67af2e70c3f914",
