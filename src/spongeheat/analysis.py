@@ -1,14 +1,15 @@
 """Reference-table reproduction, printed-precision formatting, efficiency
-series, crossover location, and text/CSV/JSON emission.
+series, crossover location, and the text/CSV/JSON renderers of each report.
 
 Formatting conventions follow the published reference table: plain columns
 carry 4 decimal places (3 once the value reaches 100, i.e. 6 significant
 digits), efficiency values below 1 use the ``mantissa(-p)`` shorthand for
 ``mantissa * 10^-p``, and rounding is half-away-from-zero applied to the
-exact rational.  Machine-readable emitters follow one cell rule: an int
-column (``n``, ``rho``) is written as is, and every rational as a fixed-point
-decimal at 10 significant digits (CSV), or as that decimal next to the exact
-``p/q`` form (JSON).  Every printed decimal goes through
+exact rational.  Each renderer returns one report as a string for the
+caller to print or write.  The CSV and JSON ones follow one cell rule: the
+int columns (``n``, ``rho``) are written as is, and every rational as a
+fixed-point decimal at 10 significant digits (CSV), or as that decimal next
+to the exact ``p/q`` form (JSON).  Every printed decimal goes through
 :func:`round_half_away`, and every exact value prints as ``str(Fraction)``.
 """
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from typing import BinaryIO, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import metrics
 from .metrics import ModelKind, check_iteration
@@ -253,86 +254,62 @@ def _bracket(ts: list[float], t: float) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# emitters
+# renderers: each returns one whole report, ASCII lines each ending in LF
 
-def emit_text(rows: Sequence[EfficiencyRow], sink: BinaryIO) -> int:
-    """Write table rows as the reference table prints them (see
+def table_text(rows: Sequence[EfficiencyRow]) -> str:
+    """Table rows as the reference table prints them (see
     :func:`format_paper_precision`): a header line, then one line per row,
-    each column right-aligned to its widest cell, two spaces apart.
-    Returns the byte count."""
+    each column right-aligned to its widest cell, two spaces apart."""
     cells = [dict(zip(TABLE_COLUMNS, TABLE_COLUMNS))]
     cells += [format_paper_precision(row) for row in rows]
     widths = {col: max(len(line[col]) for line in cells) for col in TABLE_COLUMNS}
-    return _write_text(sink, "".join(
-        "  ".join(line[col].rjust(widths[col]) for col in TABLE_COLUMNS) + "\n"
-        for line in cells))
+    return "".join("  ".join(line[col].rjust(widths[col]) for col in TABLE_COLUMNS) + "\n"
+                   for line in cells)
 
 
-def emit_csv(data, sink: BinaryIO) -> int:
-    """Write table rows or efficiency series as RFC-4180 CSV (UTF-8, LF,
-    header line, decimals at 10 significant digits).  Returns the byte
-    count."""
-    items = list(data)
-    if not items:
-        raise ValueError("nothing to emit")
-    build = _rows_csv_lines if isinstance(items[0], EfficiencyRow) else _series_csv_lines
-    return _write_text(sink, "\n".join(build(items)) + "\n")
-
-
-def _rows_csv_lines(rows: Sequence[EfficiencyRow]) -> list[str]:
+def table_csv(rows: Sequence[EfficiencyRow]) -> str:
+    """Table rows as RFC-4180 CSV with a header line."""
     lines = [",".join(TABLE_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(
-            str(value) if isinstance(value, int) else decimal_string(value) for value in row))
-    return lines
+    lines += [",".join([str(row.n), str(row.rho), *map(decimal_string, row[2:])]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _series_csv_lines(series: Sequence[EfficiencySeries]) -> list[str]:
-    lines = ["model,n,S,E"]
-    for one in series:
-        for n, (s, e) in enumerate(one.points):
-            lines.append(f"{one.model.value},{n},{decimal_string(s)},{decimal_string(e)}")
-    return lines
+def series_csv(series: Sequence[EfficiencySeries]) -> str:
+    """Efficiency series as RFC-4180 CSV, one line per point: model, n, S, E."""
+    return "model,n,S,E\n" + "".join(
+        f"{one.model.value},{n},{decimal_string(s)},{decimal_string(e)}\n"
+        for one in series for n, (s, e) in enumerate(one.points))
 
 
-def emit_json(sink: BinaryIO, **sections) -> int:
-    """Write a single JSON document with table rows (``rows=``) and/or a
-    crossover report (``crossover=``; None when the curves do not cross,
-    written as null), one key per section in the order given (KeyError for
-    an unknown one).  Rationals carry a 10-significant-digit decimal and the
-    exact p/q string; row keys follow TABLE_COLUMNS.  Returns the byte count."""
+def table_json(rows: Sequence[EfficiencyRow]) -> str:
+    """Table rows as JSON ``{"rows": [...]}``, each rational as decimal and p/q."""
+    return _json({"rows": [
+        {"n": row.n, "rho": row.rho,
+         **{col: {"decimal": decimal_string(value), "ratio": str(value)}
+            for col, value in zip(TABLE_COLUMNS[2:], row[2:])}}
+        for row in rows]})
+
+
+def crossover_text(report: CrossoverReport | NoCrossoverError) -> str:
+    """Method, ``s_star`` and brackets, a line each, or the reason there is none."""
+    if isinstance(report, NoCrossoverError):
+        return f"no crossover: {report}\n"
+    return (f"method:  {report.method}\n"
+            f"s_star:  {report.s_star:.8g}\n"
+            f"bracket: menger n in {list(report.menger_bracket)}, "
+            f"slices n in {list(report.slices_bracket)}\n")
+
+
+def crossover_json(report: CrossoverReport | NoCrossoverError) -> str:
+    """The crossover as JSON ``{"crossover": ...}``, null when there is none."""
+    return _json({"crossover": None if isinstance(report, NoCrossoverError) else {
+        "s_star": f"{report.s_star:.10g}",
+        "bracket": {"menger": list(report.menger_bracket), "slices": list(report.slices_bracket)},
+        "method": report.method,
+    }})
+
+
+def _json(doc: dict) -> str:
     import json  # only JSON output pays for this import
 
-    doc = {key: _JSON_SECTIONS[key](value) for key, value in sections.items()}
-    return _write_text(sink, json.dumps(doc, indent=2) + "\n")
-
-
-def _json_value(value: Fraction) -> dict[str, str]:
-    return {"decimal": decimal_string(value), "ratio": str(value)}
-
-
-def _rows_json(rows: Sequence[EfficiencyRow]) -> list[dict]:
-    return [{col: value if isinstance(value, int) else _json_value(value)
-             for col, value in zip(TABLE_COLUMNS, row)} for row in rows]
-
-
-def _crossover_json(report: CrossoverReport | None) -> dict | None:
-    if report is None:
-        return None
-    return {
-        "s_star": f"{report.s_star:.10g}",
-        "bracket": {
-            "menger": list(report.menger_bracket),
-            "slices": list(report.slices_bracket),
-        },
-        "method": report.method,
-    }
-
-
-_JSON_SECTIONS = {"rows": _rows_json, "crossover": _crossover_json}
-
-
-def _write_text(sink: BinaryIO, text: str) -> int:
-    payload = text.encode("utf-8")
-    sink.write(payload)
-    return len(payload)
+    return json.dumps(doc, indent=2) + "\n"

@@ -18,10 +18,10 @@ import signal
 import sys
 
 # Only the closed forms are imported here.  Each command imports the rest of
-# what it uses: analysis by the five that format results, never by mesh, and
-# voxel and mesh by the two that use them, after their checks, so closed-form
-# and refused commands neither compile nor import them (and only mesh loads
-# numpy).
+# what it uses: analysis, which renders each report as one string, by the
+# five that print results, never by mesh, and voxel and mesh by the two that
+# use them, after their checks, so closed-form and refused commands neither
+# compile nor import them (and only mesh loads numpy).
 from . import metrics
 
 
@@ -121,32 +121,23 @@ def _write_file(path: str, write) -> int:
     return nbytes
 
 
-def _emit(fmt: str, **sections) -> None:
-    """Write table rows (``rows=``) or a crossover report (``crossover=``,
-    JSON only) to stdout's byte stream in ``fmt``, flushed before anything
-    else is printed."""
+def _print_table(fmt: str, rows) -> int:
     from . import analysis
 
-    sink = sys.stdout.buffer
-    if fmt == "json":
-        analysis.emit_json(sink, **sections)
-    else:
-        (analysis.emit_text if fmt == "text" else analysis.emit_csv)(sections["rows"], sink)
-    sink.flush()
+    print(getattr(analysis, f"table_{fmt}")(rows), end="")
+    return 0
 
 
 def _cmd_table(args) -> int:
     from . import analysis
 
-    _emit(args.format, rows=analysis.full_table(args.max_n))
-    return 0
+    return _print_table(args.format, analysis.full_table(args.max_n))
 
 
 def _cmd_row(args) -> int:
     from . import analysis
 
-    _emit(args.format, rows=[analysis.table_row(args.n)])
-    return 0
+    return _print_table(args.format, [analysis.table_row(args.n)])
 
 
 def _cmd_voxel_verify(args) -> int:
@@ -170,17 +161,16 @@ def _cmd_voxel_verify(args) -> int:
     if not ok:
         expected = metrics.model_face_counts(kind, args.n)
         for d, oracle, closed in zip(metrics.DIRECTIONS, faces, expected):
-            print(f"faces {d}: oracle {oracle}  expected {closed}  "
-                  f"{'MATCH' if oracle == closed else 'MISMATCH'}", file=sys.stderr)
+            _report(f"faces {d}: oracle {oracle}  expected {closed}  "
+                    f"{'MATCH' if oracle == closed else 'MISMATCH'}")
         # then the first z-slab whose solid count differs from its closed form
         for z, oracle in enumerate(slabs):
             closed = metrics.model_slab_count(kind, args.n, z)
             if oracle != closed:
-                print(f"slab z={z}: oracle {oracle}  expected {closed}  MISMATCH",
-                      file=sys.stderr)
+                _report(f"slab z={z}: oracle {oracle}  expected {closed}  MISMATCH")
                 break
         else:
-            print(f"slabs: all {grid.resolution} MATCH", file=sys.stderr)
+            _report(f"slabs: all {grid.resolution} MATCH")
     return 0 if ok else 2
 
 
@@ -192,16 +182,8 @@ def _cmd_crossover(args) -> int:
     try:
         report = analysis.find_crossover(sponge, slabs)
     except analysis.NoCrossoverError as exc:
-        report, text = None, f"no crossover: {exc}"
-    else:
-        text = (f"method:  {report.method}\n"
-                f"s_star:  {report.s_star:.8g}\n"
-                f"bracket: menger n in {list(report.menger_bracket)}, "
-                f"slices n in {list(report.slices_bracket)}")
-    if args.format == "json":
-        _emit("json", crossover=report)
-    else:
-        print(text)
+        report = exc
+    print(getattr(analysis, f"crossover_{args.format}")(report), end="")
     return 0
 
 
@@ -213,7 +195,7 @@ def _cmd_series(args) -> int:
         analysis.efficiency_series(metrics.ModelKind.MENGER_SPONGE, args.max_n),
         analysis.efficiency_series(metrics.ModelKind.SLICES, args.max_n),
     ]
-    nbytes = _write_file(args.out, lambda sink: analysis.emit_csv(series, sink))
+    nbytes = _write_file(args.out, lambda sink: sink.write(analysis.series_csv(series).encode()))
     print(f"wrote {args.out} ({nbytes} bytes)")
     return 0
 
@@ -235,6 +217,21 @@ def _cmd_mesh(args) -> int:
     return 0
 
 
+def _devnull(stream) -> None:
+    # what the stream could not write stays buffered, and the flush at exit
+    # would fail on it again: send it, and all that follows, to devnull
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _report(line: str) -> None:
+    """Print one line to stderr, or, when stderr cannot take it (a pipe whose
+    reader has gone), send stderr to devnull: the exit code stays the same."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        _devnull(sys.stderr)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -245,10 +242,10 @@ def run(argv=None) -> int:
             raise OSError("stdout is closed")
         return args.run(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 1
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        _report(f"i/o error: {exc}")
         return 3
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
@@ -281,14 +278,12 @@ def main() -> None:
             sys.stdout.flush()
     except _Terminated as exc:
         (signum,) = exc.args
-        print(f"interrupted: {signal.Signals(signum).name}", file=sys.stderr)
+        _report(f"interrupted: {signal.Signals(signum).name}")
         code = 128 + signum
     except OSError as exc:
-        # the unwritten bytes stay buffered, and the flush at exit would fail
-        # on them again: send them to devnull instead
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _devnull(sys.stdout)
         if code != 3:  # run has not reported this failure itself
-            print(f"i/o error: {exc}", file=sys.stderr)
+            _report(f"i/o error: {exc}")
             code = 3
     # the final collections at exit then skip every object the command
     # leaves alive, which the OS reclaims anyway

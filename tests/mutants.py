@@ -78,12 +78,16 @@ MUTANTS = (
            '"L": str(row.L),', '"L": str(float(row.L)),', "test_analysis.py"),
     Mutant("JSON ratio loses its denominator", "analysis.py",
            '"ratio": str(value)}', '"ratio": str(value.numerator)}', "test_analysis.py"),
+    Mutant("CSV without its final LF", "analysis.py",
+           'return "\\n".join(lines) + "\\n"', 'return "\\n".join(lines)', "test_analysis.py"),
     # crossover
     Mutant("a touch between two undercuts counts as the crossing", "analysis.py",
            "if d > 0 and undercut:", "if d >= 0 and undercut:", "test_analysis.py"),
     Mutant("a crossing on the last sample brackets past the series", "analysis.py",
            "i = min(bisect_right(ts, t) - 1, len(ts) - 2)",
            "i = min(bisect_right(ts, t) - 1, len(ts) - 1)", "test_analysis.py"),
+    Mutant("crossover text s_star at 9 significant digits", "analysis.py",
+           "{report.s_star:.8g}", "{report.s_star:.9g}", "test_cli_corpus.py"),
     # command line
     Mutant("a failed write leaves its temporary", "cli.py",
            "os.remove(temporary)", "pass", "test_cli.py"),
@@ -94,6 +98,8 @@ MUTANTS = (
            "if len(os.fsencode(target_tail)) > 256:", "test_cli.py"),
     Mutant("main exits with the collector unfrozen", "cli.py",
            "    gc.freeze()\n", "", "test_cli.py"),
+    Mutant("a stderr line that cannot be written escapes run and main", "cli.py",
+           "_devnull(sys.stderr)", "raise", "test_cli.py"),
     # voxel oracle: the count the closed forms are checked against
     Mutant("+x exposure looks two cells ahead", "voxel.py",
            "for b in (row >> 1, row << 1, *nearby)]",

@@ -1,7 +1,6 @@
 """Table reproduction, printed-precision formatting, series, crossover and
-emitter tests."""
+renderer tests."""
 
-import io
 import json
 import math
 from bisect import bisect_right
@@ -19,8 +18,6 @@ from spongeheat.analysis import (
     NoCrossoverError,
     decimal_string,
     efficiency_series,
-    emit_csv,
-    emit_json,
     find_crossover,
     format_paper_precision,
     full_table,
@@ -371,13 +368,10 @@ def test_bracket_at_the_last_sample():
     assert analysis._bracket([0.0, 1.0, 2.0], 0.0) == (0, 1)
 
 
-# -- emitters -------------------------------------------------------------------
+# -- renderers: what each report emits ---------------------------------------------
 
 def test_emit_csv_rows():
-    sink = io.BytesIO()
-    nbytes = emit_csv(full_table(2), sink)
-    text = sink.getvalue().decode("utf-8")
-    assert nbytes == len(sink.getvalue())
+    text = analysis.table_csv(full_table(2))
     lines = text.split("\n")
     assert lines[0] == "n,rho,L,V_M,V_s,S_M,S_s,V_tot,E_M,E_s,R_E,R_S,R_n"
     assert len(lines) == 5 and lines[-1] == ""  # header + 3 rows + trailing LF
@@ -386,24 +380,16 @@ def test_emit_csv_rows():
 
 
 def test_emit_csv_series():
-    sink = io.BytesIO()
-    emit_csv([efficiency_series(MENGER, 2), efficiency_series(SLICES, 2)], sink)
-    lines = sink.getvalue().decode("utf-8").splitlines()
+    text = analysis.series_csv([efficiency_series(MENGER, 2), efficiency_series(SLICES, 2)])
+    lines = text.split("\n")
     assert lines[0] == "model,n,S,E"
-    assert len(lines) == 7
+    assert len(lines) == 8 and lines[-1] == ""  # header + 3 + 3 points + trailing LF
     assert lines[1].startswith("menger,0,6.000000000,")
     assert lines[4].startswith("slices,0,")
 
 
-def test_emit_csv_rejects_empty():
-    with pytest.raises(ValueError):
-        emit_csv([], io.BytesIO())
-
-
 def test_csv_round_trip_precision():
-    sink = io.BytesIO()
-    emit_csv(full_table(6), sink)
-    lines = sink.getvalue().decode("utf-8").splitlines()
+    lines = analysis.table_csv(full_table(6)).splitlines()
     rows = full_table(6)
     for line, row in zip(lines[1:], rows):
         cells = line.split(",")
@@ -415,41 +401,35 @@ def test_csv_round_trip_precision():
 
 
 def test_emit_json_rows_and_crossover():
-    sink = io.BytesIO()
-    report = find_crossover(efficiency_series(MENGER, 6), efficiency_series(SLICES, 6))
-    emit_json(sink, rows=full_table(6), crossover=report)
-    doc = json.loads(sink.getvalue())
-    assert len(doc["rows"]) == 7
+    text = analysis.table_json(full_table(6))
+    assert text.endswith("}\n")
+    doc = json.loads(text)
+    assert list(doc) == ["rows"] and len(doc["rows"]) == 7
     assert doc["rows"][1]["V_M"] == {"decimal": "0.7407407407", "ratio": "20/27"}
     assert doc["rows"][0]["rho"] == 1
+    report = find_crossover(efficiency_series(MENGER, 6), efficiency_series(SLICES, 6))
+    assert analysis.crossover_text(report) == ("method:  log-linear\n"
+                                               "s_star:  27.914022\n"
+                                               "bracket: menger n in [3, 4], slices n in [2, 3]\n")
+    text = analysis.crossover_json(report)
+    assert text.endswith("}\n")
+    doc = json.loads(text)
+    assert list(doc) == ["crossover"]
     assert doc["crossover"]["method"] == "log-linear"
     assert doc["crossover"]["bracket"] == {"menger": [3, 4], "slices": [2, 3]}
     assert float(doc["crossover"]["s_star"]) == pytest.approx(27.914022, rel=1e-6)
 
 
 def test_emit_json_null_crossover():
-    sink = io.BytesIO()
-    emit_json(sink, crossover=None)
-    doc = json.loads(sink.getvalue())
-    assert doc == {"crossover": None}
-
-
-def test_emit_json_section_order_and_unknown_section():
-    sections = {"rows": full_table(1), "crossover": None}
-    for order in (["crossover", "rows"], ["rows", "crossover"]):
-        sink = io.BytesIO()
-        emit_json(sink, **{key: sections[key] for key in order})
-        assert list(json.loads(sink.getvalue())) == order
-    sink = io.BytesIO()
-    with pytest.raises(KeyError, match="series"):
-        emit_json(sink, series=[])
-    assert sink.getvalue() == b""
+    with pytest.raises(NoCrossoverError) as none:
+        find_crossover(efficiency_series(MENGER, 1), efficiency_series(SLICES, 1))
+    assert analysis.crossover_json(none.value) == '{\n  "crossover": null\n}\n'
+    assert analysis.crossover_text(none.value) == (
+        "no crossover: curves do not cross: one dominates the shared surface range\n")
 
 
 def test_emit_json_stable_key_order():
-    a, b = io.BytesIO(), io.BytesIO()
-    emit_json(a, rows=full_table(3))
-    emit_json(b, rows=full_table(3))
-    assert a.getvalue() == b.getvalue()
-    keys = list(json.loads(a.getvalue())["rows"][0])
+    text = analysis.table_json(full_table(3))
+    assert analysis.table_json(full_table(3)) == text
+    keys = list(json.loads(text)["rows"][0])
     assert keys == list(analysis.TABLE_COLUMNS)

@@ -1,5 +1,6 @@
 """CLI tests: all subcommands, formats, exit codes, determinism."""
 
+import contextlib
 import gc
 import json
 import os
@@ -287,15 +288,17 @@ def test_caps_have_one_home_in_metrics(capsys):
 
 
 def _fail_midway(*args):
-    sink = args[-1]
-    sink.write(b"partial")
+    # a mesh writer fails after its first bytes, the series renderer, called
+    # on the open temporary, before any
+    if hasattr(args[-1], "write"):
+        args[-1].write(b"partial")
     raise OSError("disk full")
 
 
 @pytest.mark.parametrize("argv,module,name", [
     (["mesh", "--model", "menger", "--n", "1", "--format", "stl"], mesh, "write_stl_binary"),
     (["mesh", "--model", "menger", "--n", "1", "--format", "obj"], mesh, "write_obj"),
-    (["series"], analysis, "emit_csv"),
+    (["series"], analysis, "series_csv"),
 ])
 def test_failed_write_leaves_no_file(argv, module, name, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(module, name, _fail_midway)
@@ -320,16 +323,12 @@ def child_env() -> dict:
         src, os.environ.get("PYTHONPATH")]))}
 
 
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP, signal.SIGINT],
-                         ids=["SIGTERM", "SIGHUP", "SIGINT"])
-def test_signal_mid_export_leaves_no_file(signum, tmp_path):
-    # the default action of SIGTERM and SIGHUP ends the process without
-    # unwinding, which left the n = 5 sponge OBJ's temporary behind, and
-    # SIGINT's KeyboardInterrupt printed a traceback
+def _signal_mid_export(signum, tmp_path, env, stderr):
+    """(exit code, stdout, stderr) of the n = 5 sponge OBJ export sent
+    ``signum`` once its temporary exists."""
     argv = [sys.executable, "-m", "spongeheat.cli", "mesh", "--model", "menger", "--n", "5",
             "--format", "obj", "--out", str(tmp_path / "m.obj")]
-    child = subprocess.Popen(argv, env=child_env(), stdout=subprocess.PIPE,
-                             stderr=subprocess.PIPE, text=True)
+    child = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=stderr, text=True)
     try:
         deadline = time.monotonic() + 60
         while not any(tmp_path.iterdir()):
@@ -341,13 +340,22 @@ def test_signal_mid_export_leaves_no_file(signum, tmp_path):
     finally:
         child.kill()  # nothing to do once it has exited
         child.wait(timeout=60)
-    assert child.returncode == 128 + signum
-    assert (out, err) == ("", f"interrupted: {signum.name}\n")
+    return child.returncode, out, err
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP, signal.SIGINT],
+                         ids=["SIGTERM", "SIGHUP", "SIGINT"])
+def test_signal_mid_export_leaves_no_file(signum, tmp_path):
+    # the default action of SIGTERM and SIGHUP ends the process without
+    # unwinding, which left the n = 5 sponge OBJ's temporary behind, and
+    # SIGINT's KeyboardInterrupt printed a traceback
+    assert _signal_mid_export(signum, tmp_path, child_env(), subprocess.PIPE) == (
+        128 + signum, "", f"interrupted: {signum.name}\n")
     assert list(tmp_path.iterdir()) == []
 
 
 _WRITERS = [
-    pytest.param(["series"], analysis, "emit_csv", id="series"),
+    pytest.param(["series"], analysis, "series_csv", id="series"),
     pytest.param(["mesh", "--model", "menger", "--n", "1"], mesh, "write_stl_binary", id="mesh"),
 ]
 
@@ -403,7 +411,7 @@ def test_io_failure_exits_3(tmp_path, capsys, monkeypatch):
         raise AssertionError("no grid may be built and no writer may run")
 
     for module, name in [(voxel, "build_grid"), (mesh, "write_stl_binary"),
-                         (analysis, "emit_csv")]:
+                         (analysis, "series_csv")]:
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "existing").mkdir()
@@ -445,6 +453,25 @@ def test_closed_stdout_is_an_io_error(argv, tmp_path, capsys, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
+def _block_buffered_env() -> dict:
+    # PYTHONUNBUFFERED would hide what a failed flush does
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@contextlib.contextmanager
+def _pipe_with_no_reader():
+    """The write end of a pipe whose read end is closed before it is
+    handed to a child, so that the child cannot race the close."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        yield write
+    finally:
+        os.close(write)
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["table", "--max-n", "3"], id="table"),
     pytest.param(["row", "--n", "3", "--format", "json"], id="row-json"),
@@ -458,19 +485,39 @@ def test_closed_stdout_is_an_io_error(argv, tmp_path, capsys, monkeypatch):
 def test_closed_pipe_is_an_io_error(argv, tmp_path):
     # a block-buffered print into a pipe whose reader has gone fails only
     # when stdout is flushed, which used to be at exit (exit 120 and an
-    # "Exception ignored" report); PYTHONUNBUFFERED would hide that
-    env = child_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    read, write = os.pipe()
-    os.close(read)
-    try:
+    # "Exception ignored" report)
+    with _pipe_with_no_reader() as stdout:
         child = subprocess.run([sys.executable, "-m", "spongeheat.cli",
                                 *(arg.format(tmp=tmp_path) for arg in argv)],
-                               env=env, stdout=write, stderr=subprocess.PIPE, text=True,
-                               timeout=60)
-    finally:
-        os.close(write)
+                               env=_block_buffered_env(), stdout=stdout,
+                               stderr=subprocess.PIPE, text=True, timeout=60)
     assert (child.returncode, child.stderr) == (3, "i/o error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv,code", [
+    pytest.param(["row", "--n", "13"], 1, id="usage"),
+    pytest.param(["frobnicate"], 1, id="argparse"),
+    pytest.param(["mesh", "--model", "menger", "--n", "1", "--out", "{tmp}/no/m.stl"], 3,
+                 id="io"),
+])
+def test_gone_stderr_keeps_the_exit_code(argv, code, tmp_path):
+    # the error line into a stderr pipe whose reader has gone raised out of
+    # run, and main then exited 120 (an UnboundLocalError, then a failed
+    # flush at exit)
+    with _pipe_with_no_reader() as stderr:
+        child = subprocess.run([sys.executable, "-m", "spongeheat.cli",
+                                *(arg.format(tmp=tmp_path) for arg in argv)],
+                               env=_block_buffered_env(), stdout=subprocess.PIPE,
+                               stderr=stderr, text=True, timeout=60)
+    assert (child.returncode, child.stdout) == (code, "")
+
+
+def test_gone_stderr_keeps_the_signal_exit_code(tmp_path):
+    # the interrupted line failed the same way
+    with _pipe_with_no_reader() as stderr:
+        got = _signal_mid_export(signal.SIGTERM, tmp_path, _block_buffered_env(), stderr)
+    assert got == (143, "", None)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_exits_0(capsys):
