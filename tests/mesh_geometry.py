@@ -69,6 +69,24 @@ class MeshGeometry:
             self._edges = [np.concatenate([np.empty((0, 3), np.int64), *self._edges])]
         return self._edges[0]
 
+    def same_edges(self, other: "MeshGeometry") -> bool:
+        """Whether ``edges`` of both meshes are equal, compared block
+        against block as each reader kept them, so that neither list of
+        blocks is joined into one array."""
+        mine, theirs = ((b.reshape(-1) for b in m._edges if b.size) for m in (self, other))
+        a = b = np.empty(0, np.int64)
+        while True:
+            if not len(a):
+                a = next(mine, None)
+            if not len(b):
+                b = next(theirs, None)
+            if a is None or b is None:
+                return a is b  # equal only when both streams end together
+            k = min(len(a), len(b))
+            if not np.array_equal(a[:k], b[:k]):
+                return False
+            a, b = a[k:], b[k:]
+
     def edge_defects(self) -> tuple[int, int]:
         """(directed edges a -> b that occur more than once, directed edges
         a -> b with no b -> a), both 0 for a closed, consistently wound

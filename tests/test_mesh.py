@@ -213,6 +213,29 @@ def test_edge_defects_found_in_any_block(block, monkeypatch):
         assert sink.edge_defects() == (3, 0), t
 
 
+def test_same_edges_across_any_blocks():
+    # the keys are compared as streams, wherever each reader's blocks end:
+    # one changed key, one key more or less, or an order changed, is a
+    # difference; empty blocks are not
+    keys = _read_back(mesh_from_grid(build_grid(MENGER, 1)), "stl").edges.reshape(-1)
+    a, b = ObjGeometry(3), StlGeometry(3)
+
+    def blocks(*cuts, keys=keys):
+        return [keys[i:j] for i, j in zip((0, *cuts), (*cuts, len(keys)))]
+
+    a._edges = blocks(5, 5, 300)
+    for cuts in [(), (1, 2, 3), (5, 300), (299, 301, len(keys))]:
+        b._edges = blocks(*cuts)
+        assert a.same_edges(b) and b.same_edges(a), cuts
+    changed = keys.copy()
+    changed[301] += 1
+    for other in [changed, keys[:-1], keys[1:], np.append(keys, keys[0]), keys[::-1]]:
+        b._edges = blocks(7, 302, keys=other)
+        assert not a.same_edges(b) and not b.same_edges(a)
+    b._edges = []
+    assert not a.same_edges(b) and b.same_edges(StlGeometry(3))
+
+
 # the STL cases keep the ids of n and kind alone
 @pytest.mark.parametrize("fmt,n,kind", [
     pytest.param(fmt, n, kind, id=f"{n}-{kind}" + ("-obj" if fmt == "obj" else ""))
@@ -229,7 +252,7 @@ def test_stl_bytes_enclose_closed_form_volume_and_surface(fmt, n, kind):
     assert volume.denominator == surface.denominator == 1
     assert sink.det == 6 * volume
     assert sink.area == 2 * surface == sink.triangles
-    assert fmt == "stl" or np.array_equal(sink.edges, _read_back(m, "stl").edges)
+    assert fmt == "stl" or sink.same_edges(_read_back(m, "stl"))
     assert sink.edge_defects() == (0, 0)
 
 
