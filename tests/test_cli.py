@@ -288,8 +288,8 @@ def test_caps_have_one_home_in_metrics(capsys):
 
 
 def _fail_midway(*args):
-    # a mesh writer fails after its first bytes, the series renderer, called
-    # on the open temporary, before any
+    # a mesh writer fails after writing its first bytes; the series
+    # renderer, which runs while the temporary is open, before writing any
     if hasattr(args[-1], "write"):
         args[-1].write(b"partial")
     raise OSError("disk full")
