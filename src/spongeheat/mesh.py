@@ -27,6 +27,10 @@ OBJ keeps vertex ids for the two z-planes of the current slab only,
 scatter-min per chunk in the vertex pass and again, in the same order, in
 the face pass.  So export memory is the row faces, one slab's int16 face
 list with its y index and one chunk, and not the mesh or a lattice table.
+OBJ text is built as uint8 arrays, with no Python formatting per number: v
+lines are gathered from a table of the lattice coordinates' labels, and a
+chunk's f lines are fixed-width digits when all its ids have one length,
+``%``-formatted otherwise.
 """
 from __future__ import annotations
 
@@ -267,23 +271,63 @@ def write_obj(m: MeshBuffer, sink) -> int:
     appearance; LF endings.  Returns the byte count.
 
     Two passes number the corners by one scatter-min per chunk, in the same
-    order: the first writes the vertices, the second the faces.
+    order: the first writes the vertices, the second the faces.  Neither
+    formats a Python number per line.  A chunk's v lines are gathered as
+    bytes from a table of the lattice coordinates' ``%.9g`` labels, and
+    its f lines are built as bytes by :func:`_write_faces`.
     Memory is one int32 id per corner of two z-planes, 2 * (3^n + 1)^2 of
-    them, plus the row faces, one slab's int16 face list and one chunk; the
-    face pass formats the ``6 * _CHUNK`` vertex ids of one chunk at a time.
+    them, plus the row faces, one slab's int16 face list and one chunk's
+    keys and lines (at most ``6 * _CHUNK`` vertex ids).
     """
     side = m.grid.resolution + 1
-    labels = np.array([f"{float(c):.9g}" for c in _lattice_coords(m.grid.resolution)],
-                      dtype=object)
+    # row a * side + i: lattice index i's label as coordinate a of a v line,
+    # "v " before x, a space after x and y and LF after z, NUL-padded
+    text = [f"{float(c):.9g}" for c in _lattice_coords(m.grid.resolution)]
+    labels = np.array([(head + label + tail).encode("ascii")
+                       for head, tail in (("v ", " "), ("", " "), ("", "\n"))
+                       for label in text], dtype="S").view(np.uint8).reshape(3 * side, -1)
     nbytes = 0
     for z, _, fresh, _ in _numbered(m.grid):
         dz, y, x = np.unravel_index(fresh, (2, side, side))
-        nbytes += _write_lines(sink, "v %s %s %s\n",
-                               labels[np.column_stack((x, y, z + dz))].ravel().tolist())
+        lines = np.take(labels, np.stack((x, side + y, 2 * side + z + dz), axis=1), axis=0)
+        payload = lines[lines != 0].tobytes()
+        sink.write(payload)
+        nbytes += len(payload)
     for _, keys, _, ids in _numbered(m.grid):
-        corners = np.take(np.take(ids, keys), _QUAD_TRIANGLES, axis=1)
-        nbytes += _write_lines(sink, "f %d %d %d\n", corners.ravel().tolist())
+        corners = np.take(np.take(ids, keys), _QUAD_TRIANGLES, axis=1).reshape(-1, 3)
+        nbytes += _write_faces(sink, corners)
     return nbytes
+
+
+#: What follows each of a face line's three ids: space, space, LF.
+_FACE_SEPARATORS = np.array([32, 32, 10], dtype=np.uint8)
+
+
+def _write_faces(sink, corners: np.ndarray) -> int:
+    """Write one ``f a b c`` line per row of the (K, 3) id array
+    ``corners``, ids >= 1, in one piece; return the byte count.
+
+    When the least and the greatest id have the same number of digits, w,
+    every line is 3w + 5 bytes: the lines are one (K, 3w + 5) uint8 array,
+    and w divisions by 10 give the digits, last first.  Otherwise (46 of the
+    3,296 chunks of the n = 5 sponge) they go through :func:`_write_lines`."""
+    if not len(corners):
+        return 0
+    w = len(str(corners.min()))
+    if w != len(str(corners.max())):
+        return _write_lines(sink, "f %d %d %d\n", corners.ravel().tolist())
+    lines = np.empty((len(corners), 3 * w + 5), dtype=np.uint8)
+    lines[:, :2] = (ord("f"), 32)
+    cells = lines[:, 2:].reshape(-1, 3, w + 1)  # a view: each id's digits and separator
+    cells[..., w] = _FACE_SEPARATORS
+    rest = corners
+    for i in reversed(range(w)):
+        quotient = rest // 10  # np.divmod is slower: it does not divide by a constant
+        cells[..., i] = rest - quotient * 10 + 48
+        rest = quotient
+    payload = lines.tobytes()
+    sink.write(payload)
+    return len(payload)
 
 
 def _write_lines(sink, line: str, fields: list) -> int:

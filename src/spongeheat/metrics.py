@@ -94,17 +94,11 @@ def menger_surface(n: int) -> Fraction:
 
     Evaluated as the product form (1/9) * (20/9)^(n-1) * (40 + 80*(2/5)^n);
     at n = 0 the rational negative power makes this reduce exactly to 6, the
-    unit cube.  Algebraically identical to ``menger_surface_simplified``,
-    which the test suite checks by exact equality for every admissible n.
+    unit cube.  Algebraically identical to (2*20^n + 4*8^n)/9^n, which the
+    test suite checks by exact equality for every admissible n.
     """
     n = check_iteration(n)
     return Fraction(1, 9) * Fraction(20, 9) ** (n - 1) * (40 + 80 * Fraction(2, 5) ** n)
-
-
-def menger_surface_simplified(n: int) -> Fraction:
-    """Independent expression tree for the sponge surface: (2*20^n + 4*8^n)/9^n."""
-    n = check_iteration(n)
-    return Fraction(2 * 20**n + 4 * 8**n, 9**n)
 
 
 def total_volume(n: int) -> Fraction:

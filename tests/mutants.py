@@ -80,12 +80,17 @@ MUTANTS = (
            '"ratio": str(value)}', '"ratio": str(value.numerator)}', "test_analysis.py"),
     Mutant("CSV without its final LF", "analysis.py",
            'return "\\n".join(lines) + "\\n"', 'return "\\n".join(lines)', "test_analysis.py"),
+    Mutant("zero rendered with a minus sign", "analysis.py",
+           'sign = "-" if value < 0 else ""', 'sign = "-" if value <= 0 else ""',
+           "test_analysis.py"),
     # crossover
     Mutant("a touch between two undercuts counts as the crossing", "analysis.py",
            "if d > 0 and undercut:", "if d >= 0 and undercut:", "test_analysis.py"),
     Mutant("a crossing on the last sample brackets past the series", "analysis.py",
            "i = min(bisect_right(ts, t) - 1, len(ts) - 2)",
            "i = min(bisect_right(ts, t) - 1, len(ts) - 1)", "test_analysis.py"),
+    Mutant("series that share one surface value count as overlapping", "analysis.py",
+           "if lo >= hi:", "if lo > hi:", "test_analysis.py"),
     Mutant("crossover text s_star at 9 significant digits", "analysis.py",
            "{report.s_star:.8g}", "{report.s_star:.9g}", "test_cli_corpus.py"),
     # command line
@@ -96,6 +101,16 @@ MUTANTS = (
     Mutant("a 256-byte --out name is let through", "cli.py",
            "if len(os.fsencode(target_tail)) > 255:",
            "if len(os.fsencode(target_tail)) > 256:", "test_cli.py"),
+    Mutant("a 255-byte --out name is refused", "cli.py",
+           "if len(os.fsencode(target_tail)) > 255:",
+           "if len(os.fsencode(target_tail)) >= 255:", "test_cli.py"),
+    Mutant("table defaults to --max-n 7", "cli.py",
+           'default=6)\n    p.add_argument("--format", choices=("text", "csv", "json")',
+           'default=7)\n    p.add_argument("--format", choices=("text", "csv", "json")',
+           "test_cli.py"),
+    Mutant("series defaults to --max-n 7", "cli.py",
+           'default=6)\n    p.add_argument("--out", required=True)',
+           'default=7)\n    p.add_argument("--out", required=True)', "test_cli.py"),
     Mutant("main exits with the collector unfrozen", "cli.py",
            "    gc.freeze()\n", "", "test_cli.py"),
     Mutant("a stderr line that cannot be written escapes run and main", "cli.py",
@@ -141,6 +156,17 @@ MUTANTS = (
     Mutant("lattice coordinates rounded through float16", "mesh.py",
            "(np.arange(res + 1) * (1.0 / res)).astype(np.float32)",
            "(np.arange(res + 1) * (1.0 / res)).astype(np.float16).astype(np.float32)",
+           "test_mesh.py"),
+    Mutant("OBJ v lines take z from the lower plane only", "mesh.py",
+           "2 * side + z + dz), axis=1)", "2 * side + z), axis=1)", "test_mesh.py"),
+    # fixed-width f lines
+    Mutant("OBJ f lines end in a space, not LF", "mesh.py",
+           "np.array([32, 32, 10], dtype=np.uint8)", "np.array([32, 32, 32], dtype=np.uint8)",
+           "test_mesh.py"),
+    Mutant("OBJ f line digits written in reverse order", "mesh.py",
+           "for i in reversed(range(w)):", "for i in range(w):", "test_mesh.py"),
+    Mutant("OBJ f lines of mixed widths take the fixed-width path", "mesh.py",
+           "if w != len(str(corners.max())):", "if w > len(str(corners.max())):",
            "test_mesh.py"),
     # 8 digits still round-trip every float32 coordinate up to n = 4, so
     # tier-1 sees it only in the pinned bytes; n = 5 has one that does not,

@@ -15,6 +15,7 @@ from spongeheat import analysis, mesh, metrics, voxel
 from spongeheat.metrics import ModelKind
 from mesh_geometry import StlGeometry
 from test_analysis import _interp  # piecewise log-linear, as the crossover tests check it
+from test_metrics import menger_surface_simplified  # the sponge surface's second form
 from test_voxel import table_bytes  # the line table's memory, as the voxel tests measure it
 
 MENGER = ModelKind.MENGER_SPONGE
@@ -104,7 +105,7 @@ def test_criterion_3_algebraic_identities():
         )
         assert r.R_n == coolant_ratio, n
         assert metrics.slice_volume(n) - Fraction(1, 2) == Fraction(1, 2 * 3**n), n
-        assert metrics.menger_surface(n) == metrics.menger_surface_simplified(n), n
+        assert metrics.menger_surface(n) == menger_surface_simplified(n), n
     print("\nACCEPTANCE 3 algebraic-identities: PASS (three identities, n=0..12, exact)")
 
 

@@ -86,6 +86,9 @@ def test_round_half_away_basics():
     assert round_half_away(Fraction(-15), -1) == "-20"
     assert round_half_away(Fraction(1249, 10), -2) == "100"
     assert round_half_away(Fraction(49), -2) == "0"
+    # zero has no sign, at any number of decimals
+    assert round_half_away(Fraction(0), 4) == "0.0000"
+    assert round_half_away(Fraction(0), 0) == "0"
 
 
 def test_shorthand_examples():
@@ -317,6 +320,16 @@ def test_crossover_requires_overlap():
     b = EfficiencySeries(SLICES, ((Fraction(10), Fraction(2)), (Fraction(20), Fraction(1))))
     with pytest.raises(ValueError, match="overlap"):
         find_crossover(a, b)
+
+
+def test_crossover_requires_more_than_one_shared_surface():
+    # the ranges meet at S = 10 only: no interval to look for a crossing in
+    a = EfficiencySeries(MENGER, ((Fraction(1), Fraction(2)), (Fraction(10), Fraction(1))))
+    b = EfficiencySeries(SLICES, ((Fraction(10), Fraction(2)), (Fraction(20), Fraction(1))))
+    with pytest.raises(ValueError) as raised:
+        find_crossover(a, b)
+    assert (type(raised.value), str(raised.value)) == (
+        ValueError, "series surface ranges do not overlap")
 
 
 def test_crossover_touch_without_undercut_is_not_a_crossing():

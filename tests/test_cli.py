@@ -192,6 +192,19 @@ def test_series(tmp_path, capsys):
     assert sum(line.startswith("slices,") for line in lines) == 7
 
 
+@pytest.mark.parametrize("command", ["table", "series"])
+def test_max_n_defaults_to_6(command, tmp_path, monkeypatch, capsys):
+    # crossover's default is pinned in the CLI corpus
+    monkeypatch.chdir(tmp_path)
+    out = ["--out", "out.csv"] if command == "series" else []
+    outputs = []
+    for max_n in ([], ["--max-n", "6"]):
+        assert run([command, *max_n, *out]) == 0
+        written = Path("out.csv").read_bytes() if out else b""
+        outputs.append((capsys.readouterr().out, written))
+    assert outputs[0] == outputs[1]
+
+
 def test_mesh_stl(tmp_path, capsys):
     out_path = tmp_path / "sponge.stl"
     assert run(["mesh", "--model", "menger", "--n", "1", "--format", "stl",
@@ -393,11 +406,12 @@ def test_out_writes_through_a_symlink(argv, module, name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,module,name", _WRITERS)
-@pytest.mark.parametrize("long", ["a" * 246 + ".csv", "é" * 127], ids=["ascii", "utf8"])
+@pytest.mark.parametrize("long", ["a" * 246 + ".csv", "é" * 127, "a" * 251 + ".csv"],
+                         ids=["ascii", "utf8", "ascii255"])
 def test_out_takes_a_long_legal_name(argv, module, name, long, tmp_path, capsys):
-    # 250 and 254 bytes: legal names, whose temporaries would break the
+    # 250, 254 and 255 bytes: legal names, whose temporaries would break the
     # 255-byte file-name limit without cutting
-    assert len(long.encode()) in (250, 254)
+    assert len(long.encode()) in (250, 254, 255)
     assert run([*argv, "--out", str(tmp_path / "short")]) == 0
     assert run([*argv, "--out", str(tmp_path / long)]) == 0, capsys.readouterr().err
     assert (tmp_path / long).read_bytes() == (tmp_path / "short").read_bytes()

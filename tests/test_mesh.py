@@ -398,3 +398,70 @@ def test_obj_round_trips_float32_exactly():
     for line in vs:
         for token in line.split()[1:]:
             assert np.float32(float(token)).tobytes() in allowed
+
+
+# -- OBJ face lines: fixed width and the % fallback ---------------------------------
+
+def _percent_faces(corners) -> bytes:
+    # the reference: each row of ids %-formatted as an f line
+    return b"".join(b"f %d %d %d\n" % tuple(row) for row in corners.tolist())
+
+
+def _count_calls(monkeypatch, name) -> list:
+    """Wrap ``mesh.<name>``; the returned list gets the id count of each
+    call's ``corners`` or ``fields``."""
+    calls, original = [], getattr(mesh, name)
+
+    def spy(sink, *args):
+        calls.append(np.size(args[-1]))
+        return original(sink, *args)
+
+    monkeypatch.setattr(mesh, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("w", range(1, 10))
+def test_fixed_width_faces_match_percent_formatting(w, monkeypatch):
+    # every id w digits long: both ends of the width, digits that differ
+    # from their neighbours, and random ones; a one-line chunk too
+    fallback = _count_calls(monkeypatch, "_write_lines")
+    lo, hi = 10 ** (w - 1), 10**w - 1
+    edges = [[lo, hi, lo + 1], [hi - 1, int("123456789"[:w]), int("987654321"[:w])]]
+    rng = np.random.default_rng(w)
+    corners = np.concatenate([edges, rng.integers(lo, hi + 1, size=(500, 3))]).astype(np.int32)
+    for chunk in (corners, corners[:1], corners[1:2]):
+        sink = io.BytesIO()
+        assert mesh._write_faces(sink, chunk) == len(sink.getvalue()) == len(chunk) * (3 * w + 5)
+        assert sink.getvalue() == _percent_faces(chunk)
+    assert fallback == []
+
+
+@pytest.mark.parametrize("below", [9, 999, 9_999_999])
+def test_faces_across_a_power_of_ten_fall_back(below, monkeypatch):
+    fallback = _count_calls(monkeypatch, "_write_lines")
+    corners = np.array([[below, below, below], [below, below + 1, below],
+                        [below + 1, below + 1, below + 1]], dtype=np.int32)
+    sink = io.BytesIO()
+    assert mesh._write_faces(sink, corners) == len(sink.getvalue())
+    assert sink.getvalue() == _percent_faces(corners)
+    assert fallback == [9]
+
+
+def test_empty_face_chunk():
+    sink = io.BytesIO()
+    assert mesh._write_faces(sink, np.zeros((0, 3), dtype=np.int32)) == 0
+    assert sink.getvalue() == b""
+
+
+def test_obj_pinned_through_both_face_paths(monkeypatch):
+    # chunks of 7 faces: most hold ids of one width, and those that cross
+    # 10, 100, 1000 or 10000 take the % fallback; the bytes are those of
+    # the %-only writer, pinned
+    monkeypatch.setattr(mesh, "_CHUNK", 7)
+    chunks = _count_calls(monkeypatch, "_write_faces")
+    fallback = _count_calls(monkeypatch, "_write_lines")
+    sink = _Sha256Sink()
+    write_obj(mesh_from_grid(build_grid(MENGER, 3)), sink)
+    assert sink.digest.hexdigest() == (
+        "66a7355bfb1ae63c5cb8beab360e8f9e8381de2e1a3b220b66ca5a63c734cb87")
+    assert 0 < len(fallback) < len(chunks)
