@@ -315,7 +315,7 @@ def _write_faces(sink, corners: np.ndarray) -> int:
         return 0
     w = len(str(corners.min()))
     if w != len(str(corners.max())):
-        return _write_lines(sink, "f %d %d %d\n", corners.ravel().tolist())
+        return _write_lines(sink, corners)
     lines = np.empty((len(corners), 3 * w + 5), dtype=np.uint8)
     lines[:, :2] = (ord("f"), 32)
     cells = lines[:, 2:].reshape(-1, 3, w + 1)  # a view: each id's digits and separator
@@ -330,8 +330,8 @@ def _write_faces(sink, corners: np.ndarray) -> int:
     return len(payload)
 
 
-def _write_lines(sink, line: str, fields: list) -> int:
-    # one ``line`` per three fields, formatted and written in one piece
-    payload = ((line * (len(fields) // 3)) % tuple(fields)).encode("ascii")
+def _write_lines(sink, corners: np.ndarray) -> int:
+    # the f lines of ``corners``, %-formatted and written in one piece
+    payload = (("f %d %d %d\n" * len(corners)) % tuple(corners.ravel().tolist())).encode("ascii")
     sink.write(payload)
     return len(payload)

@@ -408,13 +408,13 @@ def _percent_faces(corners) -> bytes:
 
 
 def _count_calls(monkeypatch, name) -> list:
-    """Wrap ``mesh.<name>``; the returned list gets the id count of each
-    call's ``corners`` or ``fields``."""
+    """Wrap the face writer ``mesh.<name>``; the returned list gets the id
+    count of each call's ``corners``."""
     calls, original = [], getattr(mesh, name)
 
-    def spy(sink, *args):
-        calls.append(np.size(args[-1]))
-        return original(sink, *args)
+    def spy(sink, corners):
+        calls.append(corners.size)
+        return original(sink, corners)
 
     monkeypatch.setattr(mesh, name, spy)
     return calls
