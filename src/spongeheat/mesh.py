@@ -29,8 +29,8 @@ the face pass.  So export memory is the row faces, one slab's int16 face
 list with its y index and one chunk, and not the mesh or a lattice table.
 OBJ text is built as uint8 arrays, with no Python formatting per number: v
 lines are gathered from a table of the lattice coordinates' labels, and a
-chunk's f lines are fixed-width digits when all its ids have one length,
-``%``-formatted otherwise.
+chunk's f lines are its ids' digits, written at the width of its greatest
+id with the leading zeros of shorter ids dropped.
 """
 from __future__ import annotations
 
@@ -305,17 +305,15 @@ _FACE_SEPARATORS = np.array([32, 32, 10], dtype=np.uint8)
 
 def _write_faces(sink, corners: np.ndarray) -> int:
     """Write one ``f a b c`` line per row of the (K, 3) id array
-    ``corners``, ids >= 1, in one piece; return the byte count.
+    ``corners``, K >= 1 and ids >= 1, in one piece; return the byte count.
 
-    When the least and the greatest id have the same number of digits, w,
-    every line is 3w + 5 bytes: the lines are one (K, 3w + 5) uint8 array,
-    and w divisions by 10 give the digits, last first.  Otherwise (46 of the
-    3,296 chunks of the n = 5 sponge) they go through :func:`_write_lines`."""
-    if not len(corners):
-        return 0
-    w = len(str(corners.min()))
-    if w != len(str(corners.max())):
-        return _write_lines(sink, corners)
+    The lines are one (K, 3w + 5) uint8 array, w the digit count of the
+    greatest id, and w divisions by 10 give each id's digits, last first.
+    When the least id is shorter, the leading zeros of every shorter id are
+    set to NUL and dropped, as the vertex pass drops its padding; only such
+    chunks are compacted, since compacting all of them slows the write by
+    a third."""
+    w = len(str(corners.max()))
     lines = np.empty((len(corners), 3 * w + 5), dtype=np.uint8)
     lines[:, :2] = (ord("f"), 32)
     cells = lines[:, 2:].reshape(-1, 3, w + 1)  # a view: each id's digits and separator
@@ -325,13 +323,9 @@ def _write_faces(sink, corners: np.ndarray) -> int:
         quotient = rest // 10  # np.divmod is slower: it does not divide by a constant
         cells[..., i] = rest - quotient * 10 + 48
         rest = quotient
+    if corners.min() < 10 ** (w - 1):  # digit i of an id below 10^(w-1-i) is a leading zero
+        cells[..., :w][corners[..., None] < 10 ** np.arange(w - 1, -1, -1)] = 0
+        lines = lines[lines != 0]
     payload = lines.tobytes()
-    sink.write(payload)
-    return len(payload)
-
-
-def _write_lines(sink, corners: np.ndarray) -> int:
-    # the f lines of ``corners``, %-formatted and written in one piece
-    payload = (("f %d %d %d\n" * len(corners)) % tuple(corners.ravel().tolist())).encode("ascii")
     sink.write(payload)
     return len(payload)

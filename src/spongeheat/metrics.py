@@ -150,6 +150,10 @@ def model_slab_count(kind: ModelKind, n: int, z: int) -> int:
     all z the layers sum to ``model_volume`` times 27^n.
     """
     n = check_iteration(n)
+    try:
+        z = operator.index(z)
+    except TypeError:
+        raise ValueError(f"layer must be an integer, got {z!r}") from None
     if not 0 <= z < 3**n:
         raise ValueError(f"layer {z} outside [0, {3**n})")
     if kind is ModelKind.SLICES:

@@ -159,15 +159,17 @@ MUTANTS = (
            "test_mesh.py"),
     Mutant("OBJ v lines take z from the lower plane only", "mesh.py",
            "2 * side + z + dz), axis=1)", "2 * side + z), axis=1)", "test_mesh.py"),
-    # fixed-width f lines
+    # f lines: digits at the widest id's width, shorter ids' leading zeros dropped
     Mutant("OBJ f lines end in a space, not LF", "mesh.py",
            "np.array([32, 32, 10], dtype=np.uint8)", "np.array([32, 32, 32], dtype=np.uint8)",
            "test_mesh.py"),
     Mutant("OBJ f line digits written in reverse order", "mesh.py",
            "for i in reversed(range(w)):", "for i in range(w):", "test_mesh.py"),
-    Mutant("OBJ f lines of mixed widths take the fixed-width path", "mesh.py",
-           "if w != len(str(corners.max())):", "if w > len(str(corners.max())):",
+    Mutant("OBJ f lines one digit shorter than the widest keep a leading zero", "mesh.py",
+           "if corners.min() < 10 ** (w - 1):", "if corners.min() < 10 ** (w - 2):",
            "test_mesh.py"),
+    Mutant("OBJ f line ids that are an exact power of ten lose their leading 1", "mesh.py",
+           "corners[..., None] < 10 **", "corners[..., None] <= 10 **", "test_mesh.py"),
     # 8 digits still round-trip every float32 coordinate up to n = 4, so
     # tier-1 sees it only in the pinned bytes; n = 5 has one that does not,
     # which CI's decode of the n = 5 OBJ against the STL catches

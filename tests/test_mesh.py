@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spongeheat import mesh, metrics, voxel
 from spongeheat.mesh import mesh_from_grid, write_obj, write_stl_binary
@@ -400,68 +402,68 @@ def test_obj_round_trips_float32_exactly():
             assert np.float32(float(token)).tobytes() in allowed
 
 
-# -- OBJ face lines: fixed width and the % fallback ---------------------------------
+# -- OBJ face lines against %-formatting --------------------------------------------
 
 def _percent_faces(corners) -> bytes:
     # the reference: each row of ids %-formatted as an f line
     return b"".join(b"f %d %d %d\n" % tuple(row) for row in corners.tolist())
 
 
-def _count_calls(monkeypatch, name) -> list:
-    """Wrap the face writer ``mesh.<name>``; the returned list gets the id
-    count of each call's ``corners``."""
-    calls, original = [], getattr(mesh, name)
-
-    def spy(sink, corners):
-        calls.append(corners.size)
-        return original(sink, corners)
-
-    monkeypatch.setattr(mesh, name, spy)
-    return calls
+def _assert_percent_faces(corners) -> None:
+    sink = io.BytesIO()
+    assert mesh._write_faces(sink, corners) == len(sink.getvalue())
+    assert sink.getvalue() == _percent_faces(corners)
 
 
 @pytest.mark.parametrize("w", range(1, 10))
-def test_fixed_width_faces_match_percent_formatting(w, monkeypatch):
+def test_fixed_width_faces_match_percent_formatting(w):
     # every id w digits long: both ends of the width, digits that differ
     # from their neighbours, and random ones; a one-line chunk too
-    fallback = _count_calls(monkeypatch, "_write_lines")
     lo, hi = 10 ** (w - 1), 10**w - 1
     edges = [[lo, hi, lo + 1], [hi - 1, int("123456789"[:w]), int("987654321"[:w])]]
     rng = np.random.default_rng(w)
     corners = np.concatenate([edges, rng.integers(lo, hi + 1, size=(500, 3))]).astype(np.int32)
     for chunk in (corners, corners[:1], corners[1:2]):
-        sink = io.BytesIO()
-        assert mesh._write_faces(sink, chunk) == len(sink.getvalue()) == len(chunk) * (3 * w + 5)
-        assert sink.getvalue() == _percent_faces(chunk)
-    assert fallback == []
+        _assert_percent_faces(chunk)
+        assert len(_percent_faces(chunk)) == len(chunk) * (3 * w + 5)
 
 
 @pytest.mark.parametrize("below", [9, 999, 9_999_999])
-def test_faces_across_a_power_of_ten_fall_back(below, monkeypatch):
-    fallback = _count_calls(monkeypatch, "_write_lines")
-    corners = np.array([[below, below, below], [below, below + 1, below],
-                        [below + 1, below + 1, below + 1]], dtype=np.int32)
-    sink = io.BytesIO()
-    assert mesh._write_faces(sink, corners) == len(sink.getvalue())
-    assert sink.getvalue() == _percent_faces(corners)
-    assert fallback == [9]
+def test_faces_across_a_power_of_ten(below):
+    # ids one digit apart, in every place of a line, and a line of the
+    # shorter width alone
+    _assert_percent_faces(np.array([[below, below, below], [below, below + 1, below],
+                                    [below + 1, below, below + 1], [below + 1] * 3],
+                                   dtype=np.int32))
 
 
-def test_empty_face_chunk():
-    sink = io.BytesIO()
-    assert mesh._write_faces(sink, np.zeros((0, 3), dtype=np.int32)) == 0
-    assert sink.getvalue() == b""
+def test_faces_hold_every_power_of_ten():
+    # each exact power of ten 10^0 .. 10^9 keeps its leading 1, next to
+    # the ids one below it and single digits
+    powers = [10**e for e in range(10)]
+    _assert_percent_faces(np.array([powers[:3], powers[3:6], powers[6:9], [powers[9], 7, 1],
+                                    [p - 1 for p in powers[7:]], [3, 10, 99_999]],
+                                   dtype=np.int32))
 
 
-def test_obj_pinned_through_both_face_paths(monkeypatch):
+_IDS = st.one_of(
+    st.integers(1, 2**31 - 1),
+    st.integers(0, 9).flatmap(lambda e: st.integers(10**e, min(10 ** (e + 1), 2**31) - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_IDS, _IDS, _IDS), min_size=1, max_size=40))
+def test_faces_match_percent_formatting_for_any_ids(rows):
+    # any int32 ids, of one width or of many
+    _assert_percent_faces(np.array(rows, dtype=np.int32))
+
+
+def test_obj_pinned_in_chunks_of_7(monkeypatch):
     # chunks of 7 faces: most hold ids of one width, and those that cross
-    # 10, 100, 1000 or 10000 take the % fallback; the bytes are those of
+    # 10, 100, 1000 or 10000 drop leading zeros; the bytes are those of
     # the %-only writer, pinned
     monkeypatch.setattr(mesh, "_CHUNK", 7)
-    chunks = _count_calls(monkeypatch, "_write_faces")
-    fallback = _count_calls(monkeypatch, "_write_lines")
     sink = _Sha256Sink()
     write_obj(mesh_from_grid(build_grid(MENGER, 3)), sink)
     assert sink.digest.hexdigest() == (
         "66a7355bfb1ae63c5cb8beab360e8f9e8381de2e1a3b220b66ca5a63c734cb87")
-    assert 0 < len(fallback) < len(chunks)

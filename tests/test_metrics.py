@@ -159,7 +159,7 @@ def test_slab_counts_sum_to_volume():
     assert [metrics.model_slab_count(MENGER, 2, z) for z in range(9)] == [
         64, 32, 64, 32, 16, 32, 64, 32, 64]
     assert [metrics.model_slab_count(SLICES, 1, z) for z in range(3)] == [9, 0, 9]
-    for z in (-1, 9):
+    for z in (-1, 9, 0.5, 1.0):
         with pytest.raises(ValueError):
             metrics.model_slab_count(MENGER, 2, z)
 
