@@ -80,6 +80,10 @@ CORPUS = {
     "table --max-n 3 extra": "48e3b273fede6fe72b26316a14bef21d8fd40fe035c68452a765b3eb9d6a2645",
     # the oracle's report for a command that passes
     "voxel-verify --model menger --n 3": "3a2dbb1669e001a2c83c3a0ffead2e2ce239f6c2c56e04048e4b5572cede08de",
+    "voxel-verify --model slices --n 3": "4a9114f842b4078cfa114ed39506baeb35bd8fafac6ea9ec01ce91bb8c8992ce",
+    # n = 0: both models are the unit cube
+    "voxel-verify --model slices --n 0": "6fc3e51346e77480053c25453aa3bf7f7f718efa1943944232af3af42b7b8827",
+    "voxel-verify --model menger --n 0": "c629b53011f557a81359fd45701fdfebdd6bf49fff00189952b2c507388c1383",
 }
 
 
