@@ -50,13 +50,13 @@ def table_row(n: int) -> EfficiencyRow:
     """All 13 columns for iteration order n, populated from the closed forms."""
     n = check_iteration(n)
     r_e, r_s, r_n = metrics.ratios(n)
+    sponge, slices = ModelKind.MENGER_SPONGE, ModelKind.SLICES
     return EfficiencyRow(
         n=n, rho=metrics.slice_count(n), L=metrics.char_length(n),
-        V_M=metrics.menger_volume(n), V_s=metrics.slice_volume(n),
-        S_M=metrics.menger_surface(n), S_s=metrics.slice_surface(n),
+        V_M=metrics.model_volume(sponge, n), V_s=metrics.model_volume(slices, n),
+        S_M=metrics.model_surface(sponge, n), S_s=metrics.model_surface(slices, n),
         V_tot=metrics.total_volume(n),
-        E_M=metrics.efficiency(ModelKind.MENGER_SPONGE, n),
-        E_s=metrics.efficiency(ModelKind.SLICES, n),
+        E_M=metrics.efficiency(sponge, n), E_s=metrics.efficiency(slices, n),
         R_E=r_e, R_S=r_s, R_n=r_n,
     )
 

@@ -277,7 +277,8 @@ def write_obj(m: MeshBuffer, sink) -> int:
     its f lines are built as bytes by :func:`_write_faces`.
     Memory is one int32 id per corner of two z-planes, 2 * (3^n + 1)^2 of
     them, plus the row faces, one slab's int16 face list and one chunk's
-    keys and lines (at most ``6 * _CHUNK`` vertex ids).
+    keys and lines (at most ``6 * _CHUNK`` vertex ids).  Raises ValueError
+    if the f lines written do not match ``m.triangle_count``.
     """
     side = m.grid.resolution + 1
     # row a * side + i: lattice index i's label as coordinate a of a v line,
@@ -286,7 +287,7 @@ def write_obj(m: MeshBuffer, sink) -> int:
     labels = np.array([(head + label + tail).encode("ascii")
                        for head, tail in (("v ", " "), ("", " "), ("", "\n"))
                        for label in text], dtype="S").view(np.uint8).reshape(3 * side, -1)
-    nbytes = 0
+    nbytes = triangles = 0
     for z, _, fresh, _ in _numbered(m.grid):
         dz, y, x = np.unravel_index(fresh, (2, side, side))
         lines = np.take(labels, np.stack((x, side + y, 2 * side + z + dz), axis=1), axis=0)
@@ -296,6 +297,9 @@ def write_obj(m: MeshBuffer, sink) -> int:
     for _, keys, _, ids in _numbered(m.grid):
         corners = np.take(np.take(ids, keys), _QUAD_TRIANGLES, axis=1).reshape(-1, 3)
         nbytes += _write_faces(sink, corners)
+        triangles += len(corners)
+    if triangles != m.triangle_count:
+        raise ValueError(f"wrote {triangles} f lines, the mesh holds {m.triangle_count} triangles")
     return nbytes
 
 

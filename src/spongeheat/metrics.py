@@ -13,7 +13,8 @@ The two geometries, parameterised by the iteration order ``n``:
 * Menger sponge -- the fractal obtained by recursively removing the 7 center
   subcubes of each 3x3x3 subdivision, leaving 20.
 
-All functions are pure and safe to call concurrently.
+Each per-model quantity is one function of ``(kind, n)``, with no second
+entry per model.  All functions are pure and safe to call concurrently.
 """
 from __future__ import annotations
 
@@ -72,52 +73,34 @@ def slice_count(n: int) -> int:
     return 3**n // 2 + 1
 
 
-def slice_volume(n: int) -> Fraction:
-    """Substrate volume of the slice model, rho * L = 1/2 + 1/(2*3^n)."""
-    return slice_count(n) * char_length(n)
-
-
-def slice_surface(n: int) -> Fraction:
-    """Surface of the slice model, rho * (2 + 4L): both plate faces plus the
-    four edge strips of every plate."""
-    return slice_count(n) * (2 + 4 * char_length(n))
-
-
-def menger_volume(n: int) -> Fraction:
-    """Volume of the level-n Menger sponge, (20/27)^n."""
-    n = check_iteration(n)
-    return Fraction(20, 27) ** n
-
-
-def menger_surface(n: int) -> Fraction:
-    """Surface of the level-n Menger sponge.
-
-    Evaluated as the product form (1/9) * (20/9)^(n-1) * (40 + 80*(2/5)^n);
-    at n = 0 the rational negative power makes this reduce exactly to 6, the
-    unit cube.  Algebraically identical to (2*20^n + 4*8^n)/9^n, which the
-    test suite checks by exact equality for every admissible n.
-    """
-    n = check_iteration(n)
-    return Fraction(1, 9) * Fraction(20, 9) ** (n - 1) * (40 + 80 * Fraction(2, 5) ** n)
-
-
 def total_volume(n: int) -> Fraction:
     """Volume (1 + 2L)^3 of the wrapping cube that holds model plus coolant."""
     return (1 + 2 * char_length(n)) ** 3
 
 
 def model_volume(kind: ModelKind, n: int) -> Fraction:
-    """Substrate volume of either model."""
+    """Substrate volume of either model: rho * L = 1/2 + 1/(2*3^n) for the
+    slices, (20/27)^n for the level-n Menger sponge."""
     if kind is ModelKind.SLICES:
-        return slice_volume(n)
-    return menger_volume(n)
+        return slice_count(n) * char_length(n)
+    n = check_iteration(n)
+    return Fraction(20, 27) ** n
 
 
 def model_surface(kind: ModelKind, n: int) -> Fraction:
-    """Heat-emitting surface of either model."""
+    """Heat-emitting surface of either model.
+
+    The slices expose rho * (2 + 4L): both plate faces plus the four edge
+    strips of every plate.  The sponge's is evaluated as the product form
+    (1/9) * (20/9)^(n-1) * (40 + 80*(2/5)^n); at n = 0 the rational negative
+    power makes this reduce exactly to 6, the unit cube.  Algebraically
+    identical to (2*20^n + 4*8^n)/9^n, which the test suite checks by exact
+    equality for every admissible n.
+    """
     if kind is ModelKind.SLICES:
-        return slice_surface(n)
-    return menger_surface(n)
+        return slice_count(n) * (2 + 4 * char_length(n))
+    n = check_iteration(n)
+    return Fraction(1, 9) * Fraction(20, 9) ** (n - 1) * (40 + 80 * Fraction(2, 5) ** n)
 
 
 #: Face directions in the order of :func:`model_face_counts`.
@@ -191,5 +174,5 @@ def ratios(n: int) -> Ratios:
     """
     n = check_iteration(n)
     r_e = efficiency(ModelKind.MENGER_SPONGE, n) / efficiency(ModelKind.SLICES, n)
-    r_s = menger_surface(n) / slice_surface(n)
+    r_s = model_surface(ModelKind.MENGER_SPONGE, n) / model_surface(ModelKind.SLICES, n)
     return Ratios(r_e, r_s, r_e * r_s)

@@ -130,6 +130,17 @@ MUTANTS = (
            "return 3**n // 2 + 1", "return 3**n // 2", "test_metrics.py"),
     Mutant("a sponge layer ignores its digits equal to 1", "metrics.py",
            "8 ** (n - k)", "8 ** n", "test_metrics.py"),
+    Mutant("the sponge volume skips its range check on n", "metrics.py",
+           "    n = check_iteration(n)\n    return Fraction(20, 27) ** n",
+           "    return Fraction(20, 27) ** n", "test_metrics.py"),
+    Mutant("the sponge surface skips its range check on n", "metrics.py",
+           "    n = check_iteration(n)\n    return Fraction(1, 9)", "    return Fraction(1, 9)",
+           "test_metrics.py"),
+    Mutant("face counts skip the range check on n", "metrics.py",
+           "    n = check_iteration(n)\n    if kind is ModelKind.SLICES:\n        rho",
+           "    if kind is ModelKind.SLICES:\n        rho", "test_metrics.py"),
+    Mutant("slab counts skip the range check on n", "metrics.py",
+           "    n = check_iteration(n)\n    try:", "    try:", "test_metrics.py"),
     # meshes
     Mutant("OBJ ids of the lower z-plane not kept from the slab below", "mesh.py",
            "ids[:plane] = ids[plane:]", "ids[:plane] = 0", "test_mesh.py"),
@@ -153,6 +164,8 @@ MUTANTS = (
     Mutant("STL header announces one triangle too many", "mesh.py",
            'struct.pack("<I", m.triangle_count)', 'struct.pack("<I", m.triangle_count + 1)',
            "test_mesh.py"),
+    Mutant("OBJ f lines go unchecked against the triangle count", "mesh.py",
+           "if triangles != m.triangle_count:", "if False:", "test_mesh.py"),
     Mutant("lattice coordinates rounded through float16", "mesh.py",
            "(np.arange(res + 1) * (1.0 / res)).astype(np.float32)",
            "(np.arange(res + 1) * (1.0 / res)).astype(np.float16).astype(np.float32)",

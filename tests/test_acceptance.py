@@ -100,12 +100,12 @@ def test_criterion_3_algebraic_identities():
     for n in range(metrics.CLOSED_FORM_CAP + 1):
         r = metrics.ratios(n)
         coolant_ratio = (
-            (metrics.total_volume(n) - metrics.menger_volume(n))
-            / (metrics.total_volume(n) - metrics.slice_volume(n))
+            (metrics.total_volume(n) - metrics.model_volume(MENGER, n))
+            / (metrics.total_volume(n) - metrics.model_volume(SLICES, n))
         )
         assert r.R_n == coolant_ratio, n
-        assert metrics.slice_volume(n) - Fraction(1, 2) == Fraction(1, 2 * 3**n), n
-        assert metrics.menger_surface(n) == menger_surface_simplified(n), n
+        assert metrics.model_volume(SLICES, n) - Fraction(1, 2) == Fraction(1, 2 * 3**n), n
+        assert metrics.model_surface(MENGER, n) == menger_surface_simplified(n), n
     print("\nACCEPTANCE 3 algebraic-identities: PASS (three identities, n=0..12, exact)")
 
 

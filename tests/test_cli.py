@@ -75,7 +75,9 @@ def test_voxel_verify_slices(capsys):
 
 
 def test_voxel_verify_mismatch_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(metrics, "menger_volume", lambda n: Fraction(1, 2))
+    volume = metrics.model_volume  # a fault in the sponge's volume only
+    monkeypatch.setattr(metrics, "model_volume", lambda kind, n: (
+        Fraction(1, 2) if kind is metrics.ModelKind.MENGER_SPONGE else volume(kind, n)))
     assert run(["voxel-verify", "--model", "menger", "--n", "1"]) == 2
     out, err = capsys.readouterr()
     assert "FAIL" in out and "MISMATCH" in out
@@ -137,7 +139,7 @@ def test_voxel_verify_counts_faces_once(fault, capsys, monkeypatch):
     # and slab reports: the grid is measured once and its solid cells are
     # summed once
     if fault:
-        monkeypatch.setattr(metrics, "menger_surface", lambda n: Fraction(1, 2))
+        monkeypatch.setattr(metrics, "model_surface", lambda kind, n: Fraction(1, 2))
     calls = []
 
     def counted(name):

@@ -60,6 +60,15 @@ def test_stl_rejects_wrong_triangle_count():
         write_stl_binary(m, io.BytesIO())
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_obj_rejects_wrong_triangle_count(extra):
+    # the CLI prints triangle_count for either format, so the OBJ must hold it
+    m = mesh_from_grid(build_grid(MENGER, 1))
+    m = m._replace(triangle_count=m.triangle_count + extra)
+    with pytest.raises(ValueError, match="triangles"):
+        write_obj(m, io.BytesIO())
+
+
 class _ByteCounter:
     def __init__(self):
         self.nbytes = 0

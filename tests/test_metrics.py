@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -13,12 +14,12 @@ from spongeheat.metrics import (
     char_length,
     coolant_volume,
     efficiency,
-    menger_surface,
-    menger_volume,
+    model_face_counts,
+    model_slab_count,
+    model_surface,
+    model_volume,
     ratios,
     slice_count,
-    slice_surface,
-    slice_volume,
     total_volume,
 )
 
@@ -44,12 +45,12 @@ def test_slice_count_closed_form():
 
 @pytest.mark.parametrize("n,expected", [(0, 1), (2, Fraction(5, 9)), (5, Fraction(122, 243))])
 def test_slice_volume(n, expected):
-    assert slice_volume(n) == expected
+    assert model_volume(SLICES, n) == expected
 
 
 @pytest.mark.parametrize("n,expected", [(0, 6), (1, Fraction(20, 3)), (4, Fraction(6806, 81))])
 def test_slice_surface(n, expected):
-    assert slice_surface(n) == expected
+    assert model_surface(SLICES, n) == expected
 
 
 @pytest.mark.parametrize(
@@ -57,12 +58,12 @@ def test_slice_surface(n, expected):
     [(0, 1), (2, Fraction(400, 729)), (6, Fraction(64000000, 387420489))],
 )
 def test_menger_volume(n, expected):
-    assert menger_volume(n) == expected
+    assert model_volume(MENGER, n) == expected
 
 
 @pytest.mark.parametrize("n,expected", [(0, 6), (1, 8), (2, Fraction(1056, 81))])
 def test_menger_surface(n, expected):
-    assert menger_surface(n) == expected
+    assert model_surface(MENGER, n) == expected
 
 
 @pytest.mark.parametrize(
@@ -111,8 +112,14 @@ def test_ratios(n, expected):
 
 @pytest.mark.parametrize("bad", [-1, 13, 100])
 def test_iteration_cap(bad):
-    for fn in (char_length, slice_count, slice_volume, slice_surface,
-               menger_volume, menger_surface, total_volume, ratios):
+    # every function of n refuses it outside the cap; the sponge branches of
+    # model_volume and model_surface check n themselves
+    calls = [char_length, slice_count, total_volume, ratios]
+    for kind in ModelKind:
+        calls += [partial(fn, kind) for fn in (model_volume, model_surface, model_face_counts,
+                                               coolant_volume, efficiency)]
+        calls.append(lambda n, kind=kind: model_slab_count(kind, n, 0))
+    for fn in calls:
         with pytest.raises(IterationOutOfRangeError):
             fn(bad)
 
@@ -135,7 +142,7 @@ def menger_surface_simplified(n: int) -> Fraction:
 
 def test_surface_forms_identical():
     for n in range(CLOSED_FORM_CAP + 1):
-        assert menger_surface(n) == menger_surface_simplified(n)
+        assert model_surface(MENGER, n) == menger_surface_simplified(n)
 
 
 def test_face_counts_sum_to_surface():
@@ -166,29 +173,30 @@ def test_slab_counts_sum_to_volume():
 
 def test_quality_ratio_equals_coolant_ratio():
     for n in range(CLOSED_FORM_CAP + 1):
-        want = (total_volume(n) - menger_volume(n)) / (total_volume(n) - slice_volume(n))
+        want = ((total_volume(n) - model_volume(MENGER, n))
+                / (total_volume(n) - model_volume(SLICES, n)))
         assert ratios(n).R_n == want
 
 
 def test_slice_volume_asymptotics():
     # V_s approaches 1/2 with exact excess 1/(2*3^n)
     for n in range(CLOSED_FORM_CAP + 1):
-        assert slice_volume(n) - Fraction(1, 2) == Fraction(1, 2 * 3**n)
+        assert model_volume(SLICES, n) - Fraction(1, 2) == Fraction(1, 2 * 3**n)
 
 
 def test_results_are_reduced_rationals():
     for n in range(CLOSED_FORM_CAP + 1):
-        for value in (slice_volume(n), slice_surface(n), menger_volume(n),
-                      menger_surface(n), total_volume(n), efficiency(MENGER, n)):
+        for value in (model_volume(SLICES, n), model_surface(SLICES, n), model_volume(MENGER, n),
+                      model_surface(MENGER, n), total_volume(n), efficiency(MENGER, n)):
             assert isinstance(value, Fraction)
             assert math.gcd(value.numerator, value.denominator) == 1
 
 
 def test_monotonicity():
-    vm = [menger_volume(n) for n in range(CLOSED_FORM_CAP + 1)]
-    vs = [slice_volume(n) for n in range(CLOSED_FORM_CAP + 1)]
-    sm = [menger_surface(n) for n in range(CLOSED_FORM_CAP + 1)]
-    ss = [slice_surface(n) for n in range(CLOSED_FORM_CAP + 1)]
+    vm = [model_volume(MENGER, n) for n in range(CLOSED_FORM_CAP + 1)]
+    vs = [model_volume(SLICES, n) for n in range(CLOSED_FORM_CAP + 1)]
+    sm = [model_surface(MENGER, n) for n in range(CLOSED_FORM_CAP + 1)]
+    ss = [model_surface(SLICES, n) for n in range(CLOSED_FORM_CAP + 1)]
     assert all(a > b for a, b in zip(vm, vm[1:]))
     assert all(a > b for a, b in zip(vs, vs[1:]))
     assert all(a < b for a, b in zip(sm[1:], sm[2:]))
