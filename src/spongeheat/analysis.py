@@ -47,17 +47,20 @@ EFFICIENCY_COLUMNS = ("E_M", "E_s")
 
 
 def table_row(n: int) -> EfficiencyRow:
-    """All 13 columns for iteration order n, populated from the closed forms."""
+    """All 13 columns for iteration order n, populated from the closed forms.
+    The ratios between the two models are composed from the row's own
+    columns: R_E = E_M/E_s, R_S = S_M/S_s and R_n = R_E * R_S, above 1 where
+    the sponge cools better and equal to (V_tot - V_M)/(V_tot - V_s)."""
     n = check_iteration(n)
-    r_e, r_s, r_n = metrics.ratios(n)
     sponge, slices = ModelKind.MENGER_SPONGE, ModelKind.SLICES
+    s_m, s_s = metrics.model_surface(sponge, n), metrics.model_surface(slices, n)
+    e_m, e_s = metrics.efficiency(sponge, n), metrics.efficiency(slices, n)
+    r_e, r_s = e_m / e_s, s_m / s_s
     return EfficiencyRow(
         n=n, rho=metrics.slice_count(n), L=metrics.char_length(n),
         V_M=metrics.model_volume(sponge, n), V_s=metrics.model_volume(slices, n),
-        S_M=metrics.model_surface(sponge, n), S_s=metrics.model_surface(slices, n),
-        V_tot=metrics.total_volume(n),
-        E_M=metrics.efficiency(sponge, n), E_s=metrics.efficiency(slices, n),
-        R_E=r_e, R_S=r_s, R_n=r_n,
+        S_M=s_m, S_s=s_s, V_tot=metrics.total_volume(n), E_M=e_m, E_s=e_s,
+        R_E=r_e, R_S=r_s, R_n=r_e * r_s,
     )
 
 

@@ -79,18 +79,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_out(path: str) -> None:
     """Refuse an ``--out`` that names a directory or an existing file that
-    is not a regular one (a FIFO or a device, which the rename would
-    replace), that lies, or links, into a directory that does not exist,
-    or whose file name passes the 255-byte limit; commands call this before
-    doing any other work."""
+    is not a regular one (a FIFO, a device or a symlink loop, which the
+    rename would replace), that lies, or links, into a directory that does
+    not exist, or whose file name passes the 255-byte limit; commands call
+    this before doing any other work."""
     head, tail = os.path.split(path)
     if not tail or os.path.isdir(path):
         raise IsADirectoryError(f"--out must name a file, not a directory: {path!r}")
-    if os.path.exists(path) and not os.path.isfile(path):
+    target = os.path.realpath(path)  # stops at a link only where links loop
+    if os.path.islink(target) or os.path.exists(path) and not os.path.isfile(path):
         raise OSError(f"--out must name a regular file: {path!r}")
     if head and not os.path.isdir(head):
         raise FileNotFoundError(f"--out directory does not exist: {head!r}")
-    target_head, target_tail = os.path.split(os.path.realpath(path))
+    target_head, target_tail = os.path.split(target)
     if not os.path.isdir(target_head):
         raise FileNotFoundError(f"--out links into a directory that does not exist: {path!r}")
     if len(os.fsencode(target_tail)) > 255:

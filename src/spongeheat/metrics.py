@@ -14,14 +14,15 @@ The two geometries, parameterised by the iteration order ``n``:
   subcubes of each 3x3x3 subdivision, leaving 20.
 
 Each per-model quantity is one function of ``(kind, n)``, with no second
-entry per model.  All functions are pure and safe to call concurrently.
+entry per model.  The ratios between the two models are composed by
+``analysis.table_row`` from its own columns.  All functions are pure and
+safe to call concurrently.
 """
 from __future__ import annotations
 
 import enum
 import operator
 from fractions import Fraction
-from typing import NamedTuple
 
 #: Every range check on n compares against one of the two caps below, and no
 #: option moves them.  They live in this numpy-free module so that the CLI
@@ -145,34 +146,8 @@ def model_slab_count(kind: ModelKind, n: int, z: int) -> int:
     return 4**k * 8 ** (n - k)
 
 
-def coolant_volume(kind: ModelKind, n: int) -> Fraction:
-    """Coolant volume: wrapping cube minus substrate.  Strictly positive for n >= 1."""
-    return total_volume(n) - model_volume(kind, n)
-
-
 def efficiency(kind: ModelKind, n: int) -> Fraction:
-    """Coolant volume available per unit of heat-emitting surface.
-
-    Smaller values mean a thermally harder configuration.
-    """
-    return coolant_volume(kind, n) / model_surface(kind, n)
-
-
-class Ratios(NamedTuple):
-    R_E: Fraction
-    R_S: Fraction
-    R_n: Fraction
-
-
-def ratios(n: int) -> Ratios:
-    """Efficiency ratio R_E = E_M/E_s, surface ratio R_S = S_M/S_s and the
-    quality ratio R_n = R_E * R_S.
-
-    R_n > 1 means the sponge is the thermally better configuration.  By
-    construction R_n equals the coolant-volume ratio
-    (V_tot - V_M)/(V_tot - V_s) exactly.
-    """
-    n = check_iteration(n)
-    r_e = efficiency(ModelKind.MENGER_SPONGE, n) / efficiency(ModelKind.SLICES, n)
-    r_s = model_surface(ModelKind.MENGER_SPONGE, n) / model_surface(ModelKind.SLICES, n)
-    return Ratios(r_e, r_s, r_e * r_s)
+    """Coolant volume, the wrapping cube minus the substrate, available per
+    unit of heat-emitting surface; smaller values mean a thermally harder
+    configuration."""
+    return (total_volume(n) - model_volume(kind, n)) / model_surface(kind, n)

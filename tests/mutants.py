@@ -83,6 +83,11 @@ MUTANTS = (
     Mutant("zero rendered with a minus sign", "analysis.py",
            'sign = "-" if value < 0 else ""', 'sign = "-" if value <= 0 else ""',
            "test_analysis.py"),
+    # table rows: the ratios are composed from the row's own columns
+    Mutant("R_E inverted", "analysis.py", "e_m / e_s", "e_s / e_m", "test_analysis.py"),
+    Mutant("R_S inverted", "analysis.py", "s_m / s_s", "s_s / s_m", "test_analysis.py"),
+    Mutant("R_n without its R_S factor", "analysis.py", "R_n=r_e * r_s", "R_n=r_e",
+           "test_analysis.py"),
     # crossover
     Mutant("a touch between two undercuts counts as the crossing", "analysis.py",
            "if d > 0 and undercut:", "if d >= 0 and undercut:", "test_analysis.py"),
@@ -98,6 +103,8 @@ MUTANTS = (
            "os.remove(temporary)", "pass", "test_cli.py"),
     Mutant("the FAIL report lists every mismatching slab", "cli.py",
            "                break\n", "", "test_cli.py"),
+    Mutant("a symlink loop given as --out is let through", "cli.py",
+           "if os.path.islink(target) or ", "if ", "test_cli.py"),
     Mutant("a 256-byte --out name is let through", "cli.py",
            "if len(os.fsencode(target_tail)) > 255:",
            "if len(os.fsencode(target_tail)) > 256:", "test_cli.py"),

@@ -98,7 +98,7 @@ def test_criterion_3_algebraic_identities():
     """Exact equality for n = 0..12 of the quality-ratio identity, the slice
     volume asymptotics, and the two sponge-surface forms."""
     for n in range(metrics.CLOSED_FORM_CAP + 1):
-        r = metrics.ratios(n)
+        r = analysis.table_row(n)
         coolant_ratio = (
             (metrics.total_volume(n) - metrics.model_volume(MENGER, n))
             / (metrics.total_volume(n) - metrics.model_volume(SLICES, n))
@@ -136,7 +136,7 @@ def test_criterion_4_crossover_property():
 def test_criterion_5_threshold_reproduction():
     """Smallest n with R_n > 1 is 2, R_1 < 1, R_n strictly increasing for
     n = 1..6; the README documents the published prose discrepancy."""
-    rn = [metrics.ratios(n).R_n for n in range(7)]
+    rn = [analysis.table_row(n).R_n for n in range(7)]
     assert rn[1] < 1
     assert min(n for n in range(7) if rn[n] > 1) == 2
     assert analysis.format_paper_precision(analysis.table_row(2))["R_n"] == "1.0054"

@@ -394,6 +394,26 @@ def test_out_refuses_a_special_file(argv, module, name, tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize("argv,module,name", _WRITERS)
+def test_out_refuses_a_symlink_loop(argv, module, name, tmp_path, capsys, monkeypatch):
+    # a loop neither exists nor is a regular file, and the rename into place
+    # would swap the link for a regular file: it is refused before any work,
+    # and both links stay as they were
+    def refuse(*args, **kwargs):
+        raise AssertionError("no grid may be built and no writer may run")
+
+    for patched_module, patched_name in [(voxel, "build_grid"), (module, name)]:
+        monkeypatch.setattr(patched_module, patched_name, refuse)
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.symlink_to(b)
+    b.symlink_to(a)
+    assert run([*argv, "--out", str(a)]) == 3
+    assert capsys.readouterr() == ("", f"i/o error: --out must name a regular file: "
+                                       f"{str(a)!r}\n")
+    assert (os.readlink(a), os.readlink(b)) == (str(b), str(a))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
+
+@pytest.mark.parametrize("argv,module,name", _WRITERS)
 def test_out_writes_through_a_symlink(argv, module, name, tmp_path, capsys):
     # the link stays a link, and the file it names gets the new bytes
     target, link = tmp_path / "target", tmp_path / "link"

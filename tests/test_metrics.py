@@ -6,19 +6,17 @@ from functools import partial
 
 import pytest
 
-from spongeheat import metrics
+from spongeheat import analysis, metrics
 from spongeheat.metrics import (
     CLOSED_FORM_CAP,
     IterationOutOfRangeError,
     ModelKind,
     char_length,
-    coolant_volume,
     efficiency,
     model_face_counts,
     model_slab_count,
     model_surface,
     model_volume,
-    ratios,
     slice_count,
     total_volume,
 )
@@ -83,7 +81,7 @@ def test_total_volume(n, expected):
     ],
 )
 def test_coolant_volume(kind, n, expected):
-    assert coolant_volume(kind, n) == expected
+    assert total_volume(n) - model_volume(kind, n) == expected
 
 
 @pytest.mark.parametrize(
@@ -107,17 +105,17 @@ def test_efficiency(kind, n, expected):
     ],
 )
 def test_ratios(n, expected):
-    assert ratios(n) == expected
+    assert analysis.table_row(n)[-3:] == expected
 
 
 @pytest.mark.parametrize("bad", [-1, 13, 100])
 def test_iteration_cap(bad):
     # every function of n refuses it outside the cap; the sponge branches of
     # model_volume and model_surface check n themselves
-    calls = [char_length, slice_count, total_volume, ratios]
+    calls = [char_length, slice_count, total_volume, analysis.table_row]
     for kind in ModelKind:
         calls += [partial(fn, kind) for fn in (model_volume, model_surface, model_face_counts,
-                                               coolant_volume, efficiency)]
+                                               efficiency)]
         calls.append(lambda n, kind=kind: model_slab_count(kind, n, 0))
     for fn in calls:
         with pytest.raises(IterationOutOfRangeError):
@@ -175,7 +173,7 @@ def test_quality_ratio_equals_coolant_ratio():
     for n in range(CLOSED_FORM_CAP + 1):
         want = ((total_volume(n) - model_volume(MENGER, n))
                 / (total_volume(n) - model_volume(SLICES, n)))
-        assert ratios(n).R_n == want
+        assert analysis.table_row(n).R_n == want
 
 
 def test_slice_volume_asymptotics():
@@ -204,7 +202,7 @@ def test_monotonicity():
 
 
 def test_quality_ratio_threshold_seed():
-    rn = [ratios(n).R_n for n in range(7)]
+    rn = [analysis.table_row(n).R_n for n in range(7)]
     assert rn[1] < 1
     assert all(rn[n] > 1 for n in range(2, 7))
     assert all(a < b for a, b in zip(rn[1:], rn[2:]))
