@@ -5,9 +5,10 @@ Exit codes: 0 success, 1 usage error, 2 voxel-verify mismatch, 3 I/O failure,
 128 + signum when SIGTERM (143), SIGHUP (129) or SIGINT (130) ends the command.
 Identical argv produces byte-identical output.  Commands that write a file
 write it beside the target under a temporary name and rename it into place,
-so a failure or one of those signals never leaves a truncated file behind.
-An existing --out must be a regular file, or a symlink to one, which then
-stays a link and gets the new bytes.
+so a failure or one of those signals never leaves a truncated file behind;
+nothing is synced to disk, so an OS crash can.  An existing --out must be a
+regular file, or a symlink to one, which then stays a link and gets the new
+bytes.
 """
 from __future__ import annotations
 
@@ -77,35 +78,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out(path: str) -> None:
-    """Refuse an ``--out`` that names a directory or an existing file that
-    is not a regular one (a FIFO, a device or a symlink loop, which the
-    rename would replace), that lies, or links, into a directory that does
-    not exist, or whose file name passes the 255-byte limit; commands call
-    this before doing any other work."""
+def _check_out(path: str) -> str:
+    """Refuse an ``--out`` that names a directory, an existing file that is
+    not a regular one (a FIFO, a device or a symlink loop, which the rename
+    would replace), a file in, or linked into, a directory the kernel cannot
+    reach, or a file name over 255 bytes; else return the file to write.
+    Commands call this before any other work."""
     head, tail = os.path.split(path)
     if not tail or os.path.isdir(path):
         raise IsADirectoryError(f"--out must name a file, not a directory: {path!r}")
-    target = os.path.realpath(path)  # stops at a link only where links loop
+    target = path
+    for _ in range(40):  # the kernel's limit on links followed
+        if not os.path.islink(target):
+            break
+        target = os.path.join(os.path.dirname(target), os.readlink(target))
     if os.path.islink(target) or os.path.exists(path) and not os.path.isfile(path):
         raise OSError(f"--out must name a regular file: {path!r}")
     if head and not os.path.isdir(head):
         raise FileNotFoundError(f"--out directory does not exist: {head!r}")
     target_head, target_tail = os.path.split(target)
-    if not os.path.isdir(target_head):
+    if not os.path.isdir(target_head or os.curdir):
         raise FileNotFoundError(f"--out links into a directory that does not exist: {path!r}")
     if len(os.fsencode(target_tail)) > 255:
         raise OSError(f"--out file name is longer than 255 bytes: {path!r}")
+    return target
 
 
-def _write_file(path: str, write) -> int:
-    """Call ``write(sink)`` on a fresh temporary file in the directory of
-    ``path`` (checked by :func:`_check_out`), then rename it to ``path``; on
-    any failure, remove it.  A symlink is resolved first, so the link stays
-    and the file it names is replaced.  The temporary is ``.NAME.PID.tmp``,
-    NAME cut by whole characters until it fits the 255-byte file-name
-    limit."""
-    target = os.path.realpath(path)
+def _write_file(target: str, write) -> int:
+    """Call ``write(sink)`` on a fresh temporary file beside ``target``, then
+    rename it to ``target``; on any failure, remove it.  ``target`` is what
+    :func:`_check_out` returned: ``--out`` with the links at its end followed
+    one at a time, as the kernel does, and its directories left to the
+    kernel, so the link stays.  The temporary is ``.NAME.PID.tmp``, NAME cut
+    by whole characters until it fits the 255-byte file-name limit."""
     head, tail = os.path.split(target)
     suffix = f".{os.getpid()}.tmp"
     while len(os.fsencode(f".{tail}{suffix}")) > 255:
@@ -189,31 +194,34 @@ def _cmd_crossover(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    _check_out(args.out)
+    target = _check_out(args.out)
     from . import analysis
 
     series = [
         analysis.efficiency_series(metrics.ModelKind.MENGER_SPONGE, args.max_n),
         analysis.efficiency_series(metrics.ModelKind.SLICES, args.max_n),
     ]
-    nbytes = _write_file(args.out, lambda sink: sink.write(analysis.series_csv(series).encode()))
+    nbytes = _write_file(target, lambda sink: sink.write(analysis.series_csv(series).encode()))
     print(f"wrote {args.out} ({nbytes} bytes)")
     return 0
 
 
 def _cmd_mesh(args) -> int:
-    _check_out(args.out)
+    target = _check_out(args.out)
     kind = metrics.ModelKind(args.model)
     if args.n > metrics.MESH_CAP:
         raise ValueError(f"mesh export is capped at n = {metrics.MESH_CAP}, got {args.n}")
     metrics.check_iteration(args.n)
     # imported only after the refusals above, so a refused export loads no numpy
-    from . import mesh, voxel
+    try:
+        from . import mesh, voxel
+    except ModuleNotFoundError as exc:
+        raise ValueError(f"mesh needs numpy: {exc}") if exc.name == "numpy" else exc
 
     grid = voxel.build_grid(kind, args.n)
     buffer = mesh.mesh_from_grid(grid)
     writer = mesh.write_stl_binary if args.format == "stl" else mesh.write_obj
-    nbytes = _write_file(args.out, lambda sink: writer(buffer, sink))
+    nbytes = _write_file(target, lambda sink: writer(buffer, sink))
     print(f"wrote {args.out} ({nbytes} bytes, {buffer.triangle_count} triangles)")
     return 0
 

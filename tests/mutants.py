@@ -103,6 +103,19 @@ MUTANTS = (
            "os.remove(temporary)", "pass", "test_cli.py"),
     Mutant("the FAIL report lists every mismatching slab", "cli.py",
            "                break\n", "", "test_cli.py"),
+    Mutant("--out links resolved lexically, folding a '..' after a file or a missing name",
+           "cli.py",
+           "    target = path\n"
+           "    for _ in range(40):  # the kernel's limit on links followed\n"
+           "        if not os.path.islink(target):\n"
+           "            break\n"
+           "        target = os.path.join(os.path.dirname(target), os.readlink(target))\n",
+           "    target = os.path.realpath(path)\n", "test_cli.py"),
+    Mutant("an --out link's text read from the working directory, not the link's", "cli.py",
+           "target = os.path.join(os.path.dirname(target), os.readlink(target))",
+           "target = os.readlink(target)", "test_cli.py"),
+    Mutant("every failed import in mesh reported as a missing numpy", "cli.py",
+           'if exc.name == "numpy" else exc', "if exc.name else exc", "test_cli.py"),
     Mutant("a symlink loop given as --out is let through", "cli.py",
            "if os.path.islink(target) or ", "if ", "test_cli.py"),
     Mutant("a 256-byte --out name is let through", "cli.py",

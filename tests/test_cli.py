@@ -1,18 +1,23 @@
 """CLI tests: all subcommands, formats, exit codes, determinism."""
 
 import contextlib
+import functools
 import gc
+import io
 import json
 import os
 import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import golden
 from spongeheat import analysis, cli, mesh, metrics, voxel
@@ -468,6 +473,192 @@ def test_io_failure_exits_3(tmp_path, capsys, monkeypatch):
         assert "--out links into a directory" in capsys.readouterr().err
         (tmp_path / "link").unlink()
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing"]
+
+
+def _tree(top) -> dict:
+    """Every entry under ``top``, by path: a link's text, a regular file's
+    bytes, or the file type of any other entry."""
+    entries = {}
+    for head, dirs, files in os.walk(top):
+        for name in dirs + files:
+            path = os.path.join(head, name)
+            mode = os.lstat(path).st_mode
+            entries[path] = (os.readlink(path) if stat.S_ISLNK(mode) else
+                             Path(path).read_bytes() if stat.S_ISREG(mode) else
+                             stat.S_IFMT(mode))
+    return entries
+
+
+@pytest.mark.parametrize("argv,module,name", _WRITERS)
+@pytest.mark.parametrize("make,link", [
+    (lambda root: (root / "x").touch(), "x/../y"),
+    (lambda root: (root / "d").mkdir(), "d/missing/../f"),
+], ids=["dotdot-after-a-file", "dotdot-after-a-missing-name"])
+def test_out_refuses_a_link_the_kernel_cannot_follow(argv, module, name, make, link, tmp_path,
+                                                     capsys, monkeypatch):
+    # the kernel takes a link's ".." after the name before it, and fails on
+    # a file (ENOTDIR) or a missing name (ENOENT); folded lexically, the link
+    # got nothing and a file that no one named was written
+    def refuse(*args, **kwargs):
+        raise AssertionError("no grid may be built and no writer may run")
+
+    for patched_module, patched_name in [(voxel, "build_grid"), (module, name)]:
+        monkeypatch.setattr(patched_module, patched_name, refuse)
+    make(tmp_path)
+    (tmp_path / "link").symlink_to(link)
+    before = _tree(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--out", "link"]) == 3
+    assert capsys.readouterr() == (
+        "", "i/o error: --out links into a directory that does not exist: 'link'\n")
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv,module,name", _WRITERS)
+def test_out_writes_through_a_chain_of_links(argv, module, name, tmp_path, capsys, monkeypatch):
+    # l4 -> l3 -> d/f2: each link is followed in turn, and both stay links
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("d")
+    os.symlink("d/f2", "l3")
+    os.symlink("l3", "l4")
+    assert run([*argv, "--out", "l4"]) == 0
+    assert capsys.readouterr().out.startswith("wrote l4 (")
+    assert (os.readlink("l4"), os.readlink("l3")) == ("l3", "d/f2")
+    assert run([*argv, "--out", "plain"]) == 0
+    assert Path("d/f2").read_bytes() == Path("plain").read_bytes()
+    assert sorted(_tree(".")) == ["./d", "./d/f2", "./l3", "./l4", "./plain"]
+
+
+# 1, 254, 255 and 256 bytes: the last is too long for any file name
+_NAMES = ["a", "b", "c", "é" * 127, "y" * 255, "z" * 256]
+# a path as (components, absolute): for a link's text and for --out
+_PATHS = st.tuples(st.lists(st.sampled_from([*_NAMES, ".", ".."]), min_size=1, max_size=3),
+                   st.booleans())
+
+
+@st.composite
+def _trees(draw):
+    """Entries to make in turn, as (where, kind, link text), each named
+    once, in the root or in a directory drawn before it, and an --out that
+    names one of the links half the time."""
+    entries, dirs = {}, [[]]
+    for _ in range(draw(st.integers(0, 8))):
+        where = [*draw(st.sampled_from(dirs)), draw(st.sampled_from(_NAMES))]
+        kind = draw(st.sampled_from(["file", "dir", "fifo", "link"]))
+        if tuple(where) not in entries:
+            entries[tuple(where)] = (where, kind, draw(_PATHS))
+            if kind == "dir":
+                dirs.append(where)
+    entries = list(entries.values())
+    links = [where for where, kind, _ in entries if kind == "link"]
+    if links and draw(st.booleans()):
+        return entries, (draw(st.sampled_from(links)), draw(st.booleans()))
+    return entries, draw(_PATHS)
+
+
+def _path(root, parts, absolute) -> str:
+    return os.path.join(root, *parts) if absolute else os.path.join(*parts)
+
+
+def _make_tree(root, entries) -> None:
+    """Make ``entries`` under ``root``, skipping those that cannot be made."""
+    os.makedirs(root)
+    for where, kind, text in entries:
+        if any(os.path.islink(os.path.join(root, *where[:i])) for i in range(1, len(where))):
+            continue  # nothing is made through a link, so every link lies in the tree
+        entry = os.path.join(root, *where)
+        with contextlib.suppress(OSError):  # a missing parent, a taken name, a long one
+            if kind == "file":
+                with open(entry, "xb") as sink:
+                    sink.write(b"old")
+            elif kind == "dir":
+                os.mkdir(entry)
+            elif kind == "fifo":
+                os.mkfifo(entry)
+            else:
+                os.symlink(_path(root, *text), entry)
+
+
+@functools.cache
+def _series_reference() -> bytes:
+    """The bytes that ``series --max-n 0`` writes to a plain path."""
+    with tempfile.TemporaryDirectory() as top, contextlib.redirect_stdout(io.StringIO()):
+        assert run(["series", "--max-n", "0", "--out", os.path.join(top, "series.csv")]) == 0
+        return Path(top, "series.csv").read_bytes()
+
+
+def _kernel_writes(path) -> bool:
+    """Whether the kernel opens ``path`` for writing as a regular file;
+    O_NONBLOCK makes a FIFO without a reader fail with ENXIO, not block."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_NONBLOCK)
+    except OSError:
+        return False
+    try:
+        return stat.S_ISREG(os.fstat(fd).st_mode)
+    finally:
+        os.close(fd)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees())
+@example(([(["a"], "link", (["b"], False))], (["a"], False)))
+@example(([(["a"], "dir", (["a"], False)), (["a", "b"], "link", (["c"], False))],
+          (["a", "b"], False)))
+def test_out_is_written_where_the_kernel_would_write_it(tree):
+    # the kernel is the oracle: on a copy of the tree, --out opens for writing
+    # as a regular file exactly when the command exits 0; it then reads back
+    # the bytes, and one file changed; on exit 3 nothing changed.  The tree
+    # lies four levels down, so that a link's ".." stays in the temporary
+    entries, out = tree
+    with tempfile.TemporaryDirectory() as top, pytest.MonkeyPatch.context() as patch:
+        run_top, probe_top = os.path.join(top, "run"), os.path.join(top, "probe")
+        root, probe = (os.path.join(at, "u1", "u2", "u3", "u4", "t") for at in (run_top, probe_top))
+        for at in (root, probe):
+            _make_tree(at, entries)
+        writable = _kernel_writes(os.path.join(probe, _path(probe, *out)))
+        before = _tree(run_top)
+        writes = []
+        series_csv = analysis.series_csv
+        patch.setattr(analysis, "series_csv", lambda *a: writes.append(a) or series_csv(*a))
+        patch.chdir(root)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(["series", "--max-n", "0", "--out", _path(root, *out)])
+        after = _tree(run_top)
+        if writable:
+            data = _series_reference()
+            assert (code, stdout.getvalue(), stderr.getvalue()) == (
+                0, f"wrote {_path(root, *out)} ({len(data)} bytes)\n", "")
+            assert Path(root, _path(root, *out)).read_bytes() == data
+            changed = [path for path in {*before, *after} if before.get(path) != after.get(path)]
+            assert [after[path] for path in changed] == [data]
+        else:
+            assert code == 3 and not writes
+            assert (stdout.getvalue(), stderr.getvalue().count("\n")) == ("", 1)
+            assert stderr.getvalue().startswith("i/o error: --out ")
+            assert after == before
+
+
+def test_mesh_without_numpy_is_one_error_line(tmp_path):
+    # a source tree may lack numpy, which only mesh loads: one line and exit
+    # 1, after the --out check, so nothing is written; any other failed
+    # import still surfaces with its traceback
+    def mesh_with(missing):
+        code = (f"import sys; sys.modules[{missing!r}] = None; "
+                "from spongeheat.cli import main; main()")
+        return subprocess.run([sys.executable, "-c", code, "mesh", "--model", "menger", "--n", "1",
+                               "--out", "m1.stl"], cwd=tmp_path, env=child_env(),
+                              capture_output=True, text=True, timeout=60)
+
+    child = mesh_with("numpy")
+    assert (child.returncode, child.stdout, child.stderr) == (
+        1, "", "error: mesh needs numpy: import of numpy halted; None in sys.modules\n")
+    child = mesh_with("spongeheat.voxel")
+    assert child.returncode == 1 and "Traceback" in child.stderr
+    assert child.stderr.endswith("ModuleNotFoundError: import of spongeheat.voxel halted; "
+                                 "None in sys.modules\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
