@@ -1,5 +1,7 @@
-"""Reference-table reproduction, printed-precision formatting, efficiency
-series, crossover location, and the text/CSV/JSON renderers of each report.
+"""Reference-table reproduction, printed-precision formatting, the
+efficiency curves and their crossover, and the text/CSV/JSON renderers of
+each report.  The curves are the (S, E) columns of the table's rows, so the
+series and the crossover read the very values that the table prints.
 
 Formatting conventions follow the published reference table: plain columns
 carry 4 decimal places (3 once the value reaches 100, i.e. 6 significant
@@ -146,28 +148,17 @@ def decimal_string(value: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# efficiency series and crossover
+# efficiency curves, taken from the table rows, and their crossover
 
 
-class EfficiencySeries(NamedTuple):
-    """Ordered (surface, efficiency) samples of one model for n = 0..n_max.
-
-    Point index equals the iteration order.  S strictly increases and E
-    strictly decreases along the series.
-    """
-
-    model: ModelKind
-    points: tuple[tuple[Fraction, Fraction], ...]
+#: An efficiency curve: one model's (S, E) samples, S increasing.
+Curve = Sequence[tuple[Fraction, Fraction]]
 
 
-def efficiency_series(kind: ModelKind, n_max: int) -> EfficiencySeries:
-    """(S, E) samples of one model for n = 0..n_max, exact rationals."""
-    n_max = check_iteration(n_max)
-    points = tuple(
-        (metrics.model_surface(kind, n), metrics.efficiency(kind, n))
-        for n in range(n_max + 1)
-    )
-    return EfficiencySeries(model=kind, points=points)
+def curves(rows: Sequence[EfficiencyRow]) -> tuple[Curve, Curve]:
+    """The sponge and slice efficiency curves of a table: the (S_M, E_M)
+    and (S_s, E_s) columns of its rows, one point per row."""
+    return [(row.S_M, row.E_M) for row in rows], [(row.S_s, row.E_s) for row in rows]
 
 
 class NoCrossoverError(ValueError):
@@ -197,11 +188,12 @@ def _interp_log_linear(ts: list[float], es: list[float], t: float) -> float:
     return es[i] + w * (es[i + 1] - es[i])
 
 
-def find_crossover(menger: EfficiencySeries, slices: EfficiencySeries) -> CrossoverReport:
+def find_crossover(menger: Curve, slices: Curve) -> CrossoverReport:
     """Locate the smallest surface size at which the sponge curve meets and
-    then exceeds the slice curve.
+    then exceeds the slice curve, each given as its (S, E) samples in order
+    of increasing S (see :func:`curves`).
 
-    Both series are treated as piecewise log-linear: E interpolated linearly
+    Both curves are treated as piecewise log-linear: E interpolated linearly
     against ln S between samples.  The difference of the two interpolants is
     piecewise linear in ln S, so bracketing on the union of segment
     boundaries and solving the two-line intersection is exact for the model.
@@ -213,13 +205,12 @@ def find_crossover(menger: EfficiencySeries, slices: EfficiencySeries) -> Crosso
     Raises NoCrossoverError when one curve dominates the whole shared range
     or the curves are identical.
     """
-    for series in (menger, slices):
-        if len(series.points) < 2:
-            raise ValueError("each series needs at least 2 points")
-    tm = [math.log(float(s)) for s, _ in menger.points]
-    em = [float(e) for _, e in menger.points]
-    ts = [math.log(float(s)) for s, _ in slices.points]
-    es = [float(e) for _, e in slices.points]
+    if len(menger) < 2 or len(slices) < 2:
+        raise ValueError("each series needs at least 2 points")
+    tm = [math.log(float(s)) for s, _ in menger]
+    em = [float(e) for _, e in menger]
+    ts = [math.log(float(s)) for s, _ in slices]
+    es = [float(e) for _, e in slices]
     lo, hi = max(tm[0], ts[0]), min(tm[-1], ts[-1])
     if lo >= hi:
         raise ValueError("series surface ranges do not overlap")
@@ -277,11 +268,14 @@ def table_csv(rows: Sequence[EfficiencyRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def series_csv(series: Sequence[EfficiencySeries]) -> str:
-    """Efficiency series as RFC-4180 CSV, one line per point: model, n, S, E."""
+def series_csv(rows: Sequence[EfficiencyRow]) -> str:
+    """Both efficiency curves of the table rows (see :func:`curves`) as
+    RFC-4180 CSV, one line per point: model, n, S, E; the sponge's points
+    first, then the slices'."""
+    labels = (ModelKind.MENGER_SPONGE.value, ModelKind.SLICES.value)
     return "model,n,S,E\n" + "".join(
-        f"{one.model.value},{n},{decimal_string(s)},{decimal_string(e)}\n"
-        for one in series for n, (s, e) in enumerate(one.points))
+        f"{label},{row.n},{decimal_string(s)},{decimal_string(e)}\n"
+        for label, curve in zip(labels, curves(rows)) for row, (s, e) in zip(rows, curve))
 
 
 def table_json(rows: Sequence[EfficiencyRow]) -> str:

@@ -183,10 +183,9 @@ def _cmd_voxel_verify(args) -> int:
 def _cmd_crossover(args) -> int:
     from . import analysis
 
-    sponge = analysis.efficiency_series(metrics.ModelKind.MENGER_SPONGE, args.max_n)
-    slabs = analysis.efficiency_series(metrics.ModelKind.SLICES, args.max_n)
+    sponge, slices = analysis.curves(analysis.full_table(args.max_n))
     try:
-        report = analysis.find_crossover(sponge, slabs)
+        report = analysis.find_crossover(sponge, slices)
     except analysis.NoCrossoverError as exc:
         report = exc
     print(getattr(analysis, f"crossover_{args.format}")(report), end="")
@@ -197,11 +196,8 @@ def _cmd_series(args) -> int:
     target = _check_out(args.out)
     from . import analysis
 
-    series = [
-        analysis.efficiency_series(metrics.ModelKind.MENGER_SPONGE, args.max_n),
-        analysis.efficiency_series(metrics.ModelKind.SLICES, args.max_n),
-    ]
-    nbytes = _write_file(target, lambda sink: sink.write(analysis.series_csv(series).encode()))
+    rows = analysis.full_table(args.max_n)
+    nbytes = _write_file(target, lambda sink: sink.write(analysis.series_csv(rows).encode()))
     print(f"wrote {args.out} ({nbytes} bytes)")
     return 0
 

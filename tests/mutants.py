@@ -88,6 +88,12 @@ MUTANTS = (
     Mutant("R_S inverted", "analysis.py", "s_m / s_s", "s_s / s_m", "test_analysis.py"),
     Mutant("R_n without its R_S factor", "analysis.py", "R_n=r_e * r_s", "R_n=r_e",
            "test_analysis.py"),
+    # efficiency curves: each model's (S, E) columns of the table rows
+    Mutant("the sponge curve paired with E_s", "analysis.py",
+           "(row.S_M, row.E_M)", "(row.S_M, row.E_s)", "test_analysis.py"),
+    Mutant("the two models' CSV labels swapped", "analysis.py",
+           "labels = (ModelKind.MENGER_SPONGE.value, ModelKind.SLICES.value)",
+           "labels = (ModelKind.SLICES.value, ModelKind.MENGER_SPONGE.value)", "test_analysis.py"),
     # crossover
     Mutant("a touch between two undercuts counts as the crossing", "analysis.py",
            "if d > 0 and undercut:", "if d >= 0 and undercut:", "test_analysis.py"),

@@ -113,16 +113,15 @@ def test_criterion_4_crossover_property():
     """find_crossover returns s_star in [12, 52] on the reference series, and
     the sponge strictly beats the interpolated slice curve at every sponge
     sample with S >= 51.27."""
-    sponge = analysis.efficiency_series(MENGER, 6)
-    slabs = analysis.efficiency_series(SLICES, 6)
+    sponge, slabs = analysis.curves(analysis.full_table(6))
     report = analysis.find_crossover(sponge, slabs)
     assert 12.0 <= report.s_star <= 52.0
 
     # independent check of the dominance claim at the tabulated points
-    ts = [math.log(float(s)) for s, _ in slabs.points]
-    es = [float(e) for _, e in slabs.points]
+    ts = [math.log(float(s)) for s, _ in slabs]
+    es = [float(e) for _, e in slabs]
     margins = {}
-    for n, (surface, eff) in enumerate(sponge.points):
+    for n, (surface, eff) in enumerate(sponge):
         if float(surface) >= 51.27:
             slice_eff = _interp(ts, es, math.log(float(surface)))
             assert float(eff) > slice_eff, (n, float(eff), slice_eff)

@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 import golden
 from spongeheat import analysis, metrics
 from spongeheat.analysis import (
-    EfficiencySeries,
     NoCrossoverError,
+    curves,
     decimal_string,
-    efficiency_series,
     find_crossover,
     format_paper_precision,
     full_table,
@@ -227,18 +226,24 @@ def test_significant_digits_match_decimal_module(ratio, sign):
 
 # -- series ----------------------------------------------------------------------
 
+def _curve(kind, n_max):
+    """One model's (S, E) points, read from the table rows for n = 0..n_max."""
+    sponge, slices = curves(full_table(n_max))
+    return sponge if kind is MENGER else slices
+
+
 def test_series_examples():
-    sponge = efficiency_series(MENGER, 4)
-    assert sponge.points[-1] == (Fraction(336384, 6561), Fraction(411787, 27247104))
-    slabs = efficiency_series(SLICES, 1)
-    assert slabs.points[-1] == (Fraction(20, 3), Fraction(107, 180))
-    single = efficiency_series(MENGER, 0)
-    assert single.points == ((6, Fraction(26, 6)),)
+    sponge = _curve(MENGER, 4)
+    assert sponge[-1] == (Fraction(336384, 6561), Fraction(411787, 27247104))
+    slabs = _curve(SLICES, 1)
+    assert slabs[-1] == (Fraction(20, 3), Fraction(107, 180))
+    single = _curve(MENGER, 0)
+    assert single == [(6, Fraction(26, 6))]
 
 
 @pytest.mark.parametrize("kind", [MENGER, SLICES])
 def test_series_monotonicity(kind):
-    points = efficiency_series(kind, 6).points
+    points = _curve(kind, 6)
     surfaces = [s for s, _ in points]
     efficiencies = [e for _, e in points]
     assert all(a < b for a, b in zip(surfaces, surfaces[1:]))
@@ -253,12 +258,12 @@ def _interp(ts, es, t):
     return es[i] + w * (es[i + 1] - es[i])
 
 
-def dense_crossover(menger_series, slice_series, samples=200001):
+def dense_crossover(menger_points, slice_points, samples=200001):
     """Independent oracle: brute-force scan of the two interpolants."""
-    tm = [math.log(float(s)) for s, _ in menger_series.points]
-    em = [float(e) for _, e in menger_series.points]
-    ts = [math.log(float(s)) for s, _ in slice_series.points]
-    es = [float(e) for _, e in slice_series.points]
+    tm = [math.log(float(s)) for s, _ in menger_points]
+    em = [float(e) for _, e in menger_points]
+    ts = [math.log(float(s)) for s, _ in slice_points]
+    es = [float(e) for _, e in slice_points]
     lo, hi = max(tm[0], ts[0]), min(tm[-1], ts[-1])
     below = False
     for i in range(samples):
@@ -272,7 +277,7 @@ def dense_crossover(menger_series, slice_series, samples=200001):
 
 
 def test_crossover_table_series():
-    report = find_crossover(efficiency_series(MENGER, 6), efficiency_series(SLICES, 6))
+    report = find_crossover(*curves(full_table(6)))
     assert 12 <= report.s_star <= 52
     assert report.s_star == pytest.approx(27.914021858771495, rel=1e-12)
     assert report.menger_bracket == (3, 4)
@@ -281,8 +286,7 @@ def test_crossover_table_series():
 
 
 def test_crossover_against_dense_scan():
-    sponge = efficiency_series(MENGER, 6)
-    slabs = efficiency_series(SLICES, 6)
+    sponge, slabs = curves(full_table(6))
     report = find_crossover(sponge, slabs)
     scanned = dense_crossover(sponge, slabs)
     assert scanned is not None
@@ -293,39 +297,38 @@ def test_crossover_stable_under_truncation():
     # the crossing sits between the n=3 and n=4 sponge samples, so dropping
     # the tail rows must not move it
     for n_max in (4, 5):
-        report = find_crossover(efficiency_series(MENGER, n_max),
-                                efficiency_series(SLICES, n_max))
+        report = find_crossover(*curves(full_table(n_max)))
         assert report.s_star == pytest.approx(27.914021858771495, rel=1e-12)
 
 
 def test_crossover_identical_series():
-    sponge = efficiency_series(MENGER, 6)
+    sponge = _curve(MENGER, 6)
     with pytest.raises(NoCrossoverError):
         find_crossover(sponge, sponge)
 
 
 def test_crossover_truncated_to_n1():
     with pytest.raises(NoCrossoverError):
-        find_crossover(efficiency_series(MENGER, 1), efficiency_series(SLICES, 1))
+        find_crossover(*curves(full_table(1)))
 
 
 def test_crossover_requires_two_points():
-    single = efficiency_series(MENGER, 0)
+    single = _curve(MENGER, 0)
     with pytest.raises(ValueError):
-        find_crossover(single, efficiency_series(SLICES, 6))
+        find_crossover(single, _curve(SLICES, 6))
 
 
 def test_crossover_requires_overlap():
-    a = EfficiencySeries(MENGER, ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))))
-    b = EfficiencySeries(SLICES, ((Fraction(10), Fraction(2)), (Fraction(20), Fraction(1))))
+    a = ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(1)))
+    b = ((Fraction(10), Fraction(2)), (Fraction(20), Fraction(1)))
     with pytest.raises(ValueError, match="overlap"):
         find_crossover(a, b)
 
 
 def test_crossover_requires_more_than_one_shared_surface():
     # the ranges meet at S = 10 only: no interval to look for a crossing in
-    a = EfficiencySeries(MENGER, ((Fraction(1), Fraction(2)), (Fraction(10), Fraction(1))))
-    b = EfficiencySeries(SLICES, ((Fraction(10), Fraction(2)), (Fraction(20), Fraction(1))))
+    a = ((Fraction(1), Fraction(2)), (Fraction(10), Fraction(1)))
+    b = ((Fraction(10), Fraction(2)), (Fraction(20), Fraction(1)))
     with pytest.raises(ValueError) as raised:
         find_crossover(a, b)
     assert (type(raised.value), str(raised.value)) == (
@@ -333,15 +336,15 @@ def test_crossover_requires_more_than_one_shared_surface():
 
 
 def test_crossover_touch_without_undercut_is_not_a_crossing():
-    a = EfficiencySeries(MENGER, ((Fraction(1), Fraction(10)), (Fraction(10), Fraction(10))))
-    b = EfficiencySeries(SLICES, ((Fraction(1), Fraction(10)), (Fraction(10), Fraction(1))))
+    a = ((Fraction(1), Fraction(10)), (Fraction(10), Fraction(10)))
+    b = ((Fraction(1), Fraction(10)), (Fraction(10), Fraction(1)))
     with pytest.raises(NoCrossoverError, match="dominates"):
         find_crossover(a, b)
 
 
 def test_crossover_synthetic_two_lines():
-    rising = EfficiencySeries(MENGER, ((Fraction(1), Fraction(1)), (Fraction(100), Fraction(100))))
-    flat = EfficiencySeries(SLICES, ((Fraction(1), Fraction(10)), (Fraction(100), Fraction(10))))
+    rising = ((Fraction(1), Fraction(1)), (Fraction(100), Fraction(100)))
+    flat = ((Fraction(1), Fraction(10)), (Fraction(100), Fraction(10)))
     report = find_crossover(rising, flat)
     assert report.s_star == pytest.approx(math.exp(9 / 99 * math.log(100)), rel=1e-12)
     assert report.menger_bracket == (0, 1)
@@ -351,10 +354,10 @@ def test_crossover_synthetic_two_lines():
 def test_crossover_exact_touch_after_undercut():
     # the difference goes -, 0, + at the shared breakpoints S = 1, 10, 100:
     # the touch at S = 10 is the crossing, exp(log(10)) bit for bit
-    sponge = EfficiencySeries(MENGER, ((Fraction(1), Fraction(1)), (Fraction(10), Fraction(5)),
-                                       (Fraction(100), Fraction(10))))
-    slices = EfficiencySeries(SLICES, ((Fraction(1), Fraction(2)), (Fraction(10), Fraction(5)),
-                                       (Fraction(100), Fraction(5))))
+    sponge = ((Fraction(1), Fraction(1)), (Fraction(10), Fraction(5)),
+              (Fraction(100), Fraction(10)))
+    slices = ((Fraction(1), Fraction(2)), (Fraction(10), Fraction(5)),
+              (Fraction(100), Fraction(5)))
     report = find_crossover(sponge, slices)
     assert report.s_star == math.exp(math.log(10)) == 10.000000000000002
     assert report.menger_bracket == (1, 2)
@@ -365,10 +368,8 @@ def test_crossover_touch_between_undercuts_is_not_a_crossing():
     # the difference goes -, 0, -, + at S = 1, 10, 100, 1000: the touch at
     # S = 10 is followed by another undercut, so the crossing is the later
     # sign change inside (100, 1000)
-    sponge = EfficiencySeries(MENGER, tuple((Fraction(s), Fraction(e)) for s, e in
-                                            ((1, 1), (10, 5), (100, 4), (1000, 9))))
-    slices = EfficiencySeries(SLICES, tuple((Fraction(s), Fraction(e)) for s, e in
-                                            ((1, 2), (10, 5), (100, 6), (1000, 6))))
+    sponge = [(Fraction(s), Fraction(e)) for s, e in ((1, 1), (10, 5), (100, 4), (1000, 9))]
+    slices = [(Fraction(s), Fraction(e)) for s, e in ((1, 2), (10, 5), (100, 6), (1000, 6))]
     report = find_crossover(sponge, slices)
     assert report.s_star == 251.18864315095806
     assert report.menger_bracket == (2, 3)
@@ -393,12 +394,26 @@ def test_emit_csv_rows():
 
 
 def test_emit_csv_series():
-    text = analysis.series_csv([efficiency_series(MENGER, 2), efficiency_series(SLICES, 2)])
+    text = analysis.series_csv(full_table(2))
     lines = text.split("\n")
     assert lines[0] == "model,n,S,E"
     assert len(lines) == 8 and lines[-1] == ""  # header + 3 + 3 points + trailing LF
     assert lines[1].startswith("menger,0,6.000000000,")
     assert lines[4].startswith("slices,0,")
+
+
+def test_series_csv_cells_are_the_table_columns():
+    # each model's S and E cells are its table columns, row for row
+    rows = full_table(metrics.CLOSED_FORM_CAP)
+    columns = {"menger": ("S_M", "E_M"), "slices": ("S_s", "E_s")}
+    lines = analysis.series_csv(rows).splitlines()
+    assert lines[0] == "model,n,S,E"
+    for line in lines[1:]:
+        model, n, s, e = line.split(",")
+        row = rows[int(n)]
+        assert [s, e] == [decimal_string(getattr(row, col)) for col in columns[model]], line
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        [model, str(n)] for model in columns for n in range(len(rows))]
 
 
 def test_csv_round_trip_precision():
@@ -420,7 +435,7 @@ def test_emit_json_rows_and_crossover():
     assert list(doc) == ["rows"] and len(doc["rows"]) == 7
     assert doc["rows"][1]["V_M"] == {"decimal": "0.7407407407", "ratio": "20/27"}
     assert doc["rows"][0]["rho"] == 1
-    report = find_crossover(efficiency_series(MENGER, 6), efficiency_series(SLICES, 6))
+    report = find_crossover(*curves(full_table(6)))
     assert analysis.crossover_text(report) == ("method:  log-linear\n"
                                                "s_star:  27.914022\n"
                                                "bracket: menger n in [3, 4], slices n in [2, 3]\n")
@@ -435,7 +450,7 @@ def test_emit_json_rows_and_crossover():
 
 def test_emit_json_null_crossover():
     with pytest.raises(NoCrossoverError) as none:
-        find_crossover(efficiency_series(MENGER, 1), efficiency_series(SLICES, 1))
+        find_crossover(*curves(full_table(1)))
     assert analysis.crossover_json(none.value) == '{\n  "crossover": null\n}\n'
     assert analysis.crossover_text(none.value) == (
         "no crossover: curves do not cross: one dominates the shared surface range\n")

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden
+from corpus import child_env
 from spongeheat import analysis, cli, mesh, metrics, voxel
 from spongeheat.cli import build_parser, run
 
@@ -334,13 +335,6 @@ def test_write_replaces_existing_file(tmp_path, capsys):
     assert run(["mesh", "--model", "menger", "--n", "1", "--out", str(target)]) == 0
     assert target.stat().st_size == 7284
     assert [p.name for p in tmp_path.iterdir()] == ["sponge.stl"]
-
-
-def child_env() -> dict:
-    """The environment for a child that runs this checkout's ``src/``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")]))}
 
 
 def _signal_mid_export(signum, tmp_path, env, stderr):
