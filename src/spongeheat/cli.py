@@ -32,6 +32,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
 
+    def print_help(self, file=None):
+        if file is None and sys.stdout is None:  # argparse would fall back to stderr
+            raise OSError("stdout is closed")
+        super().print_help(file)
+
 
 def build_parser() -> argparse.ArgumentParser:
     models = sorted(kind.value for kind in metrics.ModelKind)

@@ -17,7 +17,6 @@ current digest, to re-pin after an intended output change; or
 exits 1 on any mismatch.  This file imports neither pytest nor the
 package, so it runs on every Python the package supports.
 """
-import hashlib
 import os
 import subprocess
 import sys
@@ -92,6 +91,7 @@ CORPUS = {
 def _digest(argv, code, out, err, cwd=os.curdir) -> str:
     """The sha256 of a finished command: its exit code, stdout and stderr
     bytes, and the file its ``--out`` names, if any, read from ``cwd``."""
+    import hashlib  # here, so that tests/guards.py does not load OpenSSL (3.7 MB)
     written = b""
     if "--out" in argv:
         with open(os.path.join(cwd, argv[argv.index("--out") + 1]), "rb") as fh:

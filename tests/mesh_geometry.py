@@ -1,5 +1,5 @@
 """A voxel mesh read back from its own bytes, binary STL or text OBJ, for
-the mesh tests, the acceptance suite and the CI check of the n = 5 files.
+the mesh tests, the acceptance suite and ``tests/mesh_bytes.py``.
 Both layouts are spelled out here, apart from the writers'.  Each reader
 is a sink fed byte chunks of any size; ``end()`` reads what is left and
 checks that the stream stops where its format says.  Both pass every
@@ -8,6 +8,8 @@ triangle, as three float32 vertices, through :meth:`MeshGeometry._add`."""
 import struct
 
 import numpy as np
+
+from spongeheat import metrics
 
 #: One binary STL triangle: normal, three vertices, attribute word (50 bytes).
 RECORD = np.dtype([("normal", "<f4", (3,)), ("verts", "<f4", (3, 3)), ("attr", "<u2")])
@@ -62,6 +64,12 @@ class MeshGeometry:
         self._edges.append(keys * self.side**3 + np.roll(keys, -1, axis=1))
         self.triangles += len(verts)
         return cross
+
+    def assert_encloses(self, kind, n):
+        """Assert the divergence theorem for closed-form model (kind, n): det
+        = 6 * V * 27^n and triangles = area = 2 * S * 9^n."""
+        assert self.det == 6 * metrics.model_volume(kind, n) * 27**n
+        assert self.triangles == self.area == 2 * metrics.model_surface(kind, n) * 9**n
 
     @property
     def edges(self) -> np.ndarray:

@@ -141,6 +141,9 @@ MUTANTS = (
            "    gc.freeze()\n", "", "test_cli.py"),
     Mutant("a stderr line that cannot be written escapes run and main", "cli.py",
            "_devnull(sys.stderr)", "raise", "test_cli.py"),
+    Mutant("--help with no stdout prints to stderr and exits 0", "cli.py",
+           'raise OSError("stdout is closed")\n        super()',
+           'pass\n        super()', "test_cli.py"),
     # voxel oracle: the count the closed forms are checked against
     Mutant("+x exposure looks two cells ahead", "voxel.py",
            "for b in (row >> 1, row << 1, *nearby)]",

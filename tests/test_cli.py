@@ -661,6 +661,9 @@ def test_mesh_without_numpy_is_one_error_line(tmp_path):
     pytest.param(["crossover"], id="crossover-text"),
     pytest.param(["series", "--out", "{tmp}/series.csv"], id="series"),
     pytest.param(["mesh", "--model", "menger", "--n", "1", "--out", "{tmp}/m1.stl"], id="mesh"),
+    # argparse would print the help to stderr and exit 0
+    pytest.param(["--help"], id="help"),
+    pytest.param(["table", "--help"], id="table-help"),
 ])
 def test_closed_stdout_is_an_io_error(argv, tmp_path, capsys, monkeypatch):
     # an interpreter started with fd 1 closed has sys.stdout None, where a

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spongeheat import mesh, metrics, voxel
+from spongeheat import mesh, voxel
 from spongeheat.mesh import mesh_from_grid, write_obj, write_stl_binary
 from spongeheat.metrics import ModelKind
 from spongeheat.voxel import VoxelGrid, build_grid, count_exposed_faces
+import mesh_bytes
 import mesh_geometry
 from mesh_geometry import ObjGeometry, StlGeometry
 from test_voxel import exposed_bits, stride
@@ -103,8 +104,7 @@ def test_stl_n5_sponge_hash():
     m = mesh_from_grid(build_grid(MENGER, 5))
     sink = _Sha256Sink()
     _, peak = traced_peak(write_stl_binary, m, sink)
-    assert sink.digest.hexdigest() == (
-        "ccaa469583aefe2db7a6baca993552d7e1d3924b2593a60fb977a07e596ed203")
+    assert sink.digest.hexdigest() == mesh_bytes.PINS["m5.stl"]
     assert peak < 2.25 * 2**20
 
 
@@ -252,17 +252,12 @@ def test_same_edges_across_any_blocks():
     pytest.param(fmt, n, kind, id=f"{n}-{kind}" + ("-obj" if fmt == "obj" else ""))
     for fmt in ("stl", "obj") for n in range(5) for kind in (MENGER, SLICES)])
 def test_stl_bytes_enclose_closed_form_volume_and_surface(fmt, n, kind):
-    # the divergence theorem gives the solid count V * 27^n, the triangle
-    # areas twice the face count S * 9^n, and each directed edge once with
-    # its reverse a closed, consistently wound surface; the OBJ's edge keys
-    # equal the STL's, so both carry the same vertices, triangle by triangle
+    # the closed forms by the divergence theorem, each directed edge once
+    # with its reverse (a closed, consistently wound surface) and, for the
+    # OBJ, the STL's edge keys: the same vertices, triangle by triangle
     m = mesh_from_grid(build_grid(kind, n))
     sink = _read_back(m, fmt)
-    volume = metrics.model_volume(kind, n) * 27**n
-    surface = metrics.model_surface(kind, n) * 9**n
-    assert volume.denominator == surface.denominator == 1
-    assert sink.det == 6 * volume
-    assert sink.area == 2 * surface == sink.triangles
+    sink.assert_encloses(kind, n)
     assert fmt == "stl" or sink.same_edges(_read_back(m, "stl"))
     assert sink.edge_defects() == (0, 0)
 
@@ -396,7 +391,7 @@ def test_obj_decodes_to_the_stl_triangles(n, kind, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(mesh, "_CHUNK", chunk)
     m = mesh_from_grid(build_grid(kind, n))
-    assert np.array_equal(_read_back(m, "obj").edges, _read_back(m, "stl").edges)
+    assert _read_back(m, "obj").same_edges(_read_back(m, "stl"))
 
 
 def test_obj_round_trips_float32_exactly():
