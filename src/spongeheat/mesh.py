@@ -15,9 +15,9 @@ y +- 1 and the same row in the slabs z +- 1, each an int bitset as
 works out each distinct key's faces once, by the exposure rule of
 :mod:`spongeheat.voxel`, keeps them as int16 (x, direction) rows (1,329
 keys and 452 KB for the n = 5 sponge), and visits every slab once, in
-order: it joins the slab's rows, repeats each row's y once per face of
-the row into one int16 y index as long as the slab's face list, and
-hands both out in slices of at most ``_CHUNK`` faces.
+order: it joins the slab's rows into one int16 face list, works out each
+face's (y, direction) row beside it once per slab, and hands both out in
+slices of at most ``_CHUNK`` faces.
 Every triangle is then assembled from small lookup tables indexed by
 (x, direction) and (y, direction): STL record pairs and y corners, or OBJ
 corner keys.  No per-face integer lattice is built, and each STL chunk is
@@ -26,7 +26,8 @@ OBJ keeps vertex ids for the two z-planes of the current slab only,
 2 * (3^n + 1)^2 int32, shifted down one plane per slab and set by one
 scatter-min per chunk in the vertex pass and again, in the same order, in
 the face pass.  So export memory is the row faces, one slab's int16 face
-list with its y index and one chunk, and not the mesh or a lattice table.
+list with its (y, direction) index and one chunk, and not the mesh or a
+lattice table.
 OBJ text is built as uint8 arrays, with no Python formatting per number: v
 lines are gathered from a table of the lattice coordinates' labels, and a
 chunk's f lines are its ids' digits, written at the width of its greatest
@@ -125,9 +126,10 @@ def _faces(g: VoxelGrid):
     Each y-row's faces depend only on its row key (see :func:`_row_faces`),
     built from the rows of ``voxel.slab_rows`` with 0 for the row beyond
     the lattice in y and z, so they are worked out once per distinct key
-    and kept as int16; a slab joins its rows' lists and repeats each row's
-    y * 6 once per face of the row, so a chunk is a slice of both, and only
-    its direction part is worked out per chunk.
+    and kept as int16; a slab joins its rows' lists into ``xd`` and works
+    out ``yd`` once, each row's y * 6 plus each face's direction, so a
+    chunk is a slice of both.  ``chunks`` slices the current slab's arrays:
+    read it before asking for the next slab.
     """
     res = g.resolution
     outside = (0,) * res  # no cell beyond the lattice, in any y
@@ -141,14 +143,10 @@ def _faces(g: VoxelGrid):
         if new:
             cache.update(zip(new, _row_faces(new, g.stride)))
         rows = list(map(cache.__getitem__, keys))
-        yield z, _chunks(np.concatenate(rows), np.repeat(y6, list(map(len, rows))))
-
-
-def _chunks(xd: np.ndarray, ys: np.ndarray):
-    # one slab's faces and the y * 6 of each, in runs of at most _CHUNK
-    for i in range(0, len(xd), _CHUNK):
-        chunk = xd[i:i + _CHUNK]
-        yield chunk, ys[i:i + _CHUNK] + chunk - chunk // 6 * 6  # chunk % 6, only faster
+        xd = np.concatenate(rows)
+        yd = xd - xd // 6 * 6  # xd % 6, only faster
+        yd += np.repeat(y6, list(map(len, rows)))
+        yield z, ((xd[i:i + _CHUNK], yd[i:i + _CHUNK]) for i in range(0, len(xd), _CHUNK))
 
 
 def _corner_table(res: int, axis: int, corners: np.ndarray = _TRIANGLES) -> np.ndarray:

@@ -188,8 +188,8 @@ MUTANTS = (
     Mutant("STL z corners upside down", "mesh.py",
            "coords[z + _TRIANGLES[..., 2]]", "coords[z + 1 - _TRIANGLES[..., 2]]",
            "test_mesh.py"),
-    Mutant("chunk y rows lose their direction", "mesh.py",
-           "ys[i:i + _CHUNK] + chunk - chunk // 6 * 6", "ys[i:i + _CHUNK]", "test_mesh.py"),
+    Mutant("slab y rows lose their direction", "mesh.py",
+           "yd = xd - xd // 6 * 6", "yd = np.zeros_like(xd)", "test_mesh.py"),
     Mutant("STL header announces one triangle too many", "mesh.py",
            'struct.pack("<I", m.triangle_count)', 'struct.pack("<I", m.triangle_count + 1)',
            "test_mesh.py"),

@@ -99,8 +99,8 @@ def test_stl_n5_sponge_hash():
     # 13.1 M triangles, hashed as they stream; chunk sizes vary within and
     # between slabs, so a record carried over from an earlier chunk would
     # change the hash.  Memory is the row faces, one slab's int16 face list
-    # and y index, and one chunk of at most 2 * 2048 records, whatever the
-    # size of the mesh
+    # and (y, direction) index, and one chunk of at most 2 * 2048 records,
+    # whatever the size of the mesh
     m = mesh_from_grid(build_grid(MENGER, 5))
     sink = _Sha256Sink()
     _, peak = traced_peak(write_stl_binary, m, sink)
@@ -275,6 +275,7 @@ def test_faces_per_direction_match_face_counts(kind, n):
         zs.append(z)
         for xd, yd in chunks:
             assert xd.dtype == yd.dtype == np.int16
+            assert len(xd) == len(yd) <= mesh._CHUNK
             assert (xd % 6 == yd % 6).all()
             assert ((xd // 6 < g.resolution) & (yd // 6 < g.resolution)).all()
             counts += np.bincount(xd % 6, minlength=6)
